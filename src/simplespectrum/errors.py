@@ -18,7 +18,9 @@ class CapExceededError(SimpleSpectrumError):
 
 
 class ConvergenceError(SimpleSpectrumError):
-    """Iterative numeric routine failed to converge within its budget."""
+    """A numeric eigendecomposition missed its accuracy target: the
+    residual max|MV - V diag(lam)| exceeds tol * ||M||_F.  `achieved` holds
+    the residual."""
 
     def __init__(self, message, achieved=None):
         super().__init__(message)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -116,18 +115,39 @@ def verify_orthogonality_lemma(
     return ok, {"eigenvalue": lam, "residual": resid, "x_norm": xnorm}
 
 
-def _census_chunk(args) -> tuple[int, int]:
+def _dispatch(chunk, head: tuple, total: int, workers: int) -> int:
+    """Sum chunk(head + (start, stop)) over contiguous ranges covering
+    [0, total): inline when workers <= 1, else over one process pool."""
+    if workers <= 1:
+        return chunk(head + (0, total))
+    # Imported here: it loads logging and multiprocessing, which
+    # single-worker runs never use.
+    import concurrent.futures
+
+    step = math.ceil(total / workers)
+    jobs = [head + (a, min(a + step, total)) for a in range(0, total, step)]
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
+        return sum(ex.map(chunk, jobs))
+
+
+def _summary(successes: int, trials: int, seed: int, t0: float) -> ExperimentSummary:
+    return ExperimentSummary(
+        trials=trials,
+        successes=successes,
+        point_estimate=successes / trials,
+        wilson_ci_95=wilson_interval(successes, trials),
+        seed=seed,
+        wall_time=time.perf_counter() - t0,
+    )
+
+
+def _census_chunk(args) -> int:
     n, start, stop = args
     simple = 0
     for index in range(start, stop):
         if simplicity_exact(graph_from_index(n, index)).is_simple:
             simple += 1
-    return simple, stop - start
-
-
-def _chunks(total: int, workers: int):
-    step = math.ceil(total / workers)
-    return [(i, min(i + step, total)) for i in range(0, total, step)]
+    return simple
 
 
 def exhaustive_census(n: int, workers: int = 1) -> CensusResult:
@@ -135,12 +155,7 @@ def exhaustive_census(n: int, workers: int = 1) -> CensusResult:
     if not 2 <= n <= 7:
         raise PreconditionError("census supports 2 <= n <= 7")
     total = 1 << (n * (n - 1) // 2)
-    if workers <= 1:
-        simple, _ = _census_chunk((n, 0, total))
-    else:
-        jobs = [(n, a, b) for a, b in _chunks(total, workers)]
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            simple = sum(s for s, _ in ex.map(_census_chunk, jobs))
+    simple = _dispatch(_census_chunk, (n,), total, workers)
     return CensusResult(
         n=n, total=total, simple_count=simple, nonsimple_count=total - simple
     )
@@ -163,20 +178,8 @@ def monte_carlo_simplicity(
     if trials < 1:
         raise PreconditionError("trials must be >= 1")
     t0 = time.perf_counter()
-    if workers <= 1:
-        nonsimple = _mc_chunk((spec, n, seed, 0, trials))
-    else:
-        jobs = [(spec, n, seed, a, b) for a, b in _chunks(trials, workers)]
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            nonsimple = sum(ex.map(_mc_chunk, jobs))
-    return ExperimentSummary(
-        trials=trials,
-        successes=nonsimple,
-        point_estimate=nonsimple / trials,
-        wilson_ci_95=wilson_interval(nonsimple, trials),
-        seed=seed,
-        wall_time=time.perf_counter() - t0,
-    )
+    nonsimple = _dispatch(_mc_chunk, (spec, n, seed), trials, workers)
+    return _summary(nonsimple, trials, seed, t0)
 
 
 def _rich_chunk(args) -> int:
@@ -187,9 +190,10 @@ def _rich_chunk(args) -> int:
         s = eigen_decompose(M, tol=1e-13)
         for j in range(n):
             v = WeightVector.numeric(s.eigenvectors[:, j])
-            rich, _ = is_rich(
-                v, spec.offdiag, A, n, delta=delta, rng=trial_rng(seed, t)
-            )
+            # Substream (seed, t, 1 + j): independent of the matrix draw,
+            # which used (seed, t), and of the other eigenvectors.
+            rng = np.random.default_rng([seed, t, 1 + j])
+            rich, _ = is_rich(v, spec.offdiag, A, n, delta=delta, rng=rng)
             if rich:
                 hits += 1
                 break
@@ -212,19 +216,5 @@ def rich_eigenvector_frequency(
     if delta <= 0:
         raise PreconditionError("delta must be positive")
     t0 = time.perf_counter()
-    if workers <= 1:
-        hits = _rich_chunk((spec, n, A, delta, seed, 0, trials))
-    else:
-        jobs = [
-            (spec, n, A, delta, seed, a, b) for a, b in _chunks(trials, workers)
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            hits = sum(ex.map(_rich_chunk, jobs))
-    return ExperimentSummary(
-        trials=trials,
-        successes=hits,
-        point_estimate=hits / trials,
-        wilson_ci_95=wilson_interval(hits, trials),
-        seed=seed,
-        wall_time=time.perf_counter() - t0,
-    )
+    hits = _dispatch(_rich_chunk, (spec, n, A, delta, seed), trials, workers)
+    return _summary(hits, trials, seed, t0)

@@ -5,6 +5,10 @@ i.i.d. from one atomic law, diagonal entries i.i.d. from another, all
 jointly independent, with symmetric fill-in.  The RNG contract is
 counter-based: trial t of experiment seed s uses the derived stream
 (s, t), so parallel Monte Carlo is order- and worker-count-independent.
+The matrix is drawn from (s, t) alone; any further randomness trial t
+needs comes from substreams (s, t, 1 + j), never from (s, t) again.  The
+rich-eigenvector experiment draws the small-ball samples for eigenvector
+j from (s, t, 1 + j).
 """
 
 from __future__ import annotations

@@ -8,15 +8,16 @@ result is exact, not probabilistic).  Simplicity is then squarefreeness:
 gcd(p, p') constant.  For a real symmetric matrix algebraic multiplicity
 equals geometric multiplicity, so squarefree <=> simple spectrum.
 
-Numeric route: cyclic Jacobi rotations, followed by gap clustering.
-Where the two disagree the exact verdict is ground truth.
+Numeric route: LAPACK's symmetric eigensolver (np.linalg.eigh), followed
+by gap clustering.  Where the two disagree the exact verdict is ground truth.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, sqrt
+from itertools import islice
+from math import comb, gcd
 from typing import Optional
 
 import numpy as np
@@ -29,6 +30,22 @@ from .rationals import format_rational, parse_rational
 # Primes start just below 2^27 so that balanced-representative int64
 # matmuls cannot overflow for n up to ~2000: n * (p/2)^2 < 2^63.
 _PRIME_FLOOR = (1 << 27) - 100
+
+# Primes >= _PRIME_FLOOR found so far in this process, ascending, so that
+# Miller-Rabin runs once per prime.  Growth rebinds a whole new tuple, so
+# concurrent callers cannot interleave appends.
+_PRIMES: tuple[int, ...] = ()
+
+
+def _crt_prime(i: int) -> int:
+    """The i-th prime >= _PRIME_FLOOR, counting from 0."""
+    global _PRIMES
+    primes = _PRIMES
+    if i >= len(primes):
+        start = primes[-1] + 1 if primes else _PRIME_FLOOR
+        primes += tuple(islice(polys.primes_from(start), i + 1 - len(primes)))
+        _PRIMES = primes
+    return primes[i]
 
 
 @dataclass(frozen=True)
@@ -64,7 +81,9 @@ class NumericSpectrum:
     residual: float
 
 
-@dataclass(frozen=True)
+# Slotted, and one shared SimpleExact instance: sweeps that keep a verdict
+# per matrix hold thousands of them.
+@dataclass(frozen=True, slots=True)
 class SimplicityVerdict:
     tag: str  # SimpleExact | NotSimpleExact | SimpleNumeric | NotSimpleNumeric | Ambiguous
     min_gap: Optional[float] = None
@@ -73,6 +92,9 @@ class SimplicityVerdict:
     @property
     def is_simple(self) -> bool:
         return self.tag in ("SimpleExact", "SimpleNumeric")
+
+
+_SIMPLE_EXACT = SimplicityVerdict(tag="SimpleExact")
 
 
 def _charpoly_mod(A: np.ndarray, n: int, p: int) -> list[int]:
@@ -99,12 +121,11 @@ def _integer_charpoly(rows: list[list[int]]) -> list[int]:
     a = max((abs(x) for row in rows for x in row), default=0)
     # |c_k| <= C(n,k) * (n*a)^k; double it for the symmetric CRT range.
     bound = 2 * max(comb(n, k) * (n * a) ** k for k in range(n + 1)) + 1
-    prime_iter = polys.primes_from(_PRIME_FLOOR)
     residues: list[list[int]] = []
     used: list[int] = []
     modulus = 1
     while modulus < bound:
-        p = next(prime_iter)
+        p = _crt_prime(len(used))
         Ap = np.array([[x % p for x in row] for row in rows], dtype=np.int64)
         residues.append(_charpoly_mod(Ap, n, p))
         used.append(p)
@@ -147,87 +168,33 @@ def simplicity_exact(M: SymmetricMatrix) -> SimplicityVerdict:
     dp = polys.derivative(ip)
     # Cheap one-sided screen: a constant gcd mod q proves a constant gcd
     # over Q when q divides neither leading coefficient.
-    q = next(polys.primes_from(_PRIME_FLOOR))
+    q = _crt_prime(0)
     if ip[-1] % q and dp[-1] % q:
         if polys.degree(polys.poly_gcd_mod(ip, dp, q)) == 0:
-            return SimplicityVerdict(tag="SimpleExact")
+            return _SIMPLE_EXACT
     g = polys.gcd_int(ip, dp)
     if polys.degree(g) == 0:
-        return SimplicityVerdict(tag="SimpleExact")
+        return _SIMPLE_EXACT
     lead = Fraction(g[-1])
     cert = tuple(Fraction(c) / lead for c in g)
     return SimplicityVerdict(tag="NotSimpleExact", certificate=cert)
 
 
 def eigen_decompose(M: SymmetricMatrix, tol: float = 1e-12) -> NumericSpectrum:
-    """Full eigendecomposition by cyclic Jacobi sweeps on a float copy.
+    """Full eigendecomposition of a float copy by LAPACK's symmetric solver.
 
-    Sweeps until the off-diagonal Frobenius norm drops below tol * ||M||_F,
-    up to 50 sweeps.
+    Raises ConvergenceError when the residual max|MV - V diag(lam)| exceeds
+    tol * ||M||_F.
     """
     if tol <= 0:
         raise PreconditionError("tol must be positive")
     A = M.to_float_array()
-    n = M.n
-    V = np.eye(n)
-    frob = np.linalg.norm(A)
-    if n == 1 or frob == 0.0:
-        lam = np.diag(A).copy()
-        return NumericSpectrum(lam, V, 0.0)
-    def offdiag_norm(B):
-        # Summing the off-diagonal squares directly avoids the cancellation
-        # in ||B||_F^2 - ||diag||^2 once the matrix is nearly diagonal.
-        C = B.copy()
-        np.fill_diagonal(C, 0.0)
-        return float(np.linalg.norm(C))
-
-    converged = False
-    for _ in range(50):
-        off = offdiag_norm(A)
-        if off <= tol * frob:
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if apq == 0.0:
-                    continue
-                diff = A[q, q] - A[p, p]
-                if abs(apq) < 1e-36 * abs(diff):
-                    t = apq / diff
-                else:
-                    theta = diff / (2.0 * apq)
-                    t = 1.0 / (abs(theta) + sqrt(theta * theta + 1.0))
-                    if theta < 0.0:
-                        t = -t
-                c = 1.0 / sqrt(t * t + 1.0)
-                s = t * c
-                rp, rq = A[p, :].copy(), A[q, :].copy()
-                A[p, :] = c * rp - s * rq
-                A[q, :] = s * rp + c * rq
-                cp, cq = A[:, p].copy(), A[:, q].copy()
-                A[:, p] = c * cp - s * cq
-                A[:, q] = s * cp + c * cq
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-                vp, vq = V[:, p].copy(), V[:, q].copy()
-                V[:, p] = c * vp - s * vq
-                V[:, q] = s * vp + c * vq
-    else:
-        converged = False
-    if not converged:
-        off = offdiag_norm(A)
-        if off > tol * frob:
-            raise ConvergenceError(
-                f"Jacobi did not converge in 50 sweeps (off-diagonal {off:g})",
-                achieved=off,
-            )
-    lam = np.diag(A).copy()
-    order = np.argsort(lam, kind="stable")
-    lam = lam[order]
-    V = V[:, order]
-    Mf = M.to_float_array()
-    residual = float(np.max(np.abs(Mf @ V - V * lam[None, :])))
+    lam, V = np.linalg.eigh(A)
+    residual = float(np.max(np.abs(A @ V - V * lam[None, :])))
+    if residual > tol * np.linalg.norm(A):
+        raise ConvergenceError(
+            f"eigh residual {residual:g} exceeds tol * ||M||_F", achieved=residual
+        )
     return NumericSpectrum(lam, V, residual)
 
 
@@ -268,18 +235,4 @@ def simplicity_numeric(
     simple = all(len(c) == 1 for c in clusters)
     return SimplicityVerdict(
         tag="SimpleNumeric" if simple else "NotSimpleNumeric", min_gap=min_gap
-    )
-
-
-def reconcile(M: SymmetricMatrix, gap_tol: float = 1e-8) -> SimplicityVerdict:
-    """Run both routes; on disagreement resolve in favor of exact."""
-    exact = simplicity_exact(M)
-    numeric = simplicity_numeric(M, gap_tol)
-    if exact.is_simple != numeric.is_simple:
-        # Disagreement: exact wins, but keep the numeric gap as evidence.
-        return SimplicityVerdict(
-            tag=exact.tag, min_gap=numeric.min_gap, certificate=exact.certificate
-        )
-    return SimplicityVerdict(
-        tag=exact.tag, min_gap=numeric.min_gap, certificate=exact.certificate
     )

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import gaps, smallball
 from .dist import AtomicDistribution
-from .errors import PreconditionError, SearchBudgetError
+from .errors import CapExceededError, PreconditionError, SearchBudgetError
 from .gaps import Gap
 from .rationals import format_rational, parse_rational
 from .smallball import WeightVector
@@ -412,7 +412,7 @@ def verify_report(
         try:
             members = gaps.member_set(report.gap, params.enum_cap)
             mem_ok = all(V.entries[i] in members for i in report.w_indices)
-        except Exception:
+        except CapExceededError:
             mem_ok = False
     else:
         mem_ok = False

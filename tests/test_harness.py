@@ -1,5 +1,6 @@
 import pytest
 
+from simplespectrum import harness
 from simplespectrum.dist import bernoulli_half, make_distribution, rademacher, zero_atom
 from simplespectrum.errors import PreconditionError
 from simplespectrum.harness import (
@@ -9,7 +10,12 @@ from simplespectrum.harness import (
     verify_orthogonality_lemma,
     wilson_interval,
 )
-from simplespectrum.matrices import EnsembleSpec, SymmetricMatrix, graph_from_index
+from simplespectrum.matrices import (
+    EnsembleSpec,
+    SymmetricMatrix,
+    graph_from_index,
+    trial_rng,
+)
 
 GNP = EnsembleSpec(offdiag=bernoulli_half(), diag=zero_atom())
 SIGN = EnsembleSpec(offdiag=rademacher(), diag=rademacher())
@@ -101,3 +107,29 @@ def test_richness_n2_small_support():
     assert 0 <= s.successes <= 50
     lo, hi = s.wilson_ci_95
     assert lo <= s.point_estimate <= hi
+
+
+# n = 8 enumerates all 2^8 sign patterns; n = 22 > 20 samples them.  Both
+# configurations give some rich and some non-rich trials.
+@pytest.mark.parametrize("n, A, delta", [(8, 2.0, 1e-9), (22, 1.0, 0.102)])
+def test_richness_worker_invariant(n, A, delta):
+    a = rich_eigenvector_frequency(SIGN, n, A, delta, trials=6, seed=4)
+    b = rich_eigenvector_frequency(SIGN, n, A, delta, trials=6, seed=4, workers=3)
+    assert a == b  # wall_time excluded from comparison
+    assert 0 < a.successes < 6
+
+
+def test_richness_smallball_streams_are_fresh(monkeypatch):
+    n, trials, seed = 4, 3, 11
+    states = []
+
+    def record(v, d, A, n, delta, rng):
+        states.append(rng.bit_generator.state)
+        return False, 0.0
+
+    monkeypatch.setattr(harness, "is_rich", record)
+    rich_eigenvector_frequency(SIGN, n, A=1.0, delta=1e-9, trials=trials, seed=seed)
+    assert len(states) == trials * n
+    assert len({repr(s) for s in states}) == len(states)
+    for i, state in enumerate(states):
+        assert state != trial_rng(seed, i // n).bit_generator.state

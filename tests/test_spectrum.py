@@ -1,9 +1,12 @@
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
 
+from simplespectrum import polys, spectrum
 from simplespectrum.dist import rademacher
+from simplespectrum.errors import ConvergenceError
 from simplespectrum.matrices import (
     EnsembleSpec,
     SymmetricMatrix,
@@ -167,6 +170,13 @@ def test_eigen_conservation():
         assert abs(float(np.sum(s.eigenvalues**2)) - frob2) <= tol
 
 
+def test_eigen_residual_above_tol_raises():
+    M = sample_matrix(SIGN, 8, trial_rng(6, 0))
+    with pytest.raises(ConvergenceError) as info:
+        eigen_decompose(M, tol=1e-300)
+    assert info.value.achieved > 0
+
+
 def test_clusters_singletons():
     s = eigen_decompose(SymmetricMatrix.from_rows([[1, 0], [0, 2]]))
     clusters, min_gap = multiplicity_clusters(s, 1e-8)
@@ -206,3 +216,16 @@ def test_char_poly_json():
     p = char_poly(K3)
     assert p.to_json() == ["-2", "-3", "0", "1"]
     assert CharPoly.from_json(p.to_json()) == p
+
+
+def test_crt_primes_found_once(monkeypatch):
+    M = sample_matrix(SIGN, 5, trial_rng(3, 0))
+    verdict = simplicity_exact(M)
+    real = polys.primes_from
+    assert [spectrum._crt_prime(i) for i in range(3)] == list(
+        islice(real(spectrum._PRIME_FLOOR), 3)
+    )
+    calls = []
+    monkeypatch.setattr(polys, "primes_from", lambda s: calls.append(s) or real(s))
+    assert simplicity_exact(M) == verdict
+    assert calls == []

@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from simplespectrum import gaps
 from simplespectrum.dist import rademacher
-from simplespectrum.errors import PreconditionError
+from simplespectrum.errors import CapExceededError, PreconditionError
 from simplespectrum.gaps import Gap, volume
 from simplespectrum.smallball import WeightVector
 from simplespectrum.structure import (
@@ -127,6 +128,24 @@ def test_verify_rejects_membership_tamper(ones_report):
     V = WeightVector.exact([1] * 15 + [7])
     res = verify_report(V, RAD, PARAMS, ones_report)
     assert not res.ok and "membership" in res.failed
+
+
+def test_verify_membership_cap_fails_but_bug_propagates(ones_report, monkeypatch):
+    V = WeightVector.exact([1] * 16)
+
+    def over_cap(P, cap):
+        raise CapExceededError("over cap")
+
+    monkeypatch.setattr(gaps, "member_set", over_cap)
+    res = verify_report(V, RAD, PARAMS, ones_report)
+    assert not res.ok and "membership" in res.failed
+
+    def broken(P, cap):
+        raise RuntimeError("bug")
+
+    monkeypatch.setattr(gaps, "member_set", broken)
+    with pytest.raises(RuntimeError):
+        verify_report(V, RAD, PARAMS, ones_report)
 
 
 def test_verify_rejects_p_tamper(ones_report):
