@@ -108,30 +108,10 @@ def contains(P: Gap, x, cap: int = DEFAULT_ENUM_CAP) -> bool:
     return any(phi(P, m) == x for m in _box(P))
 
 
-def _rank_of(vectors: list[tuple[int, ...]], d: int) -> int:
-    """Rank of the span of integer vectors, by exact Gaussian elimination."""
-    rows = [[Fraction(x) for x in v] for v in vectors if any(v)]
-    rank = 0
-    col = 0
-    while rows and col < d:
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
-        if pivot is None:
-            col += 1
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pr = rows[rank]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col] / pr[col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], pr)]
-        rank += 1
-        col += 1
-    return rank
-
-
-def _nullspace_vector(vectors: list[tuple[int, ...]], d: int) -> list[Fraction]:
-    """One nonzero c with c . v = 0 for all v; free variable of highest
-    index preferred (deterministic tie-break)."""
+def _nullspace_vector(vectors: list[tuple[int, ...]], d: int) -> list[Fraction] | None:
+    """One nonzero c with c . v = 0 for all v, or None when the vectors have
+    full rank d; free variable of highest index preferred (deterministic
+    tie-break)."""
     rows = [[Fraction(x) for x in v] for v in vectors if any(v)]
     pivots: dict[int, list[Fraction]] = {}
     for row in rows:
@@ -143,6 +123,8 @@ def _nullspace_vector(vectors: list[tuple[int, ...]], d: int) -> list[Fraction]:
         lead = next((j for j in range(d) if r[j] != 0), None)
         if lead is not None:
             pivots[lead] = r
+    if len(pivots) == d:
+        return None
     free = max(j for j in range(d) if j not in pivots)
     c = [Fraction(0)] * d
     c[free] = Fraction(1)
@@ -171,9 +153,9 @@ def full_rank_reduce(P_I: Gap, P: Gap, cap: int = DEFAULT_ENUM_CAP) -> Gap:
     d = P_I.rank
     if not sigma or all(not any(m) for m in sigma):
         return Gap.trivial()
-    if _rank_of(sigma, d) == d:
-        return P_I
     c = _nullspace_vector(sigma, d)
+    if c is None:
+        return P_I
     drop = max(j for j in range(d) if c[j] != 0)
     coeff = [-c[j] / c[drop] for j in range(d)]  # x_drop = sum_j coeff_j x_j
     gens = tuple(

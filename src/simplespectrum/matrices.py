@@ -1,5 +1,10 @@
 """Exact symmetric matrices: sampling, graph adjacency indexing, minor split.
 
+A matrix is an integer numerator array `num` over one denominator `den`:
+int64 when every entry fits, Python ints (dtype=object) otherwise, so the
+exact route never wraps and builds no Fraction per entry.  Only this
+module builds that layout.
+
 Sampling follows the general symmetric model: upper-triangular entries are
 i.i.d. from one atomic law, diagonal entries i.i.d. from another, all
 jointly independent, with symmetric fill-in.  The RNG contract is
@@ -14,10 +19,11 @@ j from (s, t, 1 + j).
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from math import gcd, lcm
 from typing import Sequence
 
 import numpy as np
@@ -27,47 +33,77 @@ from .errors import PreconditionError
 from .rationals import format_rational, parse_rational
 
 
-@dataclass(frozen=True)
-class SymmetricMatrix:
-    """Exact rational symmetric n x n matrix."""
+def _int_array(num) -> np.ndarray:
+    """A copy of `num` as int64 when every entry fits, else as Python ints
+    (dtype=object); np.array alone would turn 2**63 into a float."""
+    if isinstance(num, np.ndarray) and num.dtype == np.int64:
+        return num.copy()
+    a = np.array(num, dtype=object)
+    if not all(isinstance(x, (int, np.integer)) for x in a.flat):
+        raise PreconditionError("matrix entries must be integers")
+    try:
+        return a.astype(np.int64)
+    except OverflowError:
+        return np.asarray(np.frompyfunc(int, 1, 1)(a), dtype=object)
 
-    n: int
-    entries: tuple[tuple[Fraction, ...], ...]
+
+@dataclass(frozen=True, eq=False)
+class SymmetricMatrix:
+    """Exact rational symmetric n x n matrix num / den.
+
+    `num` is a read-only square integer array, int64 when every entry fits
+    and Python ints (dtype=object) otherwise; `den >= 1` is in lowest terms
+    with it.  Compares by value; not hashable (its `entries` view is).
+    """
+
+    num: np.ndarray
+    den: int = 1
 
     def __post_init__(self):
-        if self.n < 1 or len(self.entries) != self.n:
+        num, den = _int_array(self.num), operator.index(self.den)
+        if num.ndim != 2 or num.shape[0] != num.shape[1] or num.shape[0] < 1:
             raise PreconditionError("dimension mismatch")
-        for i in range(self.n):
-            if len(self.entries[i]) != self.n:
-                raise PreconditionError("dimension mismatch")
-            for j in range(i):
-                if self.entries[i][j] != self.entries[j][i]:
-                    raise PreconditionError("matrix not symmetric")
+        if den < 1:
+            raise PreconditionError("den must be >= 1")
+        if not np.array_equal(num, num.T):
+            raise PreconditionError("matrix not symmetric")
+        if den > 1 and (g := gcd(den, *num.ravel().tolist())) > 1:
+            num, den = _int_array(num // g), den // g
+        num.flags.writeable = False
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+
+    @property
+    def n(self) -> int:
+        return self.num.shape[0]
+
+    @property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(
+            tuple(Fraction(x, self.den) for x in row) for row in self.num.tolist()
+        )
+
+    def __eq__(self, other):
+        if not isinstance(other, SymmetricMatrix):
+            return NotImplemented
+        return self.den == other.den and np.array_equal(self.num, other.num)
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.entries[i][j]
+        return Fraction(int(self.num[i, j]), self.den)
 
     def trace(self) -> Fraction:
-        return sum((self.entries[i][i] for i in range(self.n)), Fraction(0))
+        return Fraction(sum(self.num.diagonal().tolist()), self.den)
 
     def max_abs_entry(self) -> Fraction:
-        return max(abs(x) for row in self.entries for x in row)
+        return Fraction(max(-int(self.num.min()), int(self.num.max())), self.den)
 
     def to_float_array(self) -> np.ndarray:
-        return np.array(
-            [[float(x) for x in row] for row in self.entries], dtype=float
-        )
+        return np.asarray(self.num / self.den, dtype=float)
 
     def permuted(self, perm: Sequence[int]) -> "SymmetricMatrix":
         """Simultaneous row/column permutation (similarity transform)."""
-        return SymmetricMatrix(
-            self.n,
-            tuple(
-                tuple(self.entries[perm[i]][perm[j]] for j in range(self.n))
-                for i in range(self.n)
-            ),
-        )
+        return SymmetricMatrix(self.num[np.ix_(perm, perm)], self.den)
 
     def to_json(self) -> dict:
         return {
@@ -79,25 +115,24 @@ class SymmetricMatrix:
     def from_json(cls, obj) -> "SymmetricMatrix":
         if isinstance(obj, str):
             obj = json.loads(obj)
-        rows = tuple(
-            tuple(parse_rational(x) for x in row) for row in obj["rows"]
-        )
-        return cls(obj["n"], rows)
+        M = cls.from_rows(obj["rows"])
+        if M.n != obj["n"]:
+            raise PreconditionError("dimension mismatch")
+        return M
 
     @classmethod
     def from_rows(cls, rows) -> "SymmetricMatrix":
-        rows = tuple(tuple(parse_rational(x) for x in row) for row in rows)
-        return cls(len(rows), rows)
+        """Rows of rationals ("p/q" strings, ints or Fractions)."""
+        rows = [[parse_rational(x) for x in row] for row in rows]
+        den = lcm(*(x.denominator for row in rows for x in row))
+        num = [[x.numerator * (den // x.denominator) for x in row] for row in rows]
+        return cls(num, den)
 
     @classmethod
     def from_text(cls, text: str) -> "SymmetricMatrix":
         """Parse a whitespace-separated integer matrix, one row per line."""
-        rows = [
-            tuple(Fraction(tok) for tok in line.split())
-            for line in text.strip().splitlines()
-            if line.strip()
-        ]
-        return cls(len(rows), tuple(rows))
+        lines = text.strip().splitlines()
+        return cls.from_rows(line.split() for line in lines if line.strip())
 
 
 @dataclass(frozen=True)
@@ -117,10 +152,8 @@ class MinorSplit:
     corner: Fraction
 
     def reassemble(self) -> SymmetricMatrix:
-        n = self.minor.n + 1
-        rows = [list(row) + [self.x[i]] for i, row in enumerate(self.minor.entries)]
-        rows.append(list(self.x) + [self.corner])
-        return SymmetricMatrix(n, tuple(tuple(r) for r in rows))
+        rows = [list(row) + [xi] for row, xi in zip(self.minor.entries, self.x)]
+        return SymmetricMatrix.from_rows(rows + [list(self.x) + [self.corner]])
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -128,11 +161,26 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng([seed, trial])
 
 
-def _sample_atoms(d: AtomicDistribution, count: int, rng: np.random.Generator):
+def _sample_atoms(
+    d: AtomicDistribution, count: int, rng: np.random.Generator, den: int
+) -> np.ndarray:
+    """`count` i.i.d. draws from d, as numerators over `den`."""
     cum = list(accumulate(float(p) for p in d.probs))
     cum[-1] = 1.0
-    u = rng.random(count)
-    return [d.atoms[bisect_right(cum, x)] for x in u]
+    scaled = _int_array([a.numerator * (den // a.denominator) for a in d.atoms])
+    # searchsorted(side="right") is bisect_right on the same float sums.
+    return scaled[np.searchsorted(cum, rng.random(count), side="right")]
+
+
+def _symmetric_fill(n: int, upper, diag, den: int = 1) -> SymmetricMatrix:
+    """The matrix with `upper` row-major above the diagonal, mirrored below
+    it, and `diag` on it, all over `den`."""
+    num = np.zeros((n, n), dtype=np.result_type(upper, diag))
+    iu = np.triu_indices(n, 1)
+    num[iu] = upper
+    num[iu[1], iu[0]] = upper
+    num[np.diag_indices(n)] = diag
+    return SymmetricMatrix(num, den)
 
 
 def sample_matrix(
@@ -141,19 +189,12 @@ def sample_matrix(
     """Draw one matrix: i.i.d. upper-triangular entries, i.i.d. diagonal."""
     if n < 1:
         raise PreconditionError("n must be >= 1")
+    den = lcm(*(a.denominator for d in (spec.offdiag, spec.diag) for a in d.atoms))
     # Fixed draw order (off-diagonal row-major, then diagonal) keeps the
     # output a pure function of the stream state.
-    upper = _sample_atoms(spec.offdiag, n * (n - 1) // 2, rng)
-    diag = _sample_atoms(spec.diag, n, rng)
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    k = 0
-    for i in range(n):
-        rows[i][i] = diag[i]
-        for j in range(i + 1, n):
-            rows[i][j] = upper[k]
-            rows[j][i] = upper[k]
-            k += 1
-    return SymmetricMatrix(n, tuple(tuple(r) for r in rows))
+    upper = _sample_atoms(spec.offdiag, n * (n - 1) // 2, rng, den)
+    diag = _sample_atoms(spec.diag, n, rng, den)
+    return _symmetric_fill(n, upper, diag, den)
 
 
 def graph_from_index(n: int, index: int) -> SymmetricMatrix:
@@ -164,15 +205,10 @@ def graph_from_index(n: int, index: int) -> SymmetricMatrix:
     nbits = n * (n - 1) // 2
     if not 0 <= index < (1 << nbits):
         raise PreconditionError(f"index {index} out of range for n={n}")
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    k = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            bit = (index >> k) & 1
-            rows[i][j] = Fraction(bit)
-            rows[j][i] = Fraction(bit)
-            k += 1
-    return SymmetricMatrix(n, tuple(tuple(r) for r in rows))
+    # Bits of the Python int itself: index may exceed int64.
+    raw = operator.index(index).to_bytes((nbits + 7) // 8, "little")
+    bits = np.unpackbits(np.frombuffer(raw, np.uint8), count=nbits, bitorder="little")
+    return _symmetric_fill(n, bits.astype(np.int64), np.zeros(n, dtype=np.int64))
 
 
 def minor_decompose(M: SymmetricMatrix) -> MinorSplit:
@@ -180,8 +216,5 @@ def minor_decompose(M: SymmetricMatrix) -> MinorSplit:
     if M.n < 2:
         raise PreconditionError("minor decomposition needs n >= 2")
     m = M.n - 1
-    minor = SymmetricMatrix(
-        m, tuple(tuple(M.entries[i][j] for j in range(m)) for i in range(m))
-    )
-    x = tuple(M.entries[i][m] for i in range(m))
-    return MinorSplit(minor=minor, x=x, corner=M.entries[m][m])
+    x = tuple(Fraction(v, M.den) for v in M.num[:m, m].tolist())
+    return MinorSplit(SymmetricMatrix(M.num[:m, :m], M.den), x, M[m, m])

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from math import comb, gcd
+from math import comb
 from typing import Optional
 
 import numpy as np
@@ -98,13 +98,16 @@ _SIMPLE_EXACT = SimplicityVerdict(tag="SimpleExact")
 
 
 def _charpoly_mod(A: np.ndarray, n: int, p: int) -> list[int]:
-    """Faddeev-LeVerrier mod p; returns [c_0..c_n] with poly = sum c_k x^(n-k)."""
+    """Faddeev-LeVerrier mod p; returns [c_0..c_n] with poly = sum c_k x^(n-k).
+    A is reduced mod p; balanced int64 matmuls reach n*((p-1)/2)^2 + p."""
     half = p // 2
+    if n * half * half + p >= 1 << 63:
+        raise PreconditionError(f"n = {n} overflows int64 products mod {p}")
 
     def balance(B):
         return (B + half) % p - half
 
-    Ab = balance(A % p)
+    Ab = balance(A)
     M = np.zeros((n, n), dtype=np.int64)
     eye = np.eye(n, dtype=np.int64)
     c = [1]
@@ -115,10 +118,10 @@ def _charpoly_mod(A: np.ndarray, n: int, p: int) -> list[int]:
     return c
 
 
-def _integer_charpoly(rows: list[list[int]]) -> list[int]:
+def _integer_charpoly(A: np.ndarray) -> list[int]:
     """Exact char poly of an integer symmetric matrix via CRT over primes."""
-    n = len(rows)
-    a = max((abs(x) for row in rows for x in row), default=0)
+    n = A.shape[0]
+    a = max(-int(A.min()), int(A.max()))
     # |c_k| <= C(n,k) * (n*a)^k; double it for the symmetric CRT range.
     bound = 2 * max(comb(n, k) * (n * a) ** k for k in range(n + 1)) + 1
     residues: list[list[int]] = []
@@ -126,8 +129,7 @@ def _integer_charpoly(rows: list[list[int]]) -> list[int]:
     modulus = 1
     while modulus < bound:
         p = _crt_prime(len(used))
-        Ap = np.array([[x % p for x in row] for row in rows], dtype=np.int64)
-        residues.append(_charpoly_mod(Ap, n, p))
+        residues.append(_charpoly_mod(np.asarray(A % p, dtype=np.int64), n, p))
         used.append(p)
         modulus *= p
     coeffs = []
@@ -141,30 +143,18 @@ def _integer_charpoly(rows: list[list[int]]) -> list[int]:
 
 def char_poly(M: SymmetricMatrix) -> CharPoly:
     """Exact monic characteristic polynomial det(xI - M)."""
-    n = M.n
-    den = 1
-    for row in M.entries:
-        for x in row:
-            den = den * x.denominator // gcd(den, x.denominator)
-    rows = [[int(x * den) for x in row] for row in M.entries]
-    c = _integer_charpoly(rows)  # char poly of den*M in y
+    c = _integer_charpoly(M.num)  # char poly q of num = den*M, in y
     # p(x) = q(den*x)/den^n  =>  coefficient of x^(n-k) is c_k / den^k
-    coeffs_desc = [Fraction(c[k], den**k) for k in range(n + 1)]
-    return CharPoly(tuple(reversed(coeffs_desc)))
-
-
-def _int_poly_ascending(p: CharPoly) -> tuple[list[int], int]:
-    """Clear denominators: return (integer coefficient list asc, multiplier)."""
-    den = 1
-    for c in p.coeffs:
-        den = den * c.denominator // gcd(den, c.denominator)
-    return [int(c * den) for c in p.coeffs], den
+    return CharPoly(tuple(Fraction(c[k], M.den**k) for k in reversed(range(M.n + 1))))
 
 
 def simplicity_exact(M: SymmetricMatrix) -> SimplicityVerdict:
-    """SimpleExact iff char_poly(M) is squarefree; certificate otherwise."""
-    p = char_poly(M)
-    ip, _ = _int_poly_ascending(p)
+    """SimpleExact iff char_poly(M) is squarefree; certificate otherwise.
+
+    det(xI - M) = ip(den*x)/den^n for the integer char poly ip of num, so M
+    is simple exactly when ip is squarefree, and the test runs on integers.
+    """
+    ip = _integer_charpoly(M.num)[::-1]
     dp = polys.derivative(ip)
     # Cheap one-sided screen: a constant gcd mod q proves a constant gcd
     # over Q when q divides neither leading coefficient.
@@ -173,10 +163,13 @@ def simplicity_exact(M: SymmetricMatrix) -> SimplicityVerdict:
         if polys.degree(polys.poly_gcd_mod(ip, dp, q)) == 0:
             return _SIMPLE_EXACT
     g = polys.gcd_int(ip, dp)
-    if polys.degree(g) == 0:
+    d = polys.degree(g)
+    if d == 0:
         return _SIMPLE_EXACT
-    lead = Fraction(g[-1])
-    cert = tuple(Fraction(c) / lead for c in g)
+    # The monic gcd of det(xI - M) and its derivative is g(den*x) rescaled
+    # to leading coefficient 1: coefficient i is g_i den^i / (g_d den^d).
+    scale = g[-1] * M.den**d
+    cert = tuple(Fraction(c * M.den**i, scale) for i, c in enumerate(g))
     return SimplicityVerdict(tag="NotSimpleExact", certificate=cert)
 
 

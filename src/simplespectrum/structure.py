@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations
 from typing import Optional
@@ -138,10 +138,10 @@ def _rank2_cover(
     values: tuple[Fraction, ...],
     m: int,
     vol_max: int,
-    enum_cap: int,
 ) -> Optional[tuple[Gap, tuple[int, ...]]]:
     """Greedy rank-2 cover: per value, the representation minimizing
-    max(|a|, |b|) with |a| bounded by a small search range."""
+    max(|a|, |b|) with |a| bounded by a small search range.  Properness is
+    left to _verify_cover."""
     reps = []
     covered_idx = []
     for i, v in enumerate(values):
@@ -162,8 +162,6 @@ def _rank2_cover(
     d2 = max(abs(b) for _, b in reps)
     gap = Gap((g1, g2), (Fraction(d1), Fraction(d2)))
     if gaps.volume(gap) > vol_max:
-        return None
-    if not gaps.is_proper(gap, enum_cap):
         return None
     return gap, tuple(covered_idx)
 
@@ -228,7 +226,7 @@ def covering_gap_with_indices(
     partial.sort()
     top = [g for _, g in partial[:_TOP_RANK1]]
     for g1, g2 in combinations(top, 2):
-        hit = _rank2_cover(g1, g2, values, m, vol_max, enum_cap)
+        hit = _rank2_cover(g1, g2, values, m, vol_max)
         if hit is not None:
             gap, idx = hit
             if _verify_cover(gap, values, idx, m, enum_cap):
@@ -316,21 +314,10 @@ def refine_structure(
             )
             if float(res.p) <= threshold:
                 report = StructureReport(
-                    w_indices=tuple(w_idx),
-                    wprime_indices=wprime,
-                    p=p_i,
-                    gap=gap_i,
-                    certificates={},
+                    w_indices=tuple(w_idx), wprime_indices=wprime, p=p_i, gap=gap_i
                 )
                 verdict = verify_report(V, d, params, report)
-                report = StructureReport(
-                    w_indices=report.w_indices,
-                    wprime_indices=report.wprime_indices,
-                    p=report.p,
-                    gap=report.gap,
-                    certificates=verdict.details,
-                )
-                return report
+                return replace(report, certificates=verdict.details)
         # No stability subset: re-cover at a boosted level.
         if float(p_i) < n_i ** (-params.A):
             raise SearchBudgetError(

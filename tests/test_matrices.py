@@ -1,8 +1,10 @@
+import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from simplespectrum.dist import bernoulli_half, rademacher, zero_atom
+from simplespectrum.dist import bernoulli_half, make_distribution, rademacher, zero_atom
 from simplespectrum.errors import PreconditionError
 from simplespectrum.matrices import (
     EnsembleSpec,
@@ -15,6 +17,10 @@ from simplespectrum.matrices import (
 
 GNP = EnsembleSpec(offdiag=bernoulli_half(), diag=zero_atom())
 SIGN = EnsembleSpec(offdiag=rademacher(), diag=rademacher())
+RATIONAL = EnsembleSpec(
+    offdiag=make_distribution(["-1/2", 1], ["1/3", "2/3"]),
+    diag=make_distribution([0, "1/3"], ["1/2", "1/2"]),
+)
 
 
 def test_sample_is_symmetric_adjacency():
@@ -124,3 +130,76 @@ def test_text_format():
 def test_asymmetric_rejected():
     with pytest.raises(PreconditionError):
         SymmetricMatrix.from_rows([[0, 1], [2, 0]])
+
+
+def test_sample_golden_sign():
+    # Pins the draw order: off-diagonal row-major, then the diagonal.
+    M = sample_matrix(SIGN, 4, trial_rng(1, 1))
+    assert M.num.tolist() == [
+        [-1, -1, 1, 1], [-1, -1, -1, 1], [1, -1, 1, -1], [1, 1, -1, 1]
+    ]
+    assert M.den == 1 and M.num.dtype == np.int64
+
+
+@pytest.mark.parametrize(
+    "t, rows, den",
+    [
+        (0, [["0", "1", "1"], ["1", "0", "1"], ["1", "1", "0"]], 1),
+        (1, [["1/3", "1", "1"], ["1", "1/3", "1"], ["1", "1", "1/3"]], 3),
+        (2, [["1/3", "-1/2", "1"], ["-1/2", "0", "1"], ["1", "1", "0"]], 6),
+        (3, [["0", "1", "-1/2"], ["1", "0", "1"], ["-1/2", "1", "0"]], 2),
+    ],
+)
+def test_sample_golden_rational_atoms(t, rows, den):
+    M = sample_matrix(RATIONAL, 3, trial_rng(5, t))
+    assert M == SymmetricMatrix.from_rows(rows)
+    assert M.den == den
+
+
+def test_common_factor_normalized():
+    A = graph_from_index(4, 45).num
+    M = SymmetricMatrix(2 * A, 2)
+    assert M == SymmetricMatrix(A)
+    assert M.den == 1
+    assert SymmetricMatrix.from_rows([["2/4", 1], [1, "3/6"]]).den == 2
+
+
+def test_num_is_read_only():
+    M = graph_from_index(3, 7)
+    with pytest.raises(ValueError):
+        M.num[0, 1] = 5
+    A = np.array([[0, 1], [1, 0]])
+    M = SymmetricMatrix(A)
+    A[0, 1] = 7  # the matrix holds its own copy
+    assert M[0, 1] == 1
+
+
+def test_int64_overflow_falls_back_to_python_ints():
+    rows = [[1, 2**63, 0], [2**63, -(2**70), "1/3"], [0, "1/3", 5]]
+    M = SymmetricMatrix.from_rows(rows)
+    assert M.num.dtype == object and M.den == 3
+    assert M.entries[0][1] == 2**63 and M[1, 1] == -(2**70)
+    assert M[1, 2] == Fraction(1, 3)
+    assert M.max_abs_entry() == 2**70
+    again = SymmetricMatrix.from_json(json.loads(json.dumps(M.to_json())))
+    assert again == M and again.entries == M.entries
+    M = SymmetricMatrix([[1, 2**63], [2**63, 0]])  # numpy alone picks float64
+    assert M.num.dtype == object and M[0, 1] == 2**63
+    # Back to int64 once every entry fits.
+    M = SymmetricMatrix([[2**64]], 4)
+    assert M.num.dtype == np.int64 and M.num.tolist() == [[2**62]] and M.den == 1
+
+
+def test_non_integer_num_rejected():
+    with pytest.raises(PreconditionError):
+        SymmetricMatrix([[0.5]])
+    with pytest.raises(PreconditionError):
+        SymmetricMatrix([[Fraction(1, 2)]])
+    with pytest.raises(PreconditionError):
+        SymmetricMatrix([[1]], 0)
+
+
+def test_graph_from_index_beyond_int64():
+    M = graph_from_index(12, 2**65 + 1)  # bits 0 and 65: edges (0,1), (10,11)
+    assert M.num[0, 1] == M.num[1, 0] == M.num[10, 11] == M.num[11, 10] == 1
+    assert int(M.num.sum()) == 4

@@ -6,7 +6,7 @@ import pytest
 
 from simplespectrum import polys, spectrum
 from simplespectrum.dist import rademacher
-from simplespectrum.errors import ConvergenceError
+from simplespectrum.errors import ConvergenceError, PreconditionError
 from simplespectrum.matrices import (
     EnsembleSpec,
     SymmetricMatrix,
@@ -126,6 +126,30 @@ def test_simplicity_k3_certificate():
     for c in reversed(cert):
         acc = acc * Fraction(-1) + c
     assert acc == 0
+
+
+def test_simplicity_certificate_with_denominator():
+    # K3/2 has spectrum {1, -1/2, -1/2}: the repeated factor is x + 1/2.
+    v = simplicity_exact(SymmetricMatrix(K3.num, 2))
+    assert v.tag == "NotSimpleExact"
+    assert v.certificate == (Fraction(1, 2), Fraction(1))
+
+
+def test_char_poly_beyond_int64_matches_cofactor_oracle():
+    M = SymmetricMatrix.from_rows([[1, 2**63, 0], [2**63, -(2**70), 3], [0, 3, "1/3"]])
+    assert M.num.dtype == object
+    assert list(char_poly(M).coeffs) == cofactor_char_poly(M)
+
+
+def test_charpoly_mod_refuses_int64_wrap(monkeypatch):
+    p = spectrum._crt_prime(0)
+    half = p // 2
+    n = -(-((1 << 63) - p) // (half * half))  # smallest n that can wrap
+    assert (n - 1) * half * half + p < 1 << 63 <= n * half * half + p
+    # The refusal must come before the O(n^4) products, which start after np.eye.
+    monkeypatch.setattr(np, "eye", lambda *a, **k: pytest.fail("reached the products"))
+    with pytest.raises(PreconditionError):
+        spectrum._charpoly_mod(np.zeros((n, n), dtype=np.int64), n, p)
 
 
 def test_simplicity_zero_2x2():
