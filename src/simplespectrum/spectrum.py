@@ -1,10 +1,11 @@
 """Spectral simplicity, decided exactly and numerically.
 
 Exact route: the monic characteristic polynomial det(xI - M) is computed
-by the Faddeev-LeVerrier trace recursion, run modulo several word-sized
-primes with numpy int64 matrix products and reconstructed by CRT (the
-number of primes is chosen from an a-priori coefficient bound, so the
-result is exact, not probabilistic).  Simplicity is then squarefreeness:
+modulo several word-sized primes, each in O(n^3) by a Hessenberg reduction
+with numpy int64 row and column updates and Cohen's recurrence on the
+Hessenberg form, and reconstructed by CRT.  The number of primes comes from
+an a-priori coefficient bound, Hadamard's inequality on the row norms, so
+the result is exact, not probabilistic.  Simplicity is then squarefreeness:
 gcd(p, p') constant.  For a real symmetric matrix algebraic multiplicity
 equals geometric multiplicity, so squarefree <=> simple spectrum.
 
@@ -17,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from math import comb
+from math import isqrt
+from operator import mul
 from typing import Optional
 
 import numpy as np
@@ -27,8 +29,9 @@ from .errors import ConvergenceError, PreconditionError
 from .matrices import SymmetricMatrix
 from .rationals import format_rational, parse_rational
 
-# Primes start just below 2^27 so that balanced-representative int64
-# matmuls cannot overflow for n up to ~2000: n * (p/2)^2 < 2^63.
+# Primes start just below 2^27 so that the Hessenberg reduction's balanced
+# int64 products and dot products cannot overflow for n up to 2048:
+# n * (p // 2)^2 + p < 2^63.
 _PRIME_FLOOR = (1 << 27) - 100
 
 # Primes >= _PRIME_FLOOR found so far in this process, ascending, so that
@@ -97,33 +100,80 @@ class SimplicityVerdict:
 _SIMPLE_EXACT = SimplicityVerdict(tag="SimpleExact")
 
 
-def _charpoly_mod(A: np.ndarray, n: int, p: int) -> list[int]:
-    """Faddeev-LeVerrier mod p; returns [c_0..c_n] with poly = sum c_k x^(n-k).
-    A is reduced mod p; balanced int64 matmuls reach n*((p-1)/2)^2 + p."""
+def _hessenberg_mod(A: np.ndarray, p: int) -> np.ndarray:
+    """Upper Hessenberg form of A mod p by similarity (Cohen, Alg. 2.2.9).
+
+    One pivot per column, with a row/column swap when the subdiagonal entry
+    is 0 mod p.  Entries stay balanced, |h| <= p // 2, so every int64
+    product is at most (p // 2)^2 and a column update at most
+    n*(p // 2)^2 + p, the bound _charpoly_mod checks.
+    """
+    n = A.shape[0]
     half = p // 2
-    if n * half * half + p >= 1 << 63:
-        raise PreconditionError(f"n = {n} overflows int64 products mod {p}")
 
     def balance(B):
         return (B + half) % p - half
 
-    Ab = balance(A)
-    M = np.zeros((n, n), dtype=np.int64)
-    eye = np.eye(n, dtype=np.int64)
-    c = [1]
-    for k in range(1, n + 1):
-        M = (Ab @ balance(M) + c[-1] * eye) % p
-        t = int(np.trace((Ab @ balance(M)) % p)) % p
-        c.append(-t * pow(k, -1, p) % p)
-    return c
+    H = balance(A)
+    for j in range(n - 2):
+        if not H[j + 1, j]:  # pivot on the first nonzero below, if any
+            below = np.flatnonzero(H[j + 2:, j])
+            if below.size == 0:
+                continue  # column j is already reduced
+            r = j + 2 + int(below[0])
+            H[[j + 1, r]] = H[[r, j + 1]]
+            H[:, [j + 1, r]] = H[:, [r, j + 1]]
+        if not np.count_nonzero(H[j + 2:, j]):
+            continue  # nothing below the pivot to clear
+        inv = balance(pow(int(H[j + 1, j]), -1, p))
+        u = balance(H[j + 2:, j] * inv)
+        # H <- L H L^-1 with L = I - u e_{j+1}^T: clear column j below the
+        # subdiagonal, then add u-weighted columns j+2.. to column j+1.
+        H[j + 2:, j:] = balance(H[j + 2:, j:] - np.outer(u, H[j + 1, j:]))
+        H[:, j + 1] = balance(H[:, j + 1] + H[:, j + 2:] @ u)
+    return H
+
+
+def _charpoly_mod(A: np.ndarray, n: int, p: int) -> list[int]:
+    """Char poly of A mod p by Hessenberg reduction; returns [c_0..c_n] with
+    poly = sum c_k x^(n-k).  Needs no division by k, so any prime p works.
+
+    With H upper Hessenberg, p_0 = 1 and
+    p_m = (x - h_mm) p_{m-1} - sum_{i<m} h_im (prod_{j=i+1..m} h_{j,j-1}) p_{i-1}.
+    """
+    half = p // 2
+    if n * half * half + p >= 1 << 63:
+        raise PreconditionError(f"n = {n} overflows int64 products mod {p}")
+    h = _hessenberg_mod(A, p).tolist()
+    chain = [[1]]  # p_0 .. p_{m-1}, constant term first
+    for m in range(n):  # builds p_{m+1}; row and column m of H, 0-indexed
+        prev = chain[-1]
+        hmm = h[m][m]
+        nxt = [0] + prev
+        nxt[:m + 1] = [a - hmm * c for a, c in zip(nxt, prev)]
+        t = 1
+        for i in range(m, 0, -1):  # p_{i-1} is chain[i - 1], of i coefficients
+            t = t * h[i][i - 1] % p
+            if not t:
+                break
+            w = h[i - 1][m] * t % p
+            if w:
+                nxt[:i] = [a - w * c for a, c in zip(nxt, chain[i - 1])]
+        chain.append([c % p for c in nxt])
+    return chain[-1][::-1]
 
 
 def _integer_charpoly(A: np.ndarray) -> list[int]:
     """Exact char poly of an integer symmetric matrix via CRT over primes."""
     n = A.shape[0]
-    a = max(-int(A.min()), int(A.max()))
-    # |c_k| <= C(n,k) * (n*a)^k; double it for the symmetric CRT range.
-    bound = 2 * max(comb(n, k) * (n * a) ** k for k in range(n + 1)) + 1
+    # Hadamard on principal minors: a k x k minor on rows S is at most
+    # prod_{i in S} ||row_i||, so |c_k| <= e_k(r) <= prod (1 + r_i) with
+    # r_i = ceil(||row_i||_2); double it for the symmetric CRT range.
+    bound = 1
+    for row in A.tolist():
+        ss = sum(map(mul, row, row))  # exact: Python ints, never int64
+        bound *= 1 + (isqrt(ss - 1) + 1 if ss else 0)
+    bound = 2 * bound + 1
     residues: list[list[int]] = []
     used: list[int] = []
     modulus = 1

@@ -84,6 +84,21 @@ def test_monte_carlo_deterministic_and_worker_invariant():
     assert a == b  # wall_time excluded from comparison
 
 
+@pytest.mark.parametrize(
+    "spec, nonsimple",
+    [
+        (SIGN, 0),
+        (EnsembleSpec(make_distribution([0, 1], ["23/25", "2/25"]), zero_atom()), 5),
+    ],
+    ids=["sign", "gnp-2/25"],
+)
+def test_monte_carlo_n50_counts_pinned(spec, nonsimple):
+    # Counts recorded with the Faddeev-LeVerrier route and the C(n,k)*(n*a)^k
+    # prime count; the exact route must keep them at the size it is tuned for.
+    s = monte_carlo_simplicity(spec, 50, trials=10, seed=0)
+    assert (s.trials, s.successes) == (10, nonsimple)
+
+
 def test_monte_carlo_degenerate_spec():
     # Single-atom off-diagonal (mu = 0) and constant diagonal: the constant
     # matrix has a repeated eigenvalue for n >= 3, so the non-simple

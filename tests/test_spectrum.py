@@ -1,11 +1,12 @@
 from fractions import Fraction
 from itertools import islice
+from math import isqrt
 
 import numpy as np
 import pytest
 
 from simplespectrum import polys, spectrum
-from simplespectrum.dist import rademacher
+from simplespectrum.dist import make_distribution, rademacher, zero_atom
 from simplespectrum.errors import ConvergenceError, PreconditionError
 from simplespectrum.matrices import (
     EnsembleSpec,
@@ -146,10 +147,85 @@ def test_charpoly_mod_refuses_int64_wrap(monkeypatch):
     half = p // 2
     n = -(-((1 << 63) - p) // (half * half))  # smallest n that can wrap
     assert (n - 1) * half * half + p < 1 << 63 <= n * half * half + p
-    # The refusal must come before the O(n^4) products, which start after np.eye.
-    monkeypatch.setattr(np, "eye", lambda *a, **k: pytest.fail("reached the products"))
+    # The refusal must come before the O(n^3) reduction, whose first step is O(n^2).
+    monkeypatch.setattr(spectrum, "_hessenberg_mod", lambda *a: pytest.fail("reached the products"))
     with pytest.raises(PreconditionError):
         spectrum._charpoly_mod(np.zeros((n, n), dtype=np.int64), n, p)
+
+
+def _largest_safe_prime(n):
+    """The largest prime p with n*(p // 2)^2 + p < 2^63."""
+    p = 2 * isqrt(((1 << 63) // n)) + 1
+    while n * (p // 2) ** 2 + p >= 1 << 63 or not polys._is_probable_prime(p):
+        p -= 1
+    return p
+
+
+@pytest.mark.parametrize("n", [3, 16, 32])
+def test_charpoly_mod_exact_at_the_int64_limit(n):
+    # At the largest prime the guard admits, products of unbalanced residues
+    # (up to n*p*(p/2)) would wrap; balanced ones stay below 2^63.  The
+    # reference is the exact char poly, from CRT primes far below the limit.
+    p = _largest_safe_prime(n)
+    assert (n + 1) * (p // 2) ** 2 + p >= 1 << 63  # the guard refuses n + 1
+    rng = np.random.default_rng(n)
+    A = rng.integers(0, p, size=(n, n))
+    A = np.triu(A) + np.triu(A, 1).T
+    ref = [int(c) % p for c in reversed(char_poly(SymmetricMatrix(A)).coeffs)]
+    assert spectrum._charpoly_mod(A, n, p) == ref
+
+
+def test_charpoly_mod_small_primes_match_cofactor_oracle(monkeypatch):
+    # Small primes zero out subdiagonal pivots, so the reduction's row/column
+    # swap and its already-reduced column are both reached.  The pivot search
+    # (np.flatnonzero) runs only when the subdiagonal entry is 0 mod p: an
+    # empty result is a column with nothing to reduce, a nonempty one a swap.
+    found = []
+    real = np.flatnonzero
+    monkeypatch.setattr(np, "flatnonzero", lambda a: found.append(r := real(a)) or r)
+    rng = np.random.default_rng(12)
+    for n in range(1, 9):
+        for _ in range(2):
+            A = rng.integers(-3, 4, size=(n, n)) * (rng.random((n, n)) < 0.4)
+            M = SymmetricMatrix(np.triu(A) + np.triu(A, 1).T)
+            ref = cofactor_char_poly(M)[::-1]
+            for p in (2, 3, 5, 7, 11):
+                got = spectrum._charpoly_mod(np.asarray(M.num % p), n, p)
+                assert got == [int(c) % p for c in ref], (n, p)
+    assert any(r.size == 0 for r in found) and any(r.size > 0 for r in found)
+
+
+def test_char_poly_bound_sums_squares_exactly():
+    # num is int64, but entries**2 would wrap int64: the bound must not.
+    M = SymmetricMatrix(np.array([[2**40, -(2**62), 1], [-(2**62), 3, 2**40], [1, 2**40, -(2**62)]]))
+    assert M.num.dtype == np.int64
+    assert list(char_poly(M).coeffs) == cofactor_char_poly(M)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_char_poly_bound_near_extremal(n):
+    # |c_k| of a*I_n is C(n,k)*|a|^k = e_k(r), the row-norm bound itself.
+    for a in (1, -3, 2**31 - 1, -(2**62)):
+        M = SymmetricMatrix(np.eye(n, dtype=np.int64) * a)
+        assert list(char_poly(M).coeffs) == cofactor_char_poly(M)
+    J = SymmetricMatrix(np.ones((n, n), dtype=np.int64))
+    assert list(char_poly(J).coeffs) == cofactor_char_poly(J)
+
+
+SPARSE_50 = EnsembleSpec(
+    offdiag=make_distribution([0, 1], [Fraction(23, 25), Fraction(2, 25)]), diag=zero_atom()
+)
+
+
+@pytest.mark.parametrize("spec, most", [(SIGN, 6), (SPARSE_50, 4)], ids=["sign", "gnp-2/25"])
+def test_row_norm_bound_prime_count_n50(monkeypatch, spec, most):
+    calls = []
+    real = spectrum._charpoly_mod
+    monkeypatch.setattr(spectrum, "_charpoly_mod", lambda A, n, p: calls.append(p) or real(A, n, p))
+    for t in range(3):
+        calls.clear()
+        simplicity_exact(sample_matrix(spec, 50, trial_rng(0, t)))
+        assert 0 < len(calls) <= most
 
 
 def test_simplicity_zero_2x2():
