@@ -21,8 +21,8 @@ from simplespectrum import (
 def main() -> None:
     print("exact census of graph spectra")
     print(f"{'n':>3} {'graphs':>8} {'simple':>8} {'fraction':>12}")
-    for n in range(2, 6):
-        c = exhaustive_census(n, workers=4)
+    for n in range(2, 7):
+        c = exhaustive_census(n)
         frac = Fraction(c.simple_count, c.total)
         print(f"{n:>3} {c.total:>8} {c.simple_count:>8} {str(frac):>12}")
 

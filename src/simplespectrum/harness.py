@@ -5,12 +5,18 @@ All randomized experiments derive a per-trial stream from (seed, trial),
 so results are independent of trial ordering and worker count; reductions
 are integer sums.  Parallelism uses a process pool over contiguous trial
 chunks.
+
+The census is batched: each index range becomes int64 (B, n, n) adjacency
+stacks, whose char polys come from one Hessenberg pass mod one prime, and
+squarefreeness is decided once per distinct char poly (151 at n = 6, 988
+at n = 7).  n = 6 takes about 0.2 s and n = 7 about 17 s on one core.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,13 +26,19 @@ from .errors import PreconditionError
 from .matrices import (
     EnsembleSpec,
     SymmetricMatrix,
-    graph_from_index,
+    graph_stack,
     minor_decompose,
     sample_matrix,
     trial_rng,
 )
 from .smallball import WeightVector, is_rich
-from .spectrum import eigen_decompose, multiplicity_clusters, simplicity_exact
+from .spectrum import (
+    char_polys_one_prime,
+    eigen_decompose,
+    multiplicity_clusters,
+    repeated_factor,
+    simplicity_exact,
+)
 
 ORTHO_TOL = 1e-8
 
@@ -141,17 +153,35 @@ def _summary(successes: int, trials: int, seed: int, t0: float) -> ExperimentSum
     )
 
 
+# Graphs per (B, n, n) int64 stack: 25 MB at n = 7.
+_CENSUS_BATCH = 1 << 16
+
+
 def _census_chunk(args) -> int:
+    """Simple graphs among indices [start, stop) on n vertices: char polys
+    stack by stack in one pass mod one prime, then one squarefree test per
+    distinct char poly, weighted by its multiplicity."""
     n, start, stop = args
-    simple = 0
-    for index in range(start, stop):
-        if simplicity_exact(graph_from_index(n, index)).is_simple:
-            simple += 1
-    return simple
+    counts: Counter = Counter()
+    for a in range(start, stop, _CENSUS_BATCH):
+        A = graph_stack(n, a, min(a + _CENSUS_BATCH, stop))
+        rows = char_polys_one_prime(A)
+        # Rows as opaque bytes: np.unique sorts those 8x faster than axis=0.
+        keys, mult = np.unique(rows.view(f"V{rows.shape[1] * 8}")[:, 0], return_counts=True)
+        distinct = keys.view(np.int64).reshape(-1, rows.shape[1])
+        counts.update(dict(zip(map(tuple, distinct.tolist()), mult.tolist())))
+    return sum(m for cp, m in counts.items() if repeated_factor(list(cp[::-1])) is None)
 
 
 def exhaustive_census(n: int, workers: int = 1) -> CensusResult:
-    """Classify every graph on n vertices by exact spectral simplicity."""
+    """Classify every graph on n vertices by exact spectral simplicity.
+
+    Graphs go through in (B, n, n) stacks of up to _CENSUS_BATCH: one
+    batched Hessenberg char poly pass mod one prime, which Hadamard's bound
+    covers for n <= 7, then one squarefree test per distinct char poly.
+    n = 6 (32,768 graphs, 151 distinct char polys) takes about 0.2 s and
+    n = 7 (2,097,152 graphs, 988 distinct) about 17 s on one core.
+    """
     if not 2 <= n <= 7:
         raise PreconditionError("census supports 2 <= n <= 7")
     total = 1 << (n * (n - 1) // 2)

@@ -211,6 +211,22 @@ def graph_from_index(n: int, index: int) -> SymmetricMatrix:
     return _symmetric_fill(n, bits.astype(np.int64), np.zeros(n, dtype=np.int64))
 
 
+def graph_stack(n: int, start: int, stop: int) -> np.ndarray:
+    """int64 (stop - start, n, n) stack of graph_from_index(n, i).num for
+    i in [start, stop), built without a SymmetricMatrix per graph."""
+    nbits = n * (n - 1) // 2
+    if n < 1 or nbits > 62:
+        raise PreconditionError("graph_stack needs 1 <= n <= 11")
+    if not 0 <= start <= stop <= 1 << nbits:
+        raise PreconditionError(f"range [{start}, {stop}) out of range for n={n}")
+    bits = (np.arange(start, stop, dtype=np.int64)[:, None] >> np.arange(nbits)) & 1
+    A = np.zeros((stop - start, n, n), dtype=np.int64)
+    iu = np.triu_indices(n, 1)
+    A[:, iu[0], iu[1]] = bits
+    A[:, iu[1], iu[0]] = bits
+    return A
+
+
 def minor_decompose(M: SymmetricMatrix) -> MinorSplit:
     """Split off the last row/column: (M_{n-1}, X, corner)."""
     if M.n < 2:

@@ -5,7 +5,10 @@ modulo several word-sized primes, each in O(n^3) by a Hessenberg reduction
 with numpy int64 row and column updates and Cohen's recurrence on the
 Hessenberg form, and reconstructed by CRT.  The number of primes comes from
 an a-priori coefficient bound, Hadamard's inequality on the row norms, so
-the result is exact, not probabilistic.  Simplicity is then squarefreeness:
+the result is exact, not probabilistic.  Stacks of small matrices whose
+bound one prime covers, such as the graphs of a census, go through one
+batched pass of the same reduction instead, each matrix with its own
+pivots.  Simplicity is then squarefreeness:
 gcd(p, p') constant.  For a real symmetric matrix algebraic multiplicity
 equals geometric multiplicity, so squarefree <=> simple spectrum.
 
@@ -163,17 +166,81 @@ def _charpoly_mod(A: np.ndarray, n: int, p: int) -> list[int]:
     return chain[-1][::-1]
 
 
-def _integer_charpoly(A: np.ndarray) -> list[int]:
-    """Exact char poly of an integer symmetric matrix via CRT over primes."""
-    n = A.shape[0]
-    # Hadamard on principal minors: a k x k minor on rows S is at most
-    # prod_{i in S} ||row_i||, so |c_k| <= e_k(r) <= prod (1 + r_i) with
-    # r_i = ceil(||row_i||_2); double it for the symmetric CRT range.
+def _balanced(X: np.ndarray, p: int) -> np.ndarray:
+    """X mod p in [-(p // 2), p // 2], as (X + p//2) % p - p//2 but by floor
+    division, which numpy runs several times faster than % on int64.  Exact
+    while |X| + p < 2^63."""
+    return X - (X + p // 2) // p * p
+
+
+def _hessenberg_mod_stack(A: np.ndarray, p: int) -> np.ndarray:
+    """_hessenberg_mod over a (B, n, n) stack, each matrix with its own
+    pivot and swap.  A column with nothing to clear gets u = 0, because its
+    pivot is 0 or the entries below it are; every product takes balanced
+    operands, as in _hessenberg_mod."""
+    n = A.shape[1]
+    H = _balanced(A, p)
+    for j in range(n - 2):
+        nonzero = H[:, j + 2:, j] != 0
+        swap = np.flatnonzero((H[:, j + 1, j] == 0) & nonzero.any(axis=1))
+        if swap.size:  # pivot on the first nonzero below, per matrix
+            r = j + 2 + nonzero[swap].argmax(axis=1)
+            H[swap, j + 1], H[swap, r] = H[swap, r], H[swap, j + 1]
+            H[swap, :, j + 1], H[swap, :, r] = H[swap, :, r], H[swap, :, j + 1]
+        # One pow per distinct pivot; a zero pivot has only zeros below it.
+        pivots, at = np.unique(H[:, j + 1, j], return_inverse=True)
+        inv = [pow(v, -1, p) if v else 0 for v in pivots.tolist()]
+        u = _balanced(H[:, j + 2:, j] * _balanced(np.array(inv, dtype=np.int64), p)[at, None], p)
+        H[:, j + 2:, j:] = _balanced(H[:, j + 2:, j:] - u[:, :, None] * H[:, None, j + 1, j:], p)
+        H[:, :, j + 1] = _balanced(H[:, :, j + 1] + (H[:, :, j + 2:] @ u[:, :, None])[:, :, 0], p)
+    return H
+
+
+def _charpoly_mod_stack(A: np.ndarray, p: int) -> np.ndarray:
+    """_charpoly_mod of each matrix of a (B, n, n) int64 stack: row b is
+    [c_0..c_n] of A[b] mod p, in [0, p).
+
+    Cohen's recurrence as p_{m+1} = x p_m - sum_{k<=m} w_k p_k with
+    w_k = h_km prod_{j=k+1..m} h_{j,j-1}, one batched dot product per m over
+    balanced operands: at most n products of size (p // 2)^2 plus one
+    balanced term, the bound checked below.
+    """
+    B, n, _ = A.shape
+    half = p // 2
+    if n * half * half + p >= 1 << 63:
+        raise PreconditionError(f"n = {n} overflows int64 products mod {p}")
+    H = _hessenberg_mod_stack(A, p)
+    P = np.zeros((B, n + 1, n + 1), dtype=np.int64)  # row k: p_k, constant first
+    P[:, 0, 0] = 1
+    T = np.ones((B, n), dtype=np.int64)  # T[:, k] = prod_{j=k+1..m} h_{j,j-1}
+    for m in range(n):
+        if m:
+            T[:, :m] = _balanced(T[:, :m] * H[:, m, m - 1, None], p)
+        w = _balanced(H[:, :m + 1, m] * T[:, :m + 1], p)
+        nxt = -(w[:, None, :] @ P[:, :m + 1, :m + 2])[:, 0]
+        nxt[:, 1:] += P[:, m, :m + 1]
+        P[:, m + 1, :m + 2] = _balanced(nxt, p)
+    return P[:, n, ::-1] % p
+
+
+def _coeff_bound(A: np.ndarray) -> int:
+    """CRT range 2*B + 1 for the char poly coefficients of integer A.
+
+    Hadamard on principal minors: a k x k minor on rows S is at most
+    prod_{i in S} ||row_i||, so |c_k| <= e_k(r) <= prod (1 + r_i) = B with
+    r_i = ceil(||row_i||_2); doubled for the symmetric CRT range.
+    """
     bound = 1
     for row in A.tolist():
         ss = sum(map(mul, row, row))  # exact: Python ints, never int64
         bound *= 1 + (isqrt(ss - 1) + 1 if ss else 0)
-    bound = 2 * bound + 1
+    return 2 * bound + 1
+
+
+def _integer_charpoly(A: np.ndarray) -> list[int]:
+    """Exact char poly of an integer symmetric matrix via CRT over primes."""
+    n = A.shape[0]
+    bound = _coeff_bound(A)
     residues: list[list[int]] = []
     used: list[int] = []
     modulus = 1
@@ -198,26 +265,48 @@ def char_poly(M: SymmetricMatrix) -> CharPoly:
     return CharPoly(tuple(Fraction(c[k], M.den**k) for k in reversed(range(M.n + 1))))
 
 
-def simplicity_exact(M: SymmetricMatrix) -> SimplicityVerdict:
-    """SimpleExact iff char_poly(M) is squarefree; certificate otherwise.
+def char_polys_one_prime(A: np.ndarray) -> np.ndarray:
+    """Exact char polys of a (B, n, n) int64 stack of integer symmetric
+    matrices, as rows [c_0..c_n] like _integer_charpoly, from one pass mod
+    the first CRT prime.
 
-    det(xI - M) = ip(den*x)/den^n for the integer char poly ip of num, so M
-    is simple exactly when ip is squarefree, and the test runs on integers.
+    Raises PreconditionError when the coefficient bound of the stack (that
+    of its entrywise largest magnitudes) needs more than that one prime.
     """
-    ip = _integer_charpoly(M.num)[::-1]
+    p = _crt_prime(0)
+    if _coeff_bound(np.abs(A).max(axis=0)) > p:
+        raise PreconditionError(f"char poly coefficients of this stack exceed one prime, {p}")
+    # |a_ij| < bound <= p, so A needs no reduction before balancing.
+    rows = _charpoly_mod_stack(A, p)
+    return np.where(rows > p // 2, rows - p, rows)
+
+
+def repeated_factor(ip: list[int]) -> Optional[list[int]]:
+    """None when the integer polynomial ip (constant term first) is
+    squarefree, else the primitive gcd(ip, ip') of positive degree."""
     dp = polys.derivative(ip)
     # Cheap one-sided screen: a constant gcd mod q proves a constant gcd
     # over Q when q divides neither leading coefficient.
     q = _crt_prime(0)
     if ip[-1] % q and dp[-1] % q:
         if polys.degree(polys.poly_gcd_mod(ip, dp, q)) == 0:
-            return _SIMPLE_EXACT
+            return None
     g = polys.gcd_int(ip, dp)
-    d = polys.degree(g)
-    if d == 0:
+    return g if polys.degree(g) else None
+
+
+def simplicity_exact(M: SymmetricMatrix) -> SimplicityVerdict:
+    """SimpleExact iff char_poly(M) is squarefree; certificate otherwise.
+
+    det(xI - M) = ip(den*x)/den^n for the integer char poly ip of num, so M
+    is simple exactly when ip is squarefree, and the test runs on integers.
+    """
+    g = repeated_factor(_integer_charpoly(M.num)[::-1])
+    if g is None:
         return _SIMPLE_EXACT
     # The monic gcd of det(xI - M) and its derivative is g(den*x) rescaled
     # to leading coefficient 1: coefficient i is g_i den^i / (g_d den^d).
+    d = polys.degree(g)
     scale = g[-1] * M.den**d
     cert = tuple(Fraction(c * M.den**i, scale) for i, c in enumerate(g))
     return SimplicityVerdict(tag="NotSimpleExact", certificate=cert)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from simplespectrum import harness
@@ -14,6 +15,7 @@ from simplespectrum.matrices import (
     EnsembleSpec,
     SymmetricMatrix,
     graph_from_index,
+    graph_stack,
     trial_rng,
 )
 
@@ -70,6 +72,25 @@ def test_census_range_check():
 
 def test_census_worker_invariance():
     assert exhaustive_census(4, workers=1) == exhaustive_census(4, workers=3)
+    assert exhaustive_census(6, workers=1) == exhaustive_census(6, workers=2)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_graph_stack_matches_graph_from_index(n):
+    total = 1 << (n * (n - 1) // 2)
+    A = graph_stack(n, 0, total)
+    assert A.dtype == np.int64 and A.shape == (total, n, n)
+    for i in range(total):
+        assert np.array_equal(A[i], graph_from_index(n, i).num)
+    start = total // 3
+    assert np.array_equal(graph_stack(n, start, total), A[start:])
+
+
+@pytest.mark.parametrize("batch", [1, 7])
+def test_census_chunk_boundaries(monkeypatch, batch):
+    monkeypatch.setattr(harness, "_CENSUS_BATCH", batch)
+    for n, simple in {2: 1, 3: 6, 4: 30, 5: 750}.items():
+        assert exhaustive_census(n).simple_count == simple
 
 
 def test_monte_carlo_matches_census_n2():

@@ -12,6 +12,7 @@ from simplespectrum.matrices import (
     EnsembleSpec,
     SymmetricMatrix,
     graph_from_index,
+    graph_stack,
     sample_matrix,
     trial_rng,
 )
@@ -193,6 +194,72 @@ def test_charpoly_mod_small_primes_match_cofactor_oracle(monkeypatch):
                 got = spectrum._charpoly_mod(np.asarray(M.num % p), n, p)
                 assert got == [int(c) % p for c in ref], (n, p)
     assert any(r.size == 0 for r in found) and any(r.size > 0 for r in found)
+
+
+def _mixed_stack(n, rng):
+    """Symmetric integer n x n matrices that, for n >= 3 and any prime,
+    reach each branch of the reduction at column 0: a swap (a_10 = 0,
+    a_20 = 1), a column already reduced (a_i0 = 0 for i >= 1), and generic
+    sparse and dense draws.  Later columns vary from matrix to matrix."""
+    mats = []
+    for _ in range(3):
+        swap, reduced, sparse, dense = (
+            rng.integers(-3, 4, size=(n, n)),
+            rng.integers(-3, 4, size=(n, n)),
+            rng.integers(-3, 4, size=(n, n)) * (rng.random((n, n)) < 0.4),
+            rng.integers(-(10**6), 10**6, size=(n, n)),
+        )
+        if n >= 3:
+            swap[1, 0], swap[2, 0] = 0, 1
+            reduced[1:, 0] = 0
+        mats += [swap, reduced, sparse, dense]
+    A = np.stack(mats)
+    return np.tril(A) + np.swapaxes(np.tril(A, -1), 1, 2)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, spectrum._crt_prime(0)])
+def test_charpoly_mod_stack_matches_per_matrix_kernel(p):
+    rng = np.random.default_rng(p)
+    for n in range(1, 9):
+        A = _mixed_stack(n, rng) % p
+        got = spectrum._charpoly_mod_stack(A, p)
+        assert got.tolist() == [spectrum._charpoly_mod(a, n, p) for a in A], (n, p)
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_charpoly_mod_stack_exact_at_the_int64_limit(n):
+    # As test_charpoly_mod_exact_at_the_int64_limit, for a stack: residues
+    # kept in [0, p) would wrap int64 here, balanced ones do not.
+    p = _largest_safe_prime(n)
+    rng = np.random.default_rng(n)
+    A = rng.integers(0, p, size=(3, n, n))
+    A = np.triu(A) + np.swapaxes(np.triu(A, 1), 1, 2)
+    ref = [
+        [int(c) % p for c in reversed(char_poly(SymmetricMatrix(a)).coeffs)] for a in A
+    ]
+    assert spectrum._charpoly_mod_stack(A, p).tolist() == ref
+
+
+def test_charpoly_mod_stack_refuses_int64_wrap(monkeypatch):
+    p = spectrum._crt_prime(0)
+    half = p // 2
+    assert 2048 * half * half + p < 1 << 63 <= 2049 * half * half + p
+    monkeypatch.setattr(
+        spectrum, "_hessenberg_mod_stack", lambda *a: pytest.fail("reached the products")
+    )
+    with pytest.raises(PreconditionError):
+        spectrum._charpoly_mod_stack(np.zeros((1, 2049, 2049), dtype=np.int64), p)
+
+
+def test_char_polys_one_prime_exact_or_refused():
+    rng = np.random.default_rng(3)
+    A = np.concatenate([_mixed_stack(5, rng)[[0, 1, 2]], graph_stack(5, 1020, 1024)])
+    got = spectrum.char_polys_one_prime(A)
+    assert got.tolist() == [spectrum._integer_charpoly(a) for a in A]
+    # One entry of 10^6 at n = 5 needs more than one prime.
+    A[0, 0, 0] = 10**6
+    with pytest.raises(PreconditionError):
+        spectrum.char_polys_one_prime(A)
 
 
 def test_char_poly_bound_sums_squares_exactly():
