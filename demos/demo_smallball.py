@@ -23,6 +23,7 @@ def main() -> None:
     for label, values in [
         ("all ones, n=4 ", [1, 1, 1, 1]),
         ("all ones, n=12", [1] * 12),
+        ("all ones, n=64", [1] * 64),  # C(64, 32) / 2^64; masses pass 2^63
         ("powers of two ", [1, 2, 4, 8]),
         ("arithmetic    ", [1, 2, 3, 4, 5]),
     ]:

@@ -1,18 +1,21 @@
 """Concentration probabilities p(V) = sup_x P(sum xi_i v_i = x) and richness.
 
-Exact mode convolves point masses keyed by exact rational sums, so the
-supremum is a max over the finite support.  Windowed mode is the float
-surrogate (eigenvectors of integer matrices have irrational entries, so
-exact equality is unattainable there): it reports the largest mass a
-sliding window of width delta can capture, an upper bound on the exact
+Exact mode works on an integer lattice: the atoms, the vector and the
+probabilities are each scaled by the lcm of their denominators, so every
+partial sum is an integer and every mass an integer over one common
+denominator.  The support is a pair of sorted arrays (sums, masses), and
+the supremum is a max over it.  Windowed mode is the float surrogate
+(eigenvectors of integer matrices have irrational entries, so exact
+equality is unattainable there): it reports the largest mass a sliding
+window of width delta can capture, an upper bound on the exact
 concentration for any point inside the window.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -57,41 +60,89 @@ def small_ball_exact(
 ) -> SmallBallResult:
     """Exact maximal point mass of sum xi_i v_i by iterated convolution.
 
+    Atoms scale by L_a and V by L_v (the lcms of their denominators), so a
+    sum s is the integer s * L_a * L_v; probabilities scale by D, so after
+    k entries each mass is an integer over D^k.  Each entry concatenates
+    the shifted copies of the sorted support, sorts them and merges equal
+    sums.  Sums are int64 when the scaled max|a| * sum|v| is below 2^63,
+    masses when D^n is; either holds Python ints otherwise, so nothing
+    wraps.  CapExceededError is raised as soon as the distinct-sum support
+    exceeds `cap`.  The result becomes a Fraction once, at the end.
+
     The empty vector gives the deterministic empty sum: p = 1 at 0.
     Ties on the maximal mass resolve to the smallest attaining sum.
     """
     if V.mode != "exact":
         raise PreconditionError("small_ball_exact needs an exact-mode vector")
-    masses = {Fraction(0): Fraction(1)}
-    for v in V.entries:
-        nxt: dict = defaultdict(Fraction)
-        for s, m in masses.items():
-            for a, pa in zip(d.atoms, d.probs):
-                nxt[s + a * v] += m * pa
-        if len(nxt) > cap:
+    la = lcm(*(a.denominator for a in d.atoms))
+    lv = lcm(*(v.denominator for v in V.entries))
+    den = lcm(*(p.denominator for p in d.probs))
+    atoms = [a.numerator * (la // a.denominator) for a in d.atoms]
+    weights = [p.numerator * (den // p.denominator) for p in d.probs]
+    entries = [v.numerator * (lv // v.denominator) for v in V.entries]
+    n = len(entries)
+    wide = max(map(abs, atoms)) * sum(map(abs, entries)) >= 1 << 63
+    sums = np.zeros(1, dtype=object if wide else np.int64)
+    masses = np.ones(1, dtype=object if den**n >= 1 << 63 else np.int64)
+    for v in entries:
+        cand = np.concatenate([sums + a * v for a in atoms])
+        mass = np.concatenate([masses * w for w in weights])
+        order = np.argsort(cand, kind="stable")
+        cand = cand[order]
+        starts = np.flatnonzero(np.concatenate(([True], cand[1:] != cand[:-1])))
+        if len(starts) > cap:
             raise CapExceededError(
-                f"distinct-sum support {len(nxt)} exceeds cap {cap}"
+                f"distinct-sum support {len(starts)} exceeds cap {cap}"
             )
-        masses = nxt
-    best = max(masses.values())
-    atom = min(s for s, m in masses.items() if m == best)
-    return SmallBallResult(p=best, attaining_atom=atom, mode="exact")
+        sums = cand[starts]
+        masses = np.add.reduceat(mass[order], starts)
+    best = int(np.argmax(masses))
+    return SmallBallResult(
+        p=Fraction(int(masses[best]), den**n),
+        attaining_atom=Fraction(int(sums[best]), la * lv),
+        mode="exact",
+    )
 
 
-def _windowed_from_sorted(sums: np.ndarray, weights: np.ndarray, delta: float):
-    """Max weight captured by a window of width delta over sorted sums."""
-    best = 0.0
-    center = float(sums[0])
-    j = 0
-    cum = np.concatenate([[0.0], np.cumsum(weights)])
-    for i in range(len(sums)):
-        while sums[i] - sums[j] > delta:
-            j += 1
-        w = float(cum[i + 1] - cum[j])
-        if w > best:
-            best = w
-            center = float((sums[i] + sums[j]) / 2.0)
-    return best, center
+def _windowed_from_sorted(sums: np.ndarray, cum: np.ndarray, delta: float):
+    """Max weight captured by a window of width delta over sorted sums.
+
+    `cum` holds the cumulative weights with a leading 0, so the window
+    [j, i] weighs cum[i + 1] - cum[j].  For each i, j is the first index
+    with sums[i] - sums[j] <= delta.  `searchsorted` finds it up to float
+    rounding, since it compares sums[j] with sums[i] - delta instead; j
+    then moves one distinct sum at a time until that very test holds at j
+    and fails at j - 1.  The first maximum wins, as in a scan that keeps a
+    window only when it is strictly heavier.  Work buffers are reused, so
+    the transient memory is two arrays the size of `sums` and a mask.
+    """
+    buf = np.subtract(sums, delta)
+    j = np.searchsorted(sums, buf)
+    mask = np.empty(len(sums), dtype=bool)
+
+    def too_wide():
+        np.take(sums, j, out=buf, mode="clip")
+        np.subtract(sums, buf, out=buf)
+        return np.greater(buf, delta, out=mask)
+
+    while too_wide().any():
+        up = np.flatnonzero(mask)
+        j[up] = np.searchsorted(sums, sums[j[up]], side="right")
+    while True:
+        j -= 1
+        np.logical_not(too_wide(), out=mask)
+        mask &= j >= 0
+        j += 1
+        if not mask.any():
+            break
+        down = np.flatnonzero(mask)
+        j[down] = np.searchsorted(sums, sums[j[down] - 1], side="left")
+    np.take(cum, j, out=buf, mode="clip")
+    np.subtract(cum[1:], buf, out=buf)
+    i = int(np.argmax(buf))
+    if not buf[i] > 0.0:
+        return 0.0, float(sums[0])
+    return float(buf[i]), float((sums[i] + sums[j[i]]) / 2.0)
 
 
 def small_ball_windowed(
@@ -125,7 +176,14 @@ def small_ball_windowed(
             sums = (sums[:, None] + atoms[None, :] * v).ravel()
             weights = (weights[:, None] * probs[None, :]).ravel()
         order = np.argsort(sums, kind="stable")
-        p, center = _windowed_from_sorted(sums[order], weights[order], delta)
+        # mode="clip" writes straight into `out`; "raise" would buffer it.
+        cum = np.empty(len(sums) + 1)
+        cum[0] = 0.0
+        np.take(weights, order, out=cum[1:], mode="clip")
+        np.cumsum(cum[1:], out=cum[1:])
+        ordered = np.take(sums, order, out=weights, mode="clip")
+        del order, sums
+        p, center = _windowed_from_sorted(ordered, cum, delta)
         return SmallBallResult(
             p=p, attaining_atom=center, mode="windowed", window=delta
         )
@@ -133,7 +191,8 @@ def small_ball_windowed(
         rng = np.random.default_rng(0)
     draws = rng.choice(k, size=(trials, n), p=probs / probs.sum())
     sums = np.sort(atoms[draws] @ np.array(entries))
-    p, center = _windowed_from_sorted(sums, np.full(trials, 1.0 / trials), delta)
+    cum = np.concatenate([[0.0], np.cumsum(np.full(trials, 1.0 / trials))])
+    p, center = _windowed_from_sorted(sums, cum, delta)
     return SmallBallResult(
         p=p, attaining_atom=center, mode="windowed-mc", window=delta, trials=trials
     )

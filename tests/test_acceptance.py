@@ -71,7 +71,7 @@ def criterion(num, name):
 
 @pytest.fixture(scope="module")
 def census():
-    return {n: exhaustive_census(n, workers=4) for n in range(2, 7)}
+    return {n: exhaustive_census(n, workers=1) for n in range(2, 7)}
 
 
 def test_criterion_1_census_exactness(census):

@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +11,7 @@ from simplespectrum.dist import bernoulli_half, make_distribution, rademacher
 from simplespectrum.errors import CapExceededError, PreconditionError
 from simplespectrum.smallball import (
     WeightVector,
+    _windowed_from_sorted,
     is_rich,
     small_ball_exact,
     small_ball_windowed,
@@ -19,8 +21,9 @@ RAD = rademacher()
 BER = bernoulli_half()
 
 
-def brute_force_p(values, d):
-    """Oracle: enumerate all |atoms|^n assignments and take the max mass."""
+def brute_force(values, d):
+    """Oracle: enumerate all |atoms|^n assignments; return the max mass and
+    the smallest sum attaining it."""
     leaves = [(Fraction(0), Fraction(1))]
     for v in values:
         leaves = [
@@ -31,7 +34,8 @@ def brute_force_p(values, d):
     masses = {}
     for s, w in leaves:
         masses[s] = masses.get(s, Fraction(0)) + w
-    return max(masses.values())
+    best = max(masses.values())
+    return best, min(s for s, w in masses.items() if w == best)
 
 
 def test_empty_vector():
@@ -56,6 +60,14 @@ def test_cap_enforced():
         small_ball_exact(WeightVector.exact([1, 2, 4, 8]), RAD, cap=3)
 
 
+def test_cap_boundary():
+    # [1, 2, 4, 8] has 16 distinct signed sums.
+    V = WeightVector.exact([1, 2, 4, 8])
+    assert small_ball_exact(V, RAD, cap=16).p == Fraction(1, 16)
+    with pytest.raises(CapExceededError, match="support 16 exceeds cap 15"):
+        small_ball_exact(V, RAD, cap=15)
+
+
 def test_exact_rejects_numeric_mode():
     with pytest.raises(PreconditionError):
         small_ball_exact(WeightVector.numeric([1.0]), RAD)
@@ -73,7 +85,50 @@ def test_oracle_equivalence_small(n):
         ]
         V = WeightVector.exact(values)
         for d in (RAD, BER):
-            assert small_ball_exact(V, d).p == brute_force_p(values, d)
+            assert small_ball_exact(V, d).p == brute_force(values, d)[0]
+
+
+THREE = make_distribution(["-1/3", "0", "5/2"], ["1/5", "1/2", "3/10"])
+
+
+@pytest.mark.parametrize("d", [RAD, BER, THREE], ids=["rad", "ber", "three"])
+@pytest.mark.parametrize("n", range(1, 8))
+def test_p_and_attaining_atom_match_oracle(n, d):
+    import random
+
+    rng = random.Random(100 + n)
+    for _ in range(12):
+        values = [
+            Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)
+        ]
+        res = small_ball_exact(WeightVector.exact(values), d)
+        assert (res.p, res.attaining_atom) == brute_force(values, d)
+
+
+def test_sums_beyond_int64_match_oracle():
+    import random
+
+    rng = random.Random(62)
+    for n in range(3, 8):
+        values = [
+            rng.choice([-1, 1]) * (2**62 - rng.randint(0, 50)) for _ in range(n)
+        ]
+        values[-1] //= rng.choice([1, 3])
+        assert sum(abs(v) for v in values) >= 2**63  # past the int64 bound
+        for d in (RAD, THREE):
+            res = small_ball_exact(WeightVector.exact(values), d)
+            assert (res.p, res.attaining_atom) == brute_force(values, d)
+
+
+def test_masses_beyond_int64_closed_form():
+    # Probabilities (1/3, 2/3): masses are integers over 3^41 > 2^63.
+    assert 3**41 > 2**63
+    d = make_distribution([-1, 1], ["1/3", "2/3"])
+    res = small_ball_exact(WeightVector.exact([1] * 41), d)
+    want = max(Fraction(math.comb(41, k) * 2 ** (41 - k), 3**41) for k in range(42))
+    assert res.p == want
+    # k = 13 and k = 14 minus signs tie; the smaller sum, 41 - 28, wins.
+    assert res.attaining_atom == 13
 
 
 @given(
@@ -170,3 +225,104 @@ def test_is_rich_windowed_mode():
 def test_is_rich_exact_requires_zero_delta():
     with pytest.raises(PreconditionError):
         is_rich(WeightVector.exact([1]), RAD, A=1.0, n=1, delta=1e-9)
+
+
+def reference_window(sums, weights, delta):
+    """The original pointer scan, kept as the oracle of the vectorised one."""
+    best = 0.0
+    center = float(sums[0])
+    j = 0
+    cum = np.concatenate([[0.0], np.cumsum(weights)])
+    for i in range(len(sums)):
+        while sums[i] - sums[j] > delta:
+            j += 1
+        w = float(cum[i + 1] - cum[j])
+        if w > best:
+            best = w
+            center = float((sums[i] + sums[j]) / 2.0)
+    return best, center
+
+
+def window(sums, weights, delta):
+    cum = np.concatenate([[0.0], np.cumsum(weights)])
+    return _windowed_from_sorted(sums, cum, delta)
+
+
+def test_window_matches_pointer_scan_on_random_sums():
+    rng = np.random.default_rng(11)
+    for size in (1, 2, 3, 10, 100, 1000):
+        for scale in (1e-3, 1.0, 1e6):
+            sums = np.sort(rng.standard_normal(size) * scale)
+            sums = np.sort(np.concatenate([sums, sums[: size // 3]]))
+            weights = rng.random(len(sums))
+            for delta in (1e-9, 1e-3, 0.1, 1.0, 10.0):
+                assert window(sums, weights, delta) == reference_window(
+                    sums, weights, delta
+                )
+
+
+def scan_starts(sums, delta):
+    """The window start j of the pointer scan, for every end i."""
+    starts = [0]
+    for s in sums[1:]:
+        j = starts[-1]
+        while s - sums[j] > delta:
+            j += 1
+        starts.append(j)
+    return np.array(starts)
+
+
+@pytest.mark.parametrize("delta", [0.1, 0.2, 0.3, 0.7])
+def test_window_matches_pointer_scan_under_rounding(delta):
+    # On multiples of 0.1, sums[i] - delta and sums[i] - sums[j] round
+    # differently, so searchsorted alone puts some window starts one off.
+    sums = 0.1 * np.arange(300)
+    assert (np.searchsorted(sums, sums - delta) != scan_starts(sums, delta)).any()
+    for weights in (np.full(300, 1 / 300), np.linspace(2.0, 1.0, 300)):
+        assert window(sums, weights, delta) == reference_window(sums, weights, delta)
+    repeated = np.repeat(sums, 4)
+    weights = np.random.default_rng(3).random(len(repeated))
+    assert window(repeated, weights, delta) == reference_window(
+        repeated, weights, delta
+    )
+
+
+def test_window_rounding_goes_both_ways():
+    # The inputs above need j moved up (delta = 0.3) and down (delta = 0.7).
+    sums = 0.1 * np.arange(300)
+    assert (np.searchsorted(sums, sums - 0.3) < scan_starts(sums, 0.3)).any()
+    assert (np.searchsorted(sums, sums - 0.7) > scan_starts(sums, 0.7)).any()
+
+
+@pytest.mark.parametrize("d", [RAD, THREE], ids=["rad", "three"])
+def test_windowed_exhaustive_matches_reference_pipeline(d):
+    rng = np.random.default_rng(5)
+    atoms = np.array([float(a) for a in d.atoms])
+    probs = np.array([float(p) for p in d.probs])
+    for n in (1, 4, 9):
+        for values in (rng.standard_normal(n), 0.1 * rng.integers(-3, 4, n)):
+            sums, weights = np.zeros(1), np.ones(1)
+            for v in values:
+                sums = (sums[:, None] + atoms[None, :] * v).ravel()
+                weights = (weights[:, None] * probs[None, :]).ravel()
+            order = np.argsort(sums, kind="stable")
+            for delta in (1e-9, 0.1, 0.3):
+                res = small_ball_windowed(WeightVector.numeric(values), d, delta)
+                assert res.mode == "windowed"
+                assert (res.p, res.attaining_atom) == reference_window(
+                    sums[order], weights[order], delta
+                )
+
+
+def test_windowed_exhaustive_memory():
+    import tracemalloc
+
+    V = WeightVector.numeric(np.random.default_rng(18).standard_normal(18))
+    tracemalloc.start()
+    try:
+        small_ball_windowed(V, RAD, delta=1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 2^18 sums take 2 MiB per float64 array; the scan keeps at most five.
+    assert peak <= 10 * 10**6
