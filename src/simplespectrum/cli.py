@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
@@ -37,23 +38,38 @@ def _emit(records: list[dict], out_format: str):
             sys.stdout.write(json.dumps(rec) + "\n")
 
 
+@contextmanager
+def _reading(what: str, source: str):
+    """Re-raise a malformed or unreadable input as a contract error naming
+    it: a missing file, bad JSON, a missing key or an unparseable rational."""
+    try:
+        yield
+    except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
+        raise SimpleSpectrumError(
+            f"cannot read {what} {source!r}: {type(exc).__name__}: {exc}"
+        ) from exc
+
+
 def _load_matrix(path: str) -> matrices.SymmetricMatrix:
-    text = Path(path).read_text()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return matrices.SymmetricMatrix.from_json(json.loads(text))
-    return matrices.SymmetricMatrix.from_text(text)
+    with _reading("matrix", path):
+        text = Path(path).read_text()
+        stripped = text.lstrip()
+        if stripped.startswith("{"):
+            return matrices.SymmetricMatrix.from_json(json.loads(text))
+        return matrices.SymmetricMatrix.from_text(text)
 
 
 def _load_vector(path: str) -> list[Fraction]:
-    obj = json.loads(Path(path).read_text())
-    if isinstance(obj, dict):
-        obj = obj["entries"]
-    return [parse_rational(x) for x in obj]
+    with _reading("vector", path):
+        obj = json.loads(Path(path).read_text())
+        if isinstance(obj, dict):
+            obj = obj["entries"]
+        return [parse_rational(x) for x in obj]
 
 
 def _load_dist(path: str) -> dist.AtomicDistribution:
-    return dist.AtomicDistribution.from_json(Path(path).read_text())
+    with _reading("distribution", path):
+        return dist.AtomicDistribution.from_json(Path(path).read_text())
 
 
 def _ensemble(name: str) -> matrices.EnsembleSpec:
@@ -116,7 +132,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gap-cover", help="covering-GAP search for a vector")
     p.add_argument("--vector", required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--rmax", type=int, default=2)
+    p.add_argument(
+        "--rmax", type=int, default=2,
+        help="largest GAP rank (default 2); the search builds ranks 1 and 2 "
+        "only, so any value >= 2 behaves as 2",
+    )
     p.add_argument("--volmax", type=int, default=10**4)
 
     p = sub.add_parser("refine", help="inverse Littlewood-Offord refinement")
@@ -182,10 +202,9 @@ def run(args) -> list[dict]:
     if args.command == "refine":
         V = smallball.WeightVector.exact(_load_vector(args.vector))
         d = _load_dist(args.dist)
-        params = structure.StructureParams(
-            A=args.A, eps=args.eps, d0=args.d0,
-            C0=parse_rational(args.C0),
-        )
+        with _reading("--C0", args.C0):
+            C0 = parse_rational(args.C0)
+        params = structure.StructureParams(A=args.A, eps=args.eps, d0=args.d0, C0=C0)
         report = structure.refine_structure(V, d, params)
         rec = report.to_json()
         rec["kind"] = "refine"

@@ -1,11 +1,15 @@
 """Desk-scale inverse Littlewood-Offord: covering GAPs and iterative refinement.
 
 find_covering_gap searches a candidate pool of generators (element values,
-pairwise differences, and their small integer quotients) for a proper
-symmetric GAP of bounded rank and volume containing all but at most m
-elements of a vector.  The search is heuristic but every result is
-re-verified by enumeration, so incompleteness can only produce None,
-never a wrong GAP.
+pairwise differences, and their quotients by 1..6) for a proper symmetric
+GAP of rank 1 or 2 and bounded volume containing all but at most m
+elements of a vector.  The search runs on one integer lattice: the values
+are put over L = 60 * lcm(denominators), so every candidate is an exact
+integer, and one table lists, per candidate, the values it divides.  Both
+the best rank-1 cover and the order of the rank-2 pairs come from that
+table; a generator becomes the Fraction g / L only in the returned Gap.
+The search is heuristic but every result is re-verified by enumeration,
+so incompleteness can only produce None, never a wrong GAP.
 
 refine_structure runs the iterative loop: cover the vector, look for a
 small stability subset whose concentration stays below n^(d0*eps) times
@@ -94,73 +98,39 @@ class StructureReport:
         )
 
 
-def _candidate_generators(values: tuple[Fraction, ...]) -> list[Fraction]:
-    """Nonzero candidates: values, pairwise differences, and quotients by 1..6,
-    normalized positive and deduplicated."""
-    raw: set[Fraction] = set()
-    distinct = sorted(set(values))
-    for v in distinct:
-        if v:
-            raw.add(abs(v))
-    for a, b in combinations(distinct, 2):
-        if a != b:
-            raw.add(abs(a - b))
-    out: set[Fraction] = set()
-    for g in raw:
-        for q in range(1, 7):
-            out.add(g / q)
-    return sorted(out)
-
-
-def _rank1_cover(
-    g: Fraction, values: tuple[Fraction, ...], m: int, vol_max: int
-) -> Optional[tuple[Gap, tuple[int, ...]]]:
-    """Best rank-1 GAP with generator g covering all but <= m values."""
-    n = len(values)
-    mult = [(abs(v / g), i) for i, v in enumerate(values) if (v / g).denominator == 1]
-    if len(mult) < n - m:
-        return None
-    max_dim = (vol_max - 1) // 2
-    mult.sort()
-    # Tightest dimension covering the n - m nearest multiples; anything
-    # else within that box is covered for free.
-    dim = mult[n - m - 1][0] if n - m >= 1 else Fraction(0)
-    if dim > max_dim:
-        return None
-    covered = [(k, i) for k, i in mult if k <= dim]
-    gap = Gap((g,), (Fraction(dim),))
-    return gap, tuple(sorted(i for _, i in covered))
+def _candidate_generators(ints: list[int]) -> list[int]:
+    """Nonzero candidates on the lattice: values, pairwise differences, and
+    quotients by 1..6, normalized positive and deduplicated."""
+    distinct = sorted(set(ints))
+    raw = {abs(v) for v in distinct if v}
+    raw.update(b - a for a, b in combinations(distinct, 2))
+    return sorted({g // q for g in raw for q in range(1, 7)})
 
 
 def _rank2_cover(
-    g1: Fraction,
-    g2: Fraction,
-    values: tuple[Fraction, ...],
-    m: int,
-    vol_max: int,
+    g1: int, g2: int, ints: list[int], L: int, m: int, vol_max: int
 ) -> Optional[tuple[Gap, tuple[int, ...]]]:
     """Greedy rank-2 cover: per value, the representation minimizing
     max(|a|, |b|) with |a| bounded by a small search range.  Properness is
     left to _verify_cover."""
     reps = []
     covered_idx = []
-    for i, v in enumerate(values):
+    for i, v in enumerate(ints):
         best = None
         for a in range(-_PAIR_COEFF_RANGE, _PAIR_COEFF_RANGE + 1):
-            rem = (v - a * g1) / g2
-            if rem.denominator == 1:
-                b = int(rem)
+            b, rem = divmod(v - a * g1, g2)
+            if rem == 0:
                 key = (max(abs(a), abs(b)), abs(a))
                 if best is None or key < best[0]:
                     best = (key, a, b)
         if best is not None:
             reps.append((best[1], best[2]))
             covered_idx.append(i)
-    if len(covered_idx) < len(values) - m:
+    if len(covered_idx) < len(ints) - m:
         return None
     d1 = max(abs(a) for a, _ in reps)
     d2 = max(abs(b) for _, b in reps)
-    gap = Gap((g1, g2), (Fraction(d1), Fraction(d2)))
+    gap = Gap((Fraction(g1, L), Fraction(g2, L)), (Fraction(d1), Fraction(d2)))
     if gaps.volume(gap) > vol_max:
         return None
     return gap, tuple(covered_idx)
@@ -173,8 +143,10 @@ def find_covering_gap(
     vol_max: int = 10**4,
     enum_cap: int = gaps.DEFAULT_ENUM_CAP,
 ) -> Optional[Gap]:
-    """Search for a proper symmetric GAP of rank <= r_max and volume <=
-    vol_max containing all but at most m elements of V (with multiplicity).
+    """Search for a proper symmetric GAP of rank <= min(r_max, 2) and volume
+    <= vol_max containing all but at most m elements of V (with
+    multiplicity).  The search builds ranks 1 and 2 only, so any r_max >= 2
+    behaves as 2.
 
     Returns None when the bounded candidate search exhausts.  Every result
     is re-verified by enumeration before it is returned.
@@ -190,7 +162,8 @@ def covering_gap_with_indices(
     vol_max: int = 10**4,
     enum_cap: int = gaps.DEFAULT_ENUM_CAP,
 ) -> Optional[tuple[Gap, tuple[int, ...]]]:
-    """find_covering_gap plus the covered index set."""
+    """find_covering_gap plus the covered index set; the rank is at most
+    min(r_max, 2)."""
     if V.mode != "exact":
         raise PreconditionError("covering search needs an exact-mode vector")
     n = len(V)
@@ -199,34 +172,40 @@ def covering_gap_with_indices(
     if r_max < 1:
         raise PreconditionError("r_max must be >= 1")
     values = V.entries
-    nonzero = [v for v in values if v]
-    if not nonzero:
+    if not any(values):
         return Gap.trivial(), tuple(range(n))
-    candidates = _candidate_generators(values)
+    # One lattice L = 60 * lcm(denominators): every value, pairwise
+    # difference and their quotients by 1..6 are then exact integers.
+    L = 60 * math.lcm(*(v.denominator for v in values))
+    ints = [v.numerator * (L // v.denominator) for v in values]
+    # Per candidate g, the sorted (|v| / g, i) over the values g divides.
+    table = {
+        g: sorted((abs(v) // g, i) for i, v in enumerate(ints) if v % g == 0)
+        for g in _candidate_generators(ints)
+    }
 
+    # Rank 1: most covered values, then the smallest volume, then the
+    # smallest g.  The tightest dimension covering the n - m nearest
+    # multiples also covers, for free, anything else within that box.
     rank1 = []
-    for g in candidates:
-        hit = _rank1_cover(g, values, m, vol_max)
-        if hit is not None:
-            gap, idx = hit
-            rank1.append((-len(idx), gaps.volume(gap), g, gap, idx))
-    rank1.sort(key=lambda t: (t[0], t[1], t[2]))
+    for g, mult in table.items():
+        if len(mult) >= n - m:
+            dim = mult[n - m - 1][0] if n > m else 0
+            if 2 * dim + 1 <= vol_max:
+                rank1.append((-sum(k <= dim for k, _ in mult), dim, g))
     if rank1:
-        _, _, _, gap, idx = rank1[0]
+        _, dim, g = min(rank1)
+        gap = Gap((Fraction(g, L),), (Fraction(dim),))
+        idx = tuple(sorted(i for k, i in table[g] if k <= dim))
         if _verify_cover(gap, values, idx, m, enum_cap):
             return gap, idx
     if r_max < 2:
         return None
 
-    # Rank 2: pairs drawn from the best rank-1 partial covers.
-    partial = []
-    for g in candidates:
-        mult = sum(1 for v in values if (v / g).denominator == 1)
-        partial.append((-mult, g))
-    partial.sort()
-    top = [g for _, g in partial[:_TOP_RANK1]]
+    # Rank 2: pairs drawn from the candidates dividing the most values.
+    top = sorted(table, key=lambda g: (-len(table[g]), g))[:_TOP_RANK1]
     for g1, g2 in combinations(top, 2):
-        hit = _rank2_cover(g1, g2, values, m, vol_max)
+        hit = _rank2_cover(g1, g2, ints, L, m, vol_max)
         if hit is not None:
             gap, idx = hit
             if _verify_cover(gap, values, idx, m, enum_cap):

@@ -125,3 +125,65 @@ def test_refine_not_rich_exits_2(capsys, tmp_path):
         "--A", "1", "--eps", "0.2",
     )
     assert code == 2
+
+
+DIST = json.dumps({"atoms": ["-1", "1"], "probs": ["1/2", "1/2"]})
+
+
+def _write(tmp_path, name, text):
+    f = tmp_path / name
+    f.write_text(text)
+    return str(f)
+
+
+def assert_contract_error(capsys, argv, named):
+    code = main(argv)
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read {named}")
+
+
+def test_check_simple_bad_rational_exits_2(capsys, tmp_path):
+    m = _write(tmp_path, "m.txt", "0 x\nx 0\n")
+    assert_contract_error(capsys, ["check-simple", "--matrix", m], f"matrix {m!r}")
+
+
+def test_conc_prob_bad_rational_exits_2(capsys, tmp_path):
+    v = _write(tmp_path, "v.json", '["1", "x"]')
+    d = _write(tmp_path, "d.json", DIST)
+    argv = ["conc-prob", "--vector", v, "--dist", d]
+    assert_contract_error(capsys, argv, f"vector {v!r}")
+
+
+def test_gap_cover_bad_json_exits_2(capsys, tmp_path):
+    v = _write(tmp_path, "v.json", '["1", "2"')
+    argv = ["gap-cover", "--vector", v, "--m", "0"]
+    assert_contract_error(capsys, argv, f"vector {v!r}")
+
+
+def test_gap_cover_missing_entries_exits_2(capsys, tmp_path):
+    v = _write(tmp_path, "v.json", '{"values": ["1"]}')
+    argv = ["gap-cover", "--vector", v, "--m", "0"]
+    assert_contract_error(capsys, argv, f"vector {v!r}")
+
+
+def test_refine_missing_file_exits_2(capsys, tmp_path):
+    v = str(tmp_path / "absent.json")
+    d = _write(tmp_path, "d.json", DIST)
+    argv = ["refine", "--vector", v, "--dist", d, "--A", "1", "--eps", "0.2"]
+    assert_contract_error(capsys, argv, f"vector {v!r}")
+
+
+@pytest.mark.parametrize("key", ["atoms", "probs"])
+def test_dist_missing_key_exits_2(capsys, tmp_path, key):
+    v = _write(tmp_path, "v.json", '["1", "1"]')
+    d = _write(tmp_path, "d.json", json.dumps({key: ["1"]}))
+    argv = ["conc-prob", "--vector", v, "--dist", d]
+    assert_contract_error(capsys, argv, f"distribution {d!r}")
+
+
+def test_refine_bad_c0_exits_2(capsys, tmp_path):
+    v = _write(tmp_path, "v.json", json.dumps(["1"] * 16))
+    d = _write(tmp_path, "d.json", DIST)
+    argv = ["refine", "--vector", v, "--dist", d, "--A", "1", "--eps", "0.2",
+            "--C0", "ten"]
+    assert_contract_error(capsys, argv, "--C0 'ten'")

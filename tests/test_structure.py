@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -10,6 +12,7 @@ from simplespectrum.smallball import WeightVector
 from simplespectrum.structure import (
     StructureParams,
     StructureReport,
+    _rank2_cover,
     covering_gap_with_indices,
     find_covering_gap,
     refine_structure,
@@ -50,8 +53,6 @@ def test_cover_rank2():
 
 
 def test_cover_results_verified():
-    import random
-
     rng = random.Random(1)
     for _ in range(20):
         values = [rng.randint(-10, 10) for _ in range(8)]
@@ -66,6 +67,145 @@ def test_cover_results_verified():
         assert all(F(values[i]) in members for i in idx)
         assert len(values) - len(idx) <= 2
 
+
+def test_cover_quotient_generator():
+    # 5/6 occurs only as a sixth of the value 5: the lattice must make
+    # every quotient by 1..6 an integer.
+    g = find_covering_gap(WeightVector.exact([0, 5]), m=1)
+    assert g == Gap((F(5, 6),), (F(0),))
+
+
+# Oracle: the covering search as it was first written, in Fraction
+# arithmetic, dividing every value by every candidate generator.
+
+
+def _ref_candidates(values):
+    raw = set()
+    distinct = sorted(set(values))
+    for v in distinct:
+        if v:
+            raw.add(abs(v))
+    for a, b in combinations(distinct, 2):
+        if a != b:
+            raw.add(abs(a - b))
+    out = set()
+    for g in raw:
+        for q in range(1, 7):
+            out.add(g / q)
+    return sorted(out)
+
+
+def _ref_rank1(g, values, m, vol_max):
+    n = len(values)
+    mult = [(abs(v / g), i) for i, v in enumerate(values) if (v / g).denominator == 1]
+    if len(mult) < n - m:
+        return None
+    mult.sort()
+    dim = mult[n - m - 1][0] if n - m >= 1 else F(0)
+    if dim > (vol_max - 1) // 2:
+        return None
+    gap = Gap((g,), (F(dim),))
+    return gap, tuple(sorted(i for k, i in mult if k <= dim))
+
+
+def _ref_rank2(g1, g2, values, m, vol_max):
+    reps, covered = [], []
+    for i, v in enumerate(values):
+        best = None
+        for a in range(-12, 13):
+            rem = (v - a * g1) / g2
+            if rem.denominator == 1:
+                b = int(rem)
+                key = (max(abs(a), abs(b)), abs(a))
+                if best is None or key < best[0]:
+                    best = (key, a, b)
+        if best is not None:
+            reps.append((best[1], best[2]))
+            covered.append(i)
+    if len(covered) < len(values) - m:
+        return None
+    d1 = max(abs(a) for a, _ in reps)
+    d2 = max(abs(b) for _, b in reps)
+    gap = Gap((g1, g2), (F(d1), F(d2)))
+    if volume(gap) > vol_max:
+        return None
+    return gap, tuple(covered)
+
+
+def _ref_verify(gap, idx, values, m):
+    if len(values) - len(idx) > m or not gaps.is_proper(gap):
+        return False
+    members = gaps.member_set(gap)
+    return all(values[i] in members for i in idx)
+
+
+def _ref_cover(values, m, r_max, vol_max):
+    if not any(values):
+        return Gap.trivial(), tuple(range(len(values)))
+    candidates = _ref_candidates(values)
+    rank1 = []
+    for g in candidates:
+        hit = _ref_rank1(g, values, m, vol_max)
+        if hit is not None:
+            rank1.append((-len(hit[1]), volume(hit[0]), g, hit))
+    rank1.sort(key=lambda t: t[:3])
+    if rank1 and _ref_verify(*rank1[0][3], values, m):
+        return rank1[0][3]
+    if r_max < 2:
+        return None
+    partial = sorted(
+        (-sum(1 for v in values if (v / g).denominator == 1), g) for g in candidates
+    )
+    top = [g for _, g in partial[:32]]
+    for g1, g2 in combinations(top, 2):
+        hit = _ref_rank2(g1, g2, values, m, vol_max)
+        if hit is not None and _ref_verify(*hit, values, m):
+            return hit
+    return None
+
+
+def test_rank2_tie_goes_to_smaller_a():
+    # 1 = -1*1 + 1*2 = 1*1 + 0*2: both keep max(|a|, |b|) = |a| = 1, and
+    # the first, a = -1, sets the second dim to 1.
+    want = _ref_rank2(F(1), F(2), (F(1),), 0, 100)
+    assert want == (Gap((F(1), F(2)), (F(1), F(1))), (0,))
+    assert _rank2_cover(60, 120, [60], 60, 0, 100) == want
+
+
+def _oracle_vector(rng):
+    n = rng.randint(1, 14)
+    g1 = F(rng.randint(1, 9), rng.randint(1, 5))
+    kind = rng.choices(["rank1", "rank2", "generic"], [1, 2, 1])[0]
+    if kind == "rank1":
+        values = [g1 * rng.randint(-3, 3) for _ in range(n)]
+    elif kind == "rank2":
+        g2 = F(rng.choice([97, 101, 103, 107]), rng.randint(1, 5))
+        values = [g1 * rng.randint(-1, 1) + g2 * rng.randint(-1, 1) for _ in range(n)]
+    else:
+        values = [F(rng.randint(-20, 20), rng.randint(1, 5)) for _ in range(n)]
+    # Half the vectors get one or two outliers, so that m matters.
+    if rng.random() < 0.5:
+        for _ in range(rng.randint(1, min(2, n))):
+            values[rng.randrange(n)] = F(rng.randint(-1000, 1000), rng.randint(1, 5))
+    return values
+
+
+def test_cover_matches_fraction_oracle():
+    rng = random.Random(2014)
+    hits = rank2 = 0
+    for _ in range(500):
+        values = _oracle_vector(rng)
+        m = rng.randint(0, len(values))
+        # A miss at r_max >= 2 costs the oracle every rank-2 pair, about
+        # 0.1 s per coordinate, so the weights favour covers that exist.
+        r_max = rng.choices([1, 2, 3], [2, 1, 1])[0]
+        vol_max = rng.choices([3, 10, 100, 10**4], [1, 2, 3, 3])[0]
+        want = _ref_cover(tuple(values), m, r_max, vol_max)
+        got = covering_gap_with_indices(WeightVector.exact(values), m, r_max, vol_max)
+        assert got == want, (values, m, r_max, vol_max)
+        hits += want is not None
+        rank2 += want is not None and want[0].rank == 2
+    assert rank2 >= 20 and hits <= 450, (hits, rank2)
 
 def test_refine_all_ones():
     V = WeightVector.exact([1] * 16)
