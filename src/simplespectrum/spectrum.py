@@ -1,6 +1,14 @@
 """Spectral simplicity, decided exactly and numerically.
 
-Exact route: the monic characteristic polynomial det(xI - M) is computed
+Exact route, first step: a Krylov rank screen mod one prime q.  A real
+symmetric M has simple spectrum exactly when some vector v is cyclic, that
+is, when K = [v, Mv, ..., M^(n-1) v] is nonsingular.  For a fixed integer
+v, rank K = n mod q gives det K != 0 over Z, so a full rank proves M simple
+with one prime and no char poly (Wiedemann 1986; Kaltofen, Nehring and
+Saunders, ISSAC 2011).  Only a rank-deficient K, which every non-simple M
+has, goes on to the second step.
+
+Second step: the monic characteristic polynomial det(xI - M) is computed
 modulo several word-sized primes, each in O(n^3) by a Hessenberg reduction
 with numpy int64 row and column updates and Cohen's recurrence on the
 Hessenberg form, and reconstructed by CRT.  The number of primes comes from
@@ -9,8 +17,9 @@ the result is exact, not probabilistic.  Stacks of small matrices whose
 bound one prime covers, such as the graphs of a census, go through one
 batched pass of the same reduction instead, each matrix with its own
 pivots.  Simplicity is then squarefreeness:
-gcd(p, p') constant.  For a real symmetric matrix algebraic multiplicity
-equals geometric multiplicity, so squarefree <=> simple spectrum.
+gcd(p, p') constant, settled by a mod-q screen or else the PRS gcd.  For a
+real symmetric matrix algebraic multiplicity equals geometric
+multiplicity, so squarefree <=> simple spectrum.
 
 Numeric route: LAPACK's symmetric eigensolver (np.linalg.eigh), followed
 by gap clustering.  Where the two disagree the exact verdict is ground truth.
@@ -91,6 +100,15 @@ class NumericSpectrum:
 # per matrix hold thousands of them.
 @dataclass(frozen=True, slots=True)
 class SimplicityVerdict:
+    """A verdict and, for NotSimpleExact, its certificate: the monic
+    gcd(p, p') of the char poly p, constant term first.
+
+    SimpleExact carries no field, because its certificate is implied by n:
+    the Krylov matrix [v, Mv, ..., M^(n-1) v] of num has rank n mod the
+    first CRT prime q, for v_i = 3^(i+1) mod 65537 (i = 0..n-1).  Where that
+    screen does not decide, the char poly of num is squarefree.
+    """
+
     tag: str  # SimpleExact | NotSimpleExact | SimpleNumeric | NotSimpleNumeric | Ambiguous
     min_gap: Optional[float] = None
     certificate: Optional[tuple[Fraction, ...]] = None  # repeated-root factor
@@ -171,6 +189,46 @@ def _balanced(X: np.ndarray, p: int) -> np.ndarray:
     division, which numpy runs several times faster than % on int64.  Exact
     while |X| + p < 2^63."""
     return X - (X + p // 2) // p * p
+
+
+def krylov_full_rank(A: np.ndarray) -> bool:
+    """True when K = [v, Av, ..., A^(n-1) v] has rank n mod q, which proves
+    the integer symmetric A simple; v_i = 3^(i+1) mod 65537 for
+    i = 0..n-1, q = _crt_prime(0).
+
+    3 generates the units mod the prime 65537, so the entries of v are
+    distinct and follow no low-degree pattern.  Patterned vectors miss
+    structured matrices: all-ones is an eigenvector of every regular graph,
+    and a vector linear in i is orthogonal to each eigenvector of a path's
+    Laplacian that is symmetric under reversal, apart from all-ones.
+
+    False says nothing: A may be non-simple, or simple with v not cyclic
+    mod q.  K is built with n balanced int64 matvecs and reduced by
+    Gaussian elimination mod q, one pivot search per column, stopping at
+    the first column without a pivot.  Every product takes balanced
+    operands, so a dot product is at most n*(q // 2)^2 + q, checked first.
+    """
+    n = A.shape[0]
+    q = _crt_prime(0)
+    half = q // 2
+    if n * half * half + q >= 1 << 63:
+        raise PreconditionError(f"n = {n} overflows int64 products mod {q}")
+    A = _balanced(np.asarray(A % q, dtype=np.int64), q)  # object entries too
+    K = np.empty((n, n), dtype=np.int64)
+    K[:, 0] = [pow(3, i + 1, 65537) for i in range(n)]  # already balanced
+    for j in range(1, n):
+        K[:, j] = _balanced(A @ K[:, j - 1], q)
+    for k in range(n - 1):
+        below = np.flatnonzero(K[k:, k])
+        if below.size == 0:
+            return False  # A^k v lies in the span of v .. A^(k-1) v mod q
+        if below[0]:
+            r = k + int(below[0])
+            K[[k, r]] = K[[r, k]]
+        inv = pow(int(K[k, k]), -1, q)
+        u = _balanced(K[k + 1:, k] * (inv - q if inv > half else inv), q)
+        K[k + 1:, k + 1:] = _balanced(K[k + 1:, k + 1:] - np.outer(u, K[k, k + 1:]), q)
+    return bool(K[-1, -1])  # the last column's only candidate pivot
 
 
 def _hessenberg_mod_stack(A: np.ndarray, p: int) -> np.ndarray:
@@ -298,9 +356,13 @@ def repeated_factor(ip: list[int]) -> Optional[list[int]]:
 def simplicity_exact(M: SymmetricMatrix) -> SimplicityVerdict:
     """SimpleExact iff char_poly(M) is squarefree; certificate otherwise.
 
-    det(xI - M) = ip(den*x)/den^n for the integer char poly ip of num, so M
-    is simple exactly when ip is squarefree, and the test runs on integers.
+    M and num = den*M share their eigenvectors, so the Krylov screen on num
+    proves most simple M at once.  Otherwise det(xI - M) = ip(den*x)/den^n
+    for the integer char poly ip of num, so M is simple exactly when ip is
+    squarefree, and the test runs on integers.
     """
+    if krylov_full_rank(M.num):
+        return _SIMPLE_EXACT
     g = repeated_factor(_integer_charpoly(M.num)[::-1])
     if g is None:
         return _SIMPLE_EXACT

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import re
 
 import pytest
 
@@ -187,3 +189,31 @@ def test_refine_bad_c0_exits_2(capsys, tmp_path):
     argv = ["refine", "--vector", v, "--dist", d, "--A", "1", "--eps", "0.2",
             "--C0", "ten"]
     assert_contract_error(capsys, argv, "--C0 'ten'")
+
+
+# sha256 of the records below with wall_time removed, as the exact route
+# gave them when it always computed the char poly.
+RECORDS_SHA256 = "2ace1395bc306e6659dab808d01cb48fd29b52f2872979b1765073acda5c000e"
+
+
+def test_check_simple_and_montecarlo_records_pinned(capsys, tmp_path):
+    mats = [
+        "0 1 1\n1 0 1\n1 1 0\n",  # K3
+        "1 -1 0 0\n-1 2 -1 0\n0 -1 2 -1\n0 0 -1 1\n",  # path Laplacian
+        "0 0\n0 0\n",
+        json.dumps({"n": 3, "rows": [["0", "1/2", "1/2"], ["1/2", "0", "1/2"], ["1/2", "1/2", "0"]]}),
+        json.dumps({"n": 3, "rows": [["1/2", "1/3", "0"], ["1/3", "1/4", "1"], ["0", "1", "-2"]]}),
+        "\n".join(" ".join("1" if (i * j + i + j) % 3 else "-1" for j in range(12)) for i in range(12)),
+    ]
+    out = []
+    for k, text in enumerate(mats):
+        f = tmp_path / f"m{k}.{'json' if text.startswith('{') else 'txt'}"
+        f.write_text(text)
+        for fmt in ("json", "csv"):
+            out.append(run_cli(capsys, "--out", fmt, "check-simple", "--matrix", str(f)))
+    for ensemble in ("sign", "gnp"):
+        for n in ("12", "30"):
+            code, rec = run_cli(capsys, "montecarlo", "--ensemble", ensemble, "--n", n,
+                                "--trials", "20", "--seed", "5")
+            out.append((code, re.sub(r'"wall_time": [^,}]*', '"wall_time"', rec)))
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == RECORDS_SHA256

@@ -1,5 +1,6 @@
+import hashlib
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 from math import isqrt
 
 import numpy as np
@@ -291,8 +292,99 @@ def test_row_norm_bound_prime_count_n50(monkeypatch, spec, most):
     monkeypatch.setattr(spectrum, "_charpoly_mod", lambda A, n, p: calls.append(p) or real(A, n, p))
     for t in range(3):
         calls.clear()
-        simplicity_exact(sample_matrix(spec, 50, trial_rng(0, t)))
+        char_poly(sample_matrix(spec, 50, trial_rng(0, t)))
         assert 0 < len(calls) <= most
+
+
+RATIONAL = EnsembleSpec(
+    offdiag=make_distribution(["-1/2", "1/3", "2"], ["1/3", "1/3", "1/3"]),
+    diag=make_distribution(["0", "1/2"], ["1/2", "1/2"]),
+)
+
+
+def _graphs():
+    """Every graph on n <= 5 vertices."""
+    for n in range(1, 6):
+        for idx in range(1 << (n * (n - 1) // 2)):
+            yield graph_from_index(n, idx)
+
+
+def _draws():
+    """One seeded sign, G(n, 2/25) and rational-atom draw for each n = 1..50."""
+    for n in range(1, 51):
+        for spec in (SIGN, SPARSE_50, RATIONAL):
+            yield sample_matrix(spec, n, trial_rng(21, n))
+
+
+def _squarefree(M):
+    ip = spectrum._integer_charpoly(M.num)[::-1]
+    return polys.degree(polys.gcd_int(ip, polys.derivative(ip))) == 0
+
+
+def test_krylov_screen_sound():
+    # A full rank must never meet a repeated root.  With v_i = 3^(i+1) mod
+    # 65537 the screen also proves every simple matrix here: all 788 simple
+    # graphs on n <= 5 vertices, where all-ones or v_i = i + 1 misses some,
+    # and 109 of the 150 draws.
+    proved = simple = 0
+    for M in chain(_graphs(), _draws()):
+        full, squarefree = spectrum.krylov_full_rank(M.num), _squarefree(M)
+        assert squarefree or not full, M.to_json()
+        proved += full
+        simple += squarefree
+    assert proved == simple == 788 + 109
+
+
+# sha256 of repr([(tag, certificate), ...]) over _graphs() and _draws(), as
+# simplicity_exact gave them when it always computed the char poly.
+VERDICTS_SHA256 = "12d6db87953a639cb7262d60fb0c8d827368ef7b0a583f0623534cbc98d5a12e"
+
+
+def test_exact_verdicts_pinned():
+    records = [(v.tag, v.certificate) for v in map(simplicity_exact, chain(_graphs(), _draws()))]
+    assert hashlib.sha256(repr(records).encode()).hexdigest() == VERDICTS_SHA256
+
+
+def _path_laplacian(n):
+    L = np.zeros((n, n), dtype=np.int64)
+    for i in range(n - 1):
+        L[[i, i + 1], [i + 1, i]] = -1
+        L[[i, i + 1], [i, i + 1]] += 1
+    return L
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_krylov_decides_path_laplacian(monkeypatch, n):
+    # All-ones is an eigenvector (eigenvalue 0) and the spectrum is simple:
+    # the screen alone must prove it.
+    L = _path_laplacian(n)
+    assert not (L @ np.ones(n, dtype=np.int64)).any()
+    monkeypatch.setattr(spectrum, "_integer_charpoly", lambda *a: pytest.fail("reached the CRT"))
+    assert simplicity_exact(SymmetricMatrix(L)) is spectrum._SIMPLE_EXACT
+
+
+def test_krylov_refuses_int64_wrap(monkeypatch):
+    p = spectrum._crt_prime(0)
+    half = p // 2
+    n = -(-((1 << 63) - p) // (half * half))  # smallest n that can wrap
+    assert (n - 1) * half * half + p < 1 << 63 <= n * half * half + p
+    monkeypatch.setattr(spectrum, "_balanced", lambda *a: pytest.fail("reached the products"))
+    with pytest.raises(PreconditionError):
+        spectrum.krylov_full_rank(np.zeros((n, n), dtype=np.int64))
+
+
+def test_krylov_screen_object_num(monkeypatch):
+    q = spectrum._crt_prime(0)
+    simple = SymmetricMatrix.from_rows([[1, 2**63, 0], [2**63, -(2**70), 3], [0, 3, 5]])
+    flat = SymmetricMatrix(np.eye(2, dtype=object) * 2**64)  # 2^64 twice
+    for M in (simple, flat):
+        assert M.num.dtype == object
+        assert spectrum.krylov_full_rank(M.num) == spectrum.krylov_full_rank(
+            np.asarray(M.num % q, dtype=np.int64)) == _squarefree(M)
+    monkeypatch.setattr(spectrum, "_integer_charpoly", lambda *a: pytest.fail("reached the CRT"))
+    assert simplicity_exact(simple) is spectrum._SIMPLE_EXACT
+    with pytest.raises(pytest.fail.Exception):  # not simple: on to the CRT
+        simplicity_exact(flat)
 
 
 def test_simplicity_zero_2x2():
