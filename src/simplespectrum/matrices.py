@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
@@ -172,11 +173,21 @@ def _sample_atoms(
     return scaled[np.searchsorted(cum, rng.random(count), side="right")]
 
 
+@lru_cache(maxsize=64)
+def _upper_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(n, 1), built once per n and read-only, as it is
+    shared by every caller."""
+    iu = np.triu_indices(n, 1)
+    for a in iu:
+        a.flags.writeable = False
+    return iu
+
+
 def _symmetric_fill(n: int, upper, diag, den: int = 1) -> SymmetricMatrix:
     """The matrix with `upper` row-major above the diagonal, mirrored below
     it, and `diag` on it, all over `den`."""
     num = np.zeros((n, n), dtype=np.result_type(upper, diag))
-    iu = np.triu_indices(n, 1)
+    iu = _upper_indices(n)
     num[iu] = upper
     num[iu[1], iu[0]] = upper
     num[np.diag_indices(n)] = diag
@@ -221,7 +232,7 @@ def graph_stack(n: int, start: int, stop: int) -> np.ndarray:
         raise PreconditionError(f"range [{start}, {stop}) out of range for n={n}")
     bits = (np.arange(start, stop, dtype=np.int64)[:, None] >> np.arange(nbits)) & 1
     A = np.zeros((stop - start, n, n), dtype=np.int64)
-    iu = np.triu_indices(n, 1)
+    iu = _upper_indices(n)
     A[:, iu[0], iu[1]] = bits
     A[:, iu[1], iu[0]] = bits
     return A

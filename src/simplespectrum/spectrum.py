@@ -1,24 +1,22 @@
 """Spectral simplicity, decided exactly and numerically.
 
-Exact route, first step: a Krylov rank screen mod one prime q.  A real
-symmetric M has simple spectrum exactly when some vector v is cyclic, that
-is, when K = [v, Mv, ..., M^(n-1) v] is nonsingular.  For a fixed integer
-v, rank K = n mod q gives det K != 0 over Z, so a full rank proves M simple
-with one prime and no char poly (Wiedemann 1986; Kaltofen, Nehring and
-Saunders, ISSAC 2011).  Only a rank-deficient K, which every non-simple M
-has, goes on to the second step.
-
-Second step: the monic characteristic polynomial det(xI - M) is computed
-modulo several word-sized primes, each in O(n^3) by a Hessenberg reduction
-with numpy int64 row and column updates and Cohen's recurrence on the
-Hessenberg form, and reconstructed by CRT.  The number of primes comes from
-an a-priori coefficient bound, Hadamard's inequality on the row norms, so
-the result is exact, not probabilistic.  Stacks of small matrices whose
-bound one prime covers, such as the graphs of a census, go through one
-batched pass of the same reduction instead, each matrix with its own
-pivots.  Simplicity is then squarefreeness:
-gcd(p, p') constant, settled by a mod-q screen or else the PRS gcd.  For a
-real symmetric matrix algebraic multiplicity equals geometric
+Exact route: one Hessenberg reduction per prime.  A real symmetric M has
+simple spectrum exactly when some vector v is cyclic, that is, when
+K = [v, Mv, ..., M^(n-1) v] is nonsingular.  Mod the first prime q the
+reduction starts from a fixed integer v, and K has rank n mod q exactly
+when the Hessenberg form has no zero on its subdiagonal; det K != 0 over Z
+then proves M simple with one prime (Wiedemann 1986; Cohen, A Course in
+Computational Algebraic Number Theory, Alg. 2.2.9).  Otherwise, as for
+every non-simple M, that form gives the first residue of the monic char
+poly det(xI - M) by Cohen's recurrence.  Further word-sized primes, each
+reduced in O(n^3) by numpy int64 row and column updates, give the rest,
+and CRT reconstructs it against an a-priori coefficient bound (Hadamard's
+inequality on the row norms), so the result is exact, not probabilistic.
+Stacks of small matrices whose bound one prime covers, such as the graphs
+of a census, go through one batched pass of the same reduction, each
+matrix with its own pivots.  Simplicity is then squarefreeness: the root 0
+split off, gcd(p, p') constant, settled by a mod-q screen or else the PRS
+gcd.  For a real symmetric matrix algebraic multiplicity equals geometric
 multiplicity, so squarefree <=> simple spectrum.
 
 Numeric route: LAPACK's symmetric eigensolver (np.linalg.eigh), followed
@@ -105,11 +103,11 @@ class SimplicityVerdict:
 
     SimpleExact carries no field, because its certificate is implied by n:
     the Krylov matrix [v, Mv, ..., M^(n-1) v] of num has rank n mod the
-    first CRT prime q, for v_i = 3^(i+1) mod 65537 (i = 0..n-1).  Where that
-    screen does not decide, the char poly of num is squarefree.
+    first CRT prime q, v_i = 3^(i+1) mod 65537 (i < n), read off num's
+    Hessenberg reduction mod q; failing that, num's char poly is squarefree.
     """
 
-    tag: str  # SimpleExact | NotSimpleExact | SimpleNumeric | NotSimpleNumeric | Ambiguous
+    tag: str  # SimpleExact | NotSimpleExact | SimpleNumeric | NotSimpleNumeric
     min_gap: Optional[float] = None
     certificate: Optional[tuple[Fraction, ...]] = None  # repeated-root factor
 
@@ -121,21 +119,29 @@ class SimplicityVerdict:
 _SIMPLE_EXACT = SimplicityVerdict(tag="SimpleExact")
 
 
+def _balanced(X: np.ndarray, p: int) -> np.ndarray:
+    """X mod p in [-(p // 2), p // 2], as (X + p//2) % p - p//2 but by floor
+    division, which numpy runs several times faster than % on int64.  Exact
+    while |X| + p < 2^63."""
+    return X - (X + p // 2) // p * p
+
+
+def _check_int64(n: int, p: int) -> None:
+    """Refuse n and p where n balanced products mod p plus p can wrap int64."""
+    if n * (p // 2) ** 2 + p >= 1 << 63:
+        raise PreconditionError(f"n = {n} overflows int64 products mod {p}")
+
+
 def _hessenberg_mod(A: np.ndarray, p: int) -> np.ndarray:
     """Upper Hessenberg form of A mod p by similarity (Cohen, Alg. 2.2.9).
 
     One pivot per column, with a row/column swap when the subdiagonal entry
     is 0 mod p.  Entries stay balanced, |h| <= p // 2, so every int64
     product is at most (p // 2)^2 and a column update at most
-    n*(p // 2)^2 + p, the bound _charpoly_mod checks.
+    n*(p // 2)^2 + p, the bound _check_int64 checks.
     """
     n = A.shape[0]
-    half = p // 2
-
-    def balance(B):
-        return (B + half) % p - half
-
-    H = balance(A)
+    H = _balanced(A, p)
     for j in range(n - 2):
         if not H[j + 1, j]:  # pivot on the first nonzero below, if any
             below = np.flatnonzero(H[j + 2:, j])
@@ -146,26 +152,29 @@ def _hessenberg_mod(A: np.ndarray, p: int) -> np.ndarray:
             H[:, [j + 1, r]] = H[:, [r, j + 1]]
         if not np.count_nonzero(H[j + 2:, j]):
             continue  # nothing below the pivot to clear
-        inv = balance(pow(int(H[j + 1, j]), -1, p))
-        u = balance(H[j + 2:, j] * inv)
+        inv = _balanced(pow(int(H[j + 1, j]), -1, p), p)
+        u = _balanced(H[j + 2:, j] * inv, p)
         # H <- L H L^-1 with L = I - u e_{j+1}^T: clear column j below the
         # subdiagonal, then add u-weighted columns j+2.. to column j+1.
-        H[j + 2:, j:] = balance(H[j + 2:, j:] - np.outer(u, H[j + 1, j:]))
-        H[:, j + 1] = balance(H[:, j + 1] + H[:, j + 2:] @ u)
+        H[j + 2:, j:] = _balanced(H[j + 2:, j:] - np.outer(u, H[j + 1, j:]), p)
+        H[:, j + 1] = _balanced(H[:, j + 1] + H[:, j + 2:] @ u, p)
     return H
 
 
 def _charpoly_mod(A: np.ndarray, n: int, p: int) -> list[int]:
     """Char poly of A mod p by Hessenberg reduction; returns [c_0..c_n] with
-    poly = sum c_k x^(n-k).  Needs no division by k, so any prime p works.
+    poly = sum c_k x^(n-k).  Needs no division by k, so any prime p works."""
+    _check_int64(n, p)
+    return _charpoly_hessenberg(_hessenberg_mod(A, p), p)
 
-    With H upper Hessenberg, p_0 = 1 and
+
+def _charpoly_hessenberg(H: np.ndarray, p: int) -> list[int]:
+    """_charpoly_mod's result from an upper Hessenberg H mod p, by Cohen's
+    recurrence: p_0 = 1 and
     p_m = (x - h_mm) p_{m-1} - sum_{i<m} h_im (prod_{j=i+1..m} h_{j,j-1}) p_{i-1}.
     """
-    half = p // 2
-    if n * half * half + p >= 1 << 63:
-        raise PreconditionError(f"n = {n} overflows int64 products mod {p}")
-    h = _hessenberg_mod(A, p).tolist()
+    n = H.shape[0]
+    h = H.tolist()
     chain = [[1]]  # p_0 .. p_{m-1}, constant term first
     for m in range(n):  # builds p_{m+1}; row and column m of H, 0-indexed
         prev = chain[-1]
@@ -184,51 +193,32 @@ def _charpoly_mod(A: np.ndarray, n: int, p: int) -> list[int]:
     return chain[-1][::-1]
 
 
-def _balanced(X: np.ndarray, p: int) -> np.ndarray:
-    """X mod p in [-(p // 2), p // 2], as (X + p//2) % p - p//2 but by floor
-    division, which numpy runs several times faster than % on int64.  Exact
-    while |X| + p < 2^63."""
-    return X - (X + p // 2) // p * p
+def _cyclic_hessenberg(A: np.ndarray) -> np.ndarray:
+    """Hessenberg form H of the integer symmetric A mod q = _crt_prime(0)
+    by a similarity Q with Q e_0 = v, v_i = 3^(i+1) mod 65537 (i < n).
 
-
-def krylov_full_rank(A: np.ndarray) -> bool:
-    """True when K = [v, Av, ..., A^(n-1) v] has rank n mod q, which proves
-    the integer symmetric A simple; v_i = 3^(i+1) mod 65537 for
-    i = 0..n-1, q = _crt_prime(0).
+    A is first conjugated by P = [v, e_1, ..., e_{n-1}], whose inverse is
+    I - ((v - e_0) / 3) e_0^T: one matvec and one rank-1 update.  The steps
+    of _hessenberg_mod then fix e_0, as their swaps and L = I - u e_{j+1}^T
+    touch only indices >= 1.  So K = [v, Av, ..., A^(n-1) v] is Q times a
+    triangular matrix with products of H's subdiagonal on its diagonal: H
+    has no zero there exactly when rank K = n mod q, which proves A simple.
+    A zero says nothing: A may be non-simple, or v not cyclic mod q.
 
     3 generates the units mod the prime 65537, so the entries of v are
     distinct and follow no low-degree pattern.  Patterned vectors miss
     structured matrices: all-ones is an eigenvector of every regular graph,
     and a vector linear in i is orthogonal to each eigenvector of a path's
     Laplacian that is symmetric under reversal, apart from all-ones.
-
-    False says nothing: A may be non-simple, or simple with v not cyclic
-    mod q.  K is built with n balanced int64 matvecs and reduced by
-    Gaussian elimination mod q, one pivot search per column, stopping at
-    the first column without a pivot.  Every product takes balanced
-    operands, so a dot product is at most n*(q // 2)^2 + q, checked first.
     """
     n = A.shape[0]
     q = _crt_prime(0)
-    half = q // 2
-    if n * half * half + q >= 1 << 63:
-        raise PreconditionError(f"n = {n} overflows int64 products mod {q}")
+    _check_int64(n, q)
     A = _balanced(np.asarray(A % q, dtype=np.int64), q)  # object entries too
-    K = np.empty((n, n), dtype=np.int64)
-    K[:, 0] = [pow(3, i + 1, 65537) for i in range(n)]  # already balanced
-    for j in range(1, n):
-        K[:, j] = _balanced(A @ K[:, j - 1], q)
-    for k in range(n - 1):
-        below = np.flatnonzero(K[k:, k])
-        if below.size == 0:
-            return False  # A^k v lies in the span of v .. A^(k-1) v mod q
-        if below[0]:
-            r = k + int(below[0])
-            K[[k, r]] = K[[r, k]]
-        inv = pow(int(K[k, k]), -1, q)
-        u = _balanced(K[k + 1:, k] * (inv - q if inv > half else inv), q)
-        K[k + 1:, k + 1:] = _balanced(K[k + 1:, k + 1:] - np.outer(u, K[k, k + 1:]), q)
-    return bool(K[-1, -1])  # the last column's only candidate pivot
+    v = np.array([pow(3, i + 1, 65537) for i in range(n)], dtype=np.int64)  # balanced
+    A[:, 0] = _balanced(A @ v, q)  # A P
+    c = _balanced((v - (np.arange(n) == 0)) * pow(3, -1, q), q)  # (v - e_0) / 3
+    return _hessenberg_mod(A - np.outer(c, A[0]), q)  # P^-1 A P
 
 
 def _hessenberg_mod_stack(A: np.ndarray, p: int) -> np.ndarray:
@@ -264,9 +254,7 @@ def _charpoly_mod_stack(A: np.ndarray, p: int) -> np.ndarray:
     balanced term, the bound checked below.
     """
     B, n, _ = A.shape
-    half = p // 2
-    if n * half * half + p >= 1 << 63:
-        raise PreconditionError(f"n = {n} overflows int64 products mod {p}")
+    _check_int64(n, p)
     H = _hessenberg_mod_stack(A, p)
     P = np.zeros((B, n + 1, n + 1), dtype=np.int64)  # row k: p_k, constant first
     P[:, 0, 0] = 1
@@ -295,23 +283,23 @@ def _coeff_bound(A: np.ndarray) -> int:
     return 2 * bound + 1
 
 
-def _integer_charpoly(A: np.ndarray) -> list[int]:
-    """Exact char poly of an integer symmetric matrix via CRT over primes."""
+def _integer_charpoly(A: np.ndarray, H0: Optional[np.ndarray] = None) -> list[int]:
+    """Exact char poly of an integer symmetric matrix via CRT over primes;
+    H0, a Hessenberg form similar to A mod the first prime, spares its reduction."""
     n = A.shape[0]
-    bound = _coeff_bound(A)
-    residues: list[list[int]] = []
-    used: list[int] = []
-    modulus = 1
+    bound, modulus, residues = _coeff_bound(A), 1, []
     while modulus < bound:
-        p = _crt_prime(len(used))
-        residues.append(_charpoly_mod(np.asarray(A % p, dtype=np.int64), n, p))
-        used.append(p)
+        p = _crt_prime(len(residues))
+        if H0 is None or residues:
+            residues.append(_charpoly_mod(np.asarray(A % p, dtype=np.int64), n, p))
+        else:
+            residues.append(_charpoly_hessenberg(H0, p))
         modulus *= p
     coeffs = []
     for k in range(n + 1):
         r, m = 0, 1
-        for res, p in zip(residues, used):
-            r, m = polys.crt_pair(r, m, res[k], p)
+        for i, res in enumerate(residues):
+            r, m = polys.crt_pair(r, m, res[k], _crt_prime(i))
         coeffs.append(polys.symmetric_residue(r, m))
     return coeffs  # c_0 .. c_n, poly = sum c_k x^(n-k), c_0 = 1
 
@@ -340,30 +328,38 @@ def char_polys_one_prime(A: np.ndarray) -> np.ndarray:
 
 
 def repeated_factor(ip: list[int]) -> Optional[list[int]]:
-    """None when the integer polynomial ip (constant term first) is
-    squarefree, else the primitive gcd(ip, ip') of positive degree."""
-    dp = polys.derivative(ip)
+    """None when the nonzero integer polynomial ip (constant term first) is
+    squarefree, else the primitive gcd(ip, ip') of positive degree.
+
+    With ip = x^k r, r(0) != 0 and k >= 1, ip' = x^(k-1) (k r + x r') and x
+    divides neither r nor k r + x r', so gcd(ip, ip') = x^(k-1) gcd(r, r'):
+    only r goes through the gcd.
+    """
+    k = next(i for i, c in enumerate(ip) if c)
+    r = ip[k:]
+    dr = polys.derivative(r)
     # Cheap one-sided screen: a constant gcd mod q proves a constant gcd
     # over Q when q divides neither leading coefficient.
     q = _crt_prime(0)
-    if ip[-1] % q and dp[-1] % q:
-        if polys.degree(polys.poly_gcd_mod(ip, dp, q)) == 0:
-            return None
-    g = polys.gcd_int(ip, dp)
+    if not dr or (r[-1] % q and dr[-1] % q and polys.degree(polys.poly_gcd_mod(r, dr, q)) == 0):
+        g = [0] * (k - 1) + [1]  # x^(k-1), or 1 when k = 0
+    else:
+        g = [0] * (k - 1) + polys.gcd_int(r, dr)
     return g if polys.degree(g) else None
 
 
 def simplicity_exact(M: SymmetricMatrix) -> SimplicityVerdict:
     """SimpleExact iff char_poly(M) is squarefree; certificate otherwise.
 
-    M and num = den*M share their eigenvectors, so the Krylov screen on num
-    proves most simple M at once.  Otherwise det(xI - M) = ip(den*x)/den^n
-    for the integer char poly ip of num, so M is simple exactly when ip is
-    squarefree, and the test runs on integers.
+    M and num = den*M share their eigenvectors, so a cyclic v of num proves
+    most simple M with one reduction.  Otherwise det(xI - M) = ip(den*x)/den^n
+    for the integer char poly ip of num, whose first residue that reduction
+    gives, so M is simple exactly when ip is squarefree.
     """
-    if krylov_full_rank(M.num):
+    H = _cyclic_hessenberg(M.num)
+    if np.diagonal(H, -1).all():
         return _SIMPLE_EXACT
-    g = repeated_factor(_integer_charpoly(M.num)[::-1])
+    g = repeated_factor(_integer_charpoly(M.num, H)[::-1])
     if g is None:
         return _SIMPLE_EXACT
     # The monic gcd of det(xI - M) and its derivative is g(den*x) rescaled

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from simplespectrum import matrices
 from simplespectrum.dist import bernoulli_half, make_distribution, rademacher, zero_atom
 from simplespectrum.errors import PreconditionError
 from simplespectrum.matrices import (
@@ -203,3 +204,13 @@ def test_graph_from_index_beyond_int64():
     M = graph_from_index(12, 2**65 + 1)  # bits 0 and 65: edges (0,1), (10,11)
     assert M.num[0, 1] == M.num[1, 0] == M.num[10, 11] == M.num[11, 10] == 1
     assert int(M.num.sum()) == 4
+
+
+def test_upper_indices_built_once_and_read_only():
+    iu = matrices._upper_indices(6)
+    assert iu is matrices._upper_indices(6)
+    for got, want in zip(iu, np.triu_indices(6, 1)):
+        assert np.array_equal(got, want)
+        assert not got.flags.writeable
+        with pytest.raises(ValueError):
+            got[0] = 1

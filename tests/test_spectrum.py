@@ -1,4 +1,5 @@
 import hashlib
+from collections import Counter
 from fractions import Fraction
 from itertools import chain, islice
 from math import isqrt
@@ -25,6 +26,7 @@ from simplespectrum.spectrum import (
     simplicity_exact,
     simplicity_numeric,
 )
+from test_krylov_recheck import Q, krylov_rank, start_vector
 
 SIGN = EnsembleSpec(offdiag=rademacher(), diag=rademacher())
 K3 = graph_from_index(3, 7)
@@ -321,6 +323,11 @@ def _squarefree(M):
     return polys.degree(polys.gcd_int(ip, polys.derivative(ip))) == 0
 
 
+def _screen(num):
+    """The screen's verdict: no zero on the cyclic reduction's subdiagonal."""
+    return bool(np.diagonal(spectrum._cyclic_hessenberg(num), -1).all())
+
+
 def test_krylov_screen_sound():
     # A full rank must never meet a repeated root.  With v_i = 3^(i+1) mod
     # 65537 the screen also proves every simple matrix here: all 788 simple
@@ -328,11 +335,43 @@ def test_krylov_screen_sound():
     # and 109 of the 150 draws.
     proved = simple = 0
     for M in chain(_graphs(), _draws()):
-        full, squarefree = spectrum.krylov_full_rank(M.num), _squarefree(M)
+        full, squarefree = _screen(M.num), _squarefree(M)
         assert squarefree or not full, M.to_json()
         proved += full
         simple += squarefree
     assert proved == simple == 788 + 109
+
+
+def test_screen_is_the_krylov_rank():
+    # The subdiagonal test equals rank K = n mod q, as the independent
+    # recheck's own elimination computes it.
+    for M in chain(_graphs(), _draws()):
+        rows = M.num.tolist()
+        assert _screen(M.num) == (krylov_rank(rows, Q, start_vector(M.n)) == M.n), M.to_json()
+
+
+def _primes_needed(A):
+    bound, modulus, k = spectrum._coeff_bound(A), 1, 0
+    while modulus < bound:
+        modulus *= spectrum._crt_prime(k)
+        k += 1
+    return k
+
+
+def test_one_reduction_per_prime(monkeypatch):
+    # A rank-deficient matrix reuses the screen's reduction as its first
+    # CRT residue; a full rank stops after that one reduction.
+    calls = []
+    real = spectrum._hessenberg_mod
+    monkeypatch.setattr(spectrum, "_hessenberg_mod", lambda A, p: calls.append(p) or real(A, p))
+    sparse = [sample_matrix(SPARSE_50, 50, trial_rng(5, t)) for t in range(12)]
+    for M in [K3, SymmetricMatrix(K3.num, 2), *sparse]:
+        calls.clear()
+        tag = simplicity_exact(M).tag
+        k = 1 if tag == "SimpleExact" else _primes_needed(M.num)
+        assert calls == [spectrum._crt_prime(i) for i in range(k)], (tag, calls)
+    assert _primes_needed(sparse[0].num) > 1
+    assert [simplicity_exact(M).tag for M in sparse].count("NotSimpleExact") == 3
 
 
 # sha256 of repr([(tag, certificate), ...]) over _graphs() and _draws(), as
@@ -368,9 +407,10 @@ def test_krylov_refuses_int64_wrap(monkeypatch):
     half = p // 2
     n = -(-((1 << 63) - p) // (half * half))  # smallest n that can wrap
     assert (n - 1) * half * half + p < 1 << 63 <= n * half * half + p
-    monkeypatch.setattr(spectrum, "_balanced", lambda *a: pytest.fail("reached the products"))
+    for name in ("_balanced", "_hessenberg_mod"):
+        monkeypatch.setattr(spectrum, name, lambda *a: pytest.fail("reached the products"))
     with pytest.raises(PreconditionError):
-        spectrum.krylov_full_rank(np.zeros((n, n), dtype=np.int64))
+        spectrum._cyclic_hessenberg(np.zeros((n, n), dtype=np.int64))
 
 
 def test_krylov_screen_object_num(monkeypatch):
@@ -379,12 +419,43 @@ def test_krylov_screen_object_num(monkeypatch):
     flat = SymmetricMatrix(np.eye(2, dtype=object) * 2**64)  # 2^64 twice
     for M in (simple, flat):
         assert M.num.dtype == object
-        assert spectrum.krylov_full_rank(M.num) == spectrum.krylov_full_rank(
-            np.asarray(M.num % q, dtype=np.int64)) == _squarefree(M)
+        assert _screen(M.num) == _screen(np.asarray(M.num % q, dtype=np.int64)) == _squarefree(M)
     monkeypatch.setattr(spectrum, "_integer_charpoly", lambda *a: pytest.fail("reached the CRT"))
     assert simplicity_exact(simple) is spectrum._SIMPLE_EXACT
     with pytest.raises(pytest.fail.Exception):  # not simple: on to the CRT
         simplicity_exact(flat)
+
+
+def _unstripped_factor(ip):
+    g = polys.gcd_int(ip, polys.derivative(ip))
+    return g if polys.degree(g) else None
+
+
+def test_repeated_factor_strips_root_zero():
+    # x^k r with r(0) != 0 gives x^(k-1) gcd(r, r'): equal to the gcd of the
+    # whole polynomial on every census char poly for n <= 6 and on seeded
+    # G(n, 2/25) draws.
+    ips = {
+        tuple(row[::-1])
+        for n in range(1, 7)
+        for row in spectrum.char_polys_one_prime(graph_stack(n, 0, 1 << n * (n - 1) // 2)).tolist()
+    }
+    ips |= {
+        tuple(spectrum._integer_charpoly(sample_matrix(SPARSE_50, n, trial_rng(5, n)).num)[::-1])
+        for n in range(10, 51, 4)
+    }
+    reached = Counter()
+    for ip in map(list, ips):
+        g = spectrum.repeated_factor(ip)
+        assert g == _unstripped_factor(ip), ip
+        k = next(i for i, c in enumerate(ip) if c)
+        reached[min(k, 2), g is not None and len(g) > k] += 1  # r repeats a root
+    # k = 0, 1 and >= 2, each with r squarefree and with r not.
+    assert len(reached) == 6, reached
+    assert spectrum.repeated_factor([0, 0, 0, 1]) == [0, 0, 1]  # x^3
+    assert spectrum.repeated_factor([0, 1]) is None  # x
+    assert spectrum.repeated_factor([0, 0, -2, 0, 2]) == [0, 1]  # 2x^2(x^2 - 1)
+    assert spectrum.repeated_factor([0, 0, 1, -2, 1]) == [0, -1, 1]  # x^2(x - 1)^2
 
 
 def test_simplicity_zero_2x2():
