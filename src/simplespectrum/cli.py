@@ -150,6 +150,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(args) -> list[dict]:
+    if args.threads < 1:
+        raise SimpleSpectrumError(f"--threads must be >= 1, not {args.threads}")
     if args.command == "census":
         c = harness.exhaustive_census(args.n, workers=args.threads)
         return [{

@@ -124,13 +124,6 @@ def primes_from(start: int):
         n += 2 if n > 2 else 1
 
 
-def crt_pair(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int]:
-    """Combine residues r1 mod m1 and r2 mod m2 (coprime moduli)."""
-    inv = pow(m1, -1, m2)
-    t = (r2 - r1) * inv % m2
-    return r1 + m1 * t, m1 * m2
-
-
 def symmetric_residue(r: int, m: int) -> int:
     r %= m
     return r - m if r > m // 2 else r

@@ -8,10 +8,13 @@ when the Hessenberg form has no zero on its subdiagonal; det K != 0 over Z
 then proves M simple with one prime (Wiedemann 1986; Cohen, A Course in
 Computational Algebraic Number Theory, Alg. 2.2.9).  Otherwise, as for
 every non-simple M, that form gives the first residue of the monic char
-poly det(xI - M) by Cohen's recurrence.  Further word-sized primes, each
-reduced in O(n^3) by numpy int64 row and column updates, give the rest,
-and CRT reconstructs it against an a-priori coefficient bound (Hadamard's
-inequality on the row norms), so the result is exact, not probabilistic.
+poly det(xI - M) by Cohen's recurrence, run on polynomials each packed
+into one Python int (Kronecker substitution), so that a polynomial axpy
+is one big-int multiply-add.  Further word-sized primes, each reduced in
+O(n^3) by numpy int64 row and column updates, give the rest, and Garner's
+CRT reconstructs it against an a-priori coefficient bound, the smaller of
+Hadamard's inequality on the row norms and Maclaurin's inequality on the
+Frobenius norm, so the result is exact, not probabilistic.
 Stacks of small matrices whose bound one prime covers, such as the graphs
 of a census, go through one batched pass of the same reduction, each
 matrix with its own pivots.  Simplicity is then squarefreeness: the root 0
@@ -28,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from math import isqrt
+from math import comb, isqrt
 from operator import mul
 from typing import Optional
 
@@ -172,25 +175,36 @@ def _charpoly_hessenberg(H: np.ndarray, p: int) -> list[int]:
     """_charpoly_mod's result from an upper Hessenberg H mod p, by Cohen's
     recurrence: p_0 = 1 and
     p_m = (x - h_mm) p_{m-1} - sum_{i<m} h_im (prod_{j=i+1..m} h_{j,j-1}) p_{i-1}.
+
+    Each p_i is packed into one Python int, coefficient j in bits
+    [j*s, (j+1)*s) (Kronecker substitution), so x p_{m-1} is a shift and
+    each term of the sum one big-int multiply-add.  Weights are negated mod
+    p, so every term is non-negative: a slot sums at most n products below
+    p^2 and one residue below p, stays below (n + 2) p^2 < 2^s and never
+    carries into the next.  Each p_m is unpacked once and reduced slot by
+    slot into [0, p).
     """
     n = H.shape[0]
     h = H.tolist()
-    chain = [[1]]  # p_0 .. p_{m-1}, constant term first
+    s = ((n + 2) * p * p).bit_length()
+    mask = (1 << s) - 1
+    chain = [1]  # p_0 .. p_{m-1}, packed, constant term in the low slot
     for m in range(n):  # builds p_{m+1}; row and column m of H, 0-indexed
         prev = chain[-1]
-        hmm = h[m][m]
-        nxt = [0] + prev
-        nxt[:m + 1] = [a - hmm * c for a, c in zip(nxt, prev)]
+        acc = (prev << s) + (-h[m][m] % p) * prev
         t = 1
-        for i in range(m, 0, -1):  # p_{i-1} is chain[i - 1], of i coefficients
+        for i in range(m, 0, -1):  # p_{i-1} is chain[i - 1], of i slots
             t = t * h[i][i - 1] % p
             if not t:
                 break
-            w = h[i - 1][m] * t % p
+            w = -h[i - 1][m] * t % p
             if w:
-                nxt[:i] = [a - w * c for a, c in zip(nxt, chain[i - 1])]
-        chain.append([c % p for c in nxt])
-    return chain[-1][::-1]
+                acc += w * chain[i - 1]
+        packed = 0
+        for j in range(m + 1, -1, -1):  # slots high to low, each mod p
+            packed = packed << s | (acc >> j * s & mask) % p
+        chain.append(packed)
+    return [chain[-1] >> j * s & mask for j in range(n, -1, -1)]
 
 
 def _cyclic_hessenberg(A: np.ndarray) -> np.ndarray:
@@ -270,38 +284,52 @@ def _charpoly_mod_stack(A: np.ndarray, p: int) -> np.ndarray:
 
 
 def _coeff_bound(A: np.ndarray) -> int:
-    """CRT range 2*B + 1 for the char poly coefficients of integer A.
+    """CRT range 2*min(H, F) + 1 for the char poly coefficients of the
+    integer symmetric A: H and F each bound every |c_k|.
 
-    Hadamard on principal minors: a k x k minor on rows S is at most
-    prod_{i in S} ||row_i||, so |c_k| <= e_k(r) <= prod (1 + r_i) = B with
-    r_i = ceil(||row_i||_2); doubled for the symmetric CRT range.
+    H, Hadamard on principal minors: a k x k minor on rows S is at most
+    prod_{i in S} ||row_i||, so |c_k| <= e_k(r) <= prod (1 + r_i) = H with
+    r_i = ceil(||row_i||_2).  F, spectral: c_k = +-e_k(lambda) for the
+    eigenvalues lambda of A, so by Maclaurin's inequality and the power
+    means |c_k| <= e_k(|lambda|) <= C(n,k) (sum |lambda| / n)^k
+    <= C(n,k) (S / n)^(k/2), S = sum a_ij^2 = sum lambda^2, and
+    F = max_k C(n,k) ceil((S / n)^(k/2)).  Both grow with every |a_ij|, so
+    an entrywise larger matrix bounds a whole stack.
     """
-    bound = 1
+    n = A.shape[0]
+    hadamard, total = 1, 0
     for row in A.tolist():
         ss = sum(map(mul, row, row))  # exact: Python ints, never int64
-        bound *= 1 + (isqrt(ss - 1) + 1 if ss else 0)
-    return 2 * bound + 1
+        hadamard *= 1 + (isqrt(ss - 1) + 1 if ss else 0)
+        total += ss
+    spectral = 0
+    for k in range(n + 1):  # ceil((S/n)^(k/2)) = ceil(sqrt(ceil(S^k / n^k)))
+        x = -(-total**k // n**k)
+        spectral = max(spectral, comb(n, k) * (isqrt(x - 1) + 1 if x else 0))
+    return 2 * min(hadamard, spectral) + 1
 
 
 def _integer_charpoly(A: np.ndarray, H0: Optional[np.ndarray] = None) -> list[int]:
     """Exact char poly of an integer symmetric matrix via CRT over primes;
-    H0, a Hessenberg form similar to A mod the first prime, spares its reduction."""
+    H0, a Hessenberg form similar to A mod the first prime, spares its reduction.
+
+    Garner's mixed-radix combination: one inverse of the running modulus
+    per prime lifts all n + 1 coefficients at once."""
     n = A.shape[0]
-    bound, modulus, residues = _coeff_bound(A), 1, []
+    bound, modulus, i = _coeff_bound(A), 1, 0
+    coeffs = [0] * (n + 1)
     while modulus < bound:
-        p = _crt_prime(len(residues))
-        if H0 is None or residues:
-            residues.append(_charpoly_mod(np.asarray(A % p, dtype=np.int64), n, p))
+        p = _crt_prime(i)
+        if H0 is None or i:
+            residues = _charpoly_mod(np.asarray(A % p, dtype=np.int64), n, p)
         else:
-            residues.append(_charpoly_hessenberg(H0, p))
+            residues = _charpoly_hessenberg(H0, p)
+        inv = pow(modulus, -1, p)
+        coeffs = [c + modulus * ((r - c) * inv % p) for c, r in zip(coeffs, residues)]
         modulus *= p
-    coeffs = []
-    for k in range(n + 1):
-        r, m = 0, 1
-        for i, res in enumerate(residues):
-            r, m = polys.crt_pair(r, m, res[k], _crt_prime(i))
-        coeffs.append(polys.symmetric_residue(r, m))
-    return coeffs  # c_0 .. c_n, poly = sum c_k x^(n-k), c_0 = 1
+        i += 1
+    # c_0 .. c_n, poly = sum c_k x^(n-k), c_0 = 1
+    return [polys.symmetric_residue(c, modulus) for c in coeffs]
 
 
 def char_poly(M: SymmetricMatrix) -> CharPoly:

@@ -58,6 +58,14 @@ def test_montecarlo_threads_identical(capsys):
     assert a == b
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_exits_2(capsys, threads):
+    code = main(["--threads", threads, "montecarlo", "--ensemble", "sign",
+                 "--n", "3", "--trials", "10"])
+    assert code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
 def test_richness(capsys):
     code, out = run_cli(
         capsys, "richness", "--n", "4", "--A", "2", "--delta", "1e-9",

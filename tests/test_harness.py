@@ -105,6 +105,44 @@ def test_monte_carlo_deterministic_and_worker_invariant():
     assert a == b  # wall_time excluded from comparison
 
 
+class _InlineExecutor:
+    """Stands in for ProcessPoolExecutor: records max_workers and maps in
+    this process, so no worker is ever started."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        jobs = list(jobs)
+        self.sizes.append(len(jobs))
+        return map(fn, jobs)
+
+
+@pytest.mark.parametrize("cpus, workers, trials, size, jobs", [
+    (2, 10**6, 12, 2, 12),  # never more processes than CPUs
+    (8, 3, 12, 3, 3),
+    (8, 10**6, 5, 5, 5),  # never more than jobs
+    (None, 4, 12, 1, 4),  # os.cpu_count() unknown: one process
+])
+def test_dispatch_pool_size(monkeypatch, cpus, workers, trials, size, jobs):
+    import concurrent.futures
+
+    monkeypatch.setattr(_InlineExecutor, "sizes", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlineExecutor)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+    got = monte_carlo_simplicity(GNP, 3, trials=trials, seed=9, workers=workers)
+    assert _InlineExecutor.sizes == [size, jobs]
+    assert got == monte_carlo_simplicity(GNP, 3, trials=trials, seed=9)
+
+
 @pytest.mark.parametrize(
     "spec, nonsimple",
     [

@@ -254,6 +254,73 @@ def test_charpoly_mod_stack_refuses_int64_wrap(monkeypatch):
         spectrum._charpoly_mod_stack(np.zeros((1, 2049, 2049), dtype=np.int64), p)
 
 
+def _list_recurrence(H, p):
+    """Cohen's recurrence on coefficient lists, constant term first: the
+    reference for the packed _charpoly_hessenberg."""
+    n = H.shape[0]
+    h = H.tolist()
+    chain = [[1]]  # p_0 .. p_{m-1}
+    for m in range(n):
+        prev = chain[-1]
+        hmm = h[m][m]
+        nxt = [0] + prev
+        nxt[:m + 1] = [a - hmm * c for a, c in zip(nxt, prev)]
+        t = 1
+        for i in range(m, 0, -1):
+            t = t * h[i][i - 1] % p
+            if not t:
+                break
+            w = h[i - 1][m] * t % p
+            if w:
+                nxt[:i] = [a - w * c for a, c in zip(nxt, chain[i - 1])]
+        chain.append([c % p for c in nxt])
+    return chain[-1][::-1]
+
+
+def _assert_packed_matches_list(H, p):
+    assert spectrum._charpoly_hessenberg(H, p) == _list_recurrence(H, p), (H.tolist(), p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_packed_recurrence_small_primes(p):
+    # Small primes zero out subdiagonal entries of the reduction, which the
+    # recurrence's early break then meets.
+    rng = np.random.default_rng(p)
+    for n in range(1, 9):
+        for A in _mixed_stack(n, rng) % p:
+            _assert_packed_matches_list(spectrum._hessenberg_mod(A, p), p)
+
+
+@pytest.mark.parametrize("n", [3, 16, 32])
+def test_packed_recurrence_at_the_int64_limit(n):
+    # The largest prime the int64 guard admits: p^2 alone needs more than
+    # 64 bits, so every slot of the packed polynomials does too.
+    p = _largest_safe_prime(n)
+    assert ((n + 2) * p * p).bit_length() > 64
+    rng = np.random.default_rng(n)
+    A = rng.integers(0, p, size=(n, n))
+    _assert_packed_matches_list(spectrum._hessenberg_mod(np.triu(A) + np.triu(A, 1).T, p), p)
+
+
+def test_packed_recurrence_n1_and_zero_subdiagonal():
+    p = spectrum._crt_prime(1)
+    for a in (0, 1, -5, p // 2):
+        _assert_packed_matches_list(np.array([[a]], dtype=np.int64), p)
+    rng = np.random.default_rng(7)
+    for n in range(2, 12):
+        for zeros in ([0], [n - 2], list(range(0, n - 1, 2)), list(range(n - 1))):
+            H = np.triu(rng.integers(-(p // 2), p // 2 + 1, size=(n, n)), -1)
+            H[np.array(zeros) + 1, zeros] = 0
+            _assert_packed_matches_list(H, p)
+
+
+def test_packed_recurrence_every_graph_n_le_5():
+    q = spectrum._crt_prime(0)
+    for M in _graphs():
+        _assert_packed_matches_list(spectrum._cyclic_hessenberg(M.num), q)
+        _assert_packed_matches_list(spectrum._hessenberg_mod(np.asarray(M.num), q), q)
+
+
 def test_char_polys_one_prime_exact_or_refused():
     rng = np.random.default_rng(3)
     A = np.concatenate([_mixed_stack(5, rng)[[0, 1, 2]], graph_stack(5, 1020, 1024)])
@@ -296,6 +363,75 @@ def test_row_norm_bound_prime_count_n50(monkeypatch, spec, most):
         calls.clear()
         char_poly(sample_matrix(spec, 50, trial_rng(0, t)))
         assert 0 < len(calls) <= most
+
+
+def _hadamard_bound(A):
+    """The row-norm Hadamard range 2*prod(1 + ceil(||row_i||)) + 1."""
+    bound = 1
+    for row in A.tolist():
+        ss = sum(x * x for x in row)
+        bound *= 1 + (isqrt(ss - 1) + 1 if ss else 0)
+    return 2 * bound + 1
+
+
+def _bound_cases():
+    """Integer symmetric matrices on which the bound is tight or nearly so,
+    and seeded draws, all small enough for the cofactor oracle."""
+    rng = np.random.default_rng(11)
+    for n in range(1, 7):
+        for a in (1, -3, 2**31 - 1, -(2**62)):
+            yield SymmetricMatrix(np.eye(n, dtype=np.int64) * a)  # a I_n
+            diag = np.zeros((n, n), dtype=np.int64)
+            diag[0, 0] = a
+            yield SymmetricMatrix(diag)  # diag(a, 0, ..., 0)
+        yield SymmetricMatrix(np.ones((n, n), dtype=np.int64))  # J_n
+        v = rng.integers(-4, 5, size=n)
+        for a in (1, -7):
+            yield SymmetricMatrix(a * np.outer(v, v))  # rank 1
+        for t in range(3):
+            yield sample_matrix(SIGN, n, trial_rng(13, 10 * n + t))
+            yield sample_matrix(SPARSE_50, n, trial_rng(13, 10 * n + t))
+    yield SymmetricMatrix.from_rows([[1, 2**63, 0], [2**63, -(2**70), 3], [0, 3, 5]])
+    yield SymmetricMatrix.from_rows([[2**64, 1, -(2**65)], [1, 0, 2**64], [-(2**65), 2**64, 7]])
+
+
+def test_coeff_bound_covers_cofactor_oracle():
+    objects = 0
+    for M in _bound_cases():
+        c = cofactor_char_poly(M)
+        assert 2 * max(abs(x) for x in c) < spectrum._coeff_bound(M.num), M.to_json()
+        objects += M.num.dtype == object
+    assert objects == 2
+
+
+def test_coeff_bound_tight_on_scaled_identity():
+    # |c_k| = C(n,k) |a|^k for a I_n: the spectral bound is attained.
+    for n in range(1, 9):
+        for a in (1, -3, 2**40):
+            c = char_poly(SymmetricMatrix(np.eye(n, dtype=np.int64) * a)).coeffs
+            assert spectrum._coeff_bound(np.eye(n, dtype=np.int64) * a) == 2 * max(map(abs, c)) + 1
+
+
+def test_coeff_bound_never_exceeds_hadamard():
+    mats = [M.num for M in chain(_bound_cases(), _graphs(), _draws())]
+    mats += [sample_matrix(spec, 50, trial_rng(0, t)).num for spec in (SIGN, SPARSE_50) for t in range(5)]
+    for A in mats:
+        assert spectrum._coeff_bound(A) <= _hadamard_bound(A)
+
+
+def test_sparse_n50_needs_at_most_three_primes(monkeypatch):
+    # The row-norm bound alone asks for four primes on these draws.  The
+    # spectral bound needs three on all 60 draws of seed 0, and on 58 of
+    # the 60 of seed 1, where denser draws still need four.
+    calls = []
+    real = spectrum._charpoly_mod
+    monkeypatch.setattr(spectrum, "_charpoly_mod", lambda A, n, p: calls.append(p) or real(A, n, p))
+    for t in range(6):
+        A = sample_matrix(SPARSE_50, 50, trial_rng(0, t)).num
+        calls.clear()
+        spectrum._integer_charpoly(A)
+        assert 0 < len(calls) <= 3
+        assert _hadamard_bound(A) > spectrum._crt_prime(0) * spectrum._crt_prime(1) * spectrum._crt_prime(2)
 
 
 RATIONAL = EnsembleSpec(
