@@ -1,26 +1,29 @@
 """Spectral simplicity, decided exactly and numerically.
 
-Exact route: one Hessenberg reduction per prime.  A real symmetric M has
+Exact route: one symmetric Lanczos pass per prime.  A real symmetric M has
 simple spectrum exactly when some vector v is cyclic, that is, when
-K = [v, Mv, ..., M^(n-1) v] is nonsingular.  Mod the first prime q the
-reduction starts from a fixed integer v, and K has rank n mod q exactly
-when the Hessenberg form has no zero on its subdiagonal; det K != 0 over Z
-then proves M simple with one prime (Wiedemann 1986; Cohen, A Course in
-Computational Algebraic Number Theory, Alg. 2.2.9).  Otherwise, as for
-every non-simple M, that form gives the first residue of the monic char
-poly det(xI - M) by Cohen's recurrence, run on polynomials each packed
-into one Python int (Kronecker substitution), so that a polynomial axpy
-is one big-int multiply-add.  Further word-sized primes, each reduced in
-O(n^3) by numpy int64 row and column updates, give the rest, and Garner's
-CRT reconstructs it against an a-priori coefficient bound, the smaller of
-Hadamard's inequality on the row norms and Maclaurin's inequality on the
-Frobenius norm, so the result is exact, not probabilistic.
-Stacks of small matrices whose bound one prime covers, such as the graphs
-of a census, go through one batched pass of the same reduction, each
-matrix with its own pivots.  Simplicity is then squarefreeness: the root 0
-split off, gcd(p, p') constant, settled by a mod-q screen or else the PRS
-gcd.  For a real symmetric matrix algebraic multiplicity equals geometric
-multiplicity, so squarefree <=> simple spectrum.
+K = [v, Mv, ..., M^(n-1) v] is nonsingular.  Mod a prime p the pass runs
+the three-term Lanczos recurrence from a fixed integer v under the bilinear
+form x.y, restarts in the orthogonal complement when a block closes, and so
+yields a tridiagonal form of M mod p (Lanczos 1950; Eberly and Kaltofen,
+ISSAC 1997).  Mod the first prime q a pass with no restart, that is no zero
+coupling, says rank K = n mod q; det K != 0 over Z then proves M simple
+with one prime (Wiedemann 1986).  Otherwise, as for every non-simple M,
+that form gives the first residue of the monic char poly det(xI - M) by
+the three-term recurrence p_{k+1} = (x - a_k) p_k - c_k p_{k-1}.  Further
+word-sized primes, each one O(n^3) pass of numpy int64 matvecs, give the
+rest; a prime whose pass meets a nonzero w with w.w = 0 mod p is skipped,
+which only finitely many primes can do, as x.y is positive definite over Q.
+Garner's CRT reconstructs the char poly against an a-priori coefficient
+bound, the smaller of Hadamard's inequality on the row norms and
+Maclaurin's inequality on the Frobenius norm, so the result is exact, not
+probabilistic.  Stacks of small matrices whose bound one prime covers, such
+as the graphs of a census, go through one batched Hessenberg reduction
+(Cohen, A Course in Computational Algebraic Number Theory, Alg. 2.2.9),
+each matrix with its own pivots.  Simplicity is then squarefreeness: the
+root 0 split off, gcd(p, p') constant, settled by a mod-q screen or else
+the PRS gcd.  For a real symmetric matrix algebraic multiplicity equals
+geometric multiplicity, so squarefree <=> simple spectrum.
 
 Numeric route: LAPACK's symmetric eigensolver (np.linalg.eigh), followed
 by gap clustering.  Where the two disagree the exact verdict is ground truth.
@@ -42,8 +45,9 @@ from .errors import ConvergenceError, PreconditionError
 from .matrices import SymmetricMatrix
 from .rationals import format_rational, parse_rational
 
-# Primes start just below 2^27 so that the Hessenberg reduction's balanced
-# int64 products and dot products cannot overflow for n up to 2048:
+# Primes start just below 2^27 so that the balanced int64 products and dot
+# products of the Lanczos pass and the stack's Hessenberg reduction cannot
+# overflow for n up to 2048:
 # n * (p // 2)^2 + p < 2^63.
 _PRIME_FLOOR = (1 << 27) - 100
 
@@ -107,7 +111,7 @@ class SimplicityVerdict:
     SimpleExact carries no field, because its certificate is implied by n:
     the Krylov matrix [v, Mv, ..., M^(n-1) v] of num has rank n mod the
     first CRT prime q, v_i = 3^(i+1) mod 65537 (i < n), read off num's
-    Hessenberg reduction mod q; failing that, num's char poly is squarefree.
+    Lanczos pass mod q; failing that, num's char poly is squarefree.
     """
 
     tag: str  # SimpleExact | NotSimpleExact | SimpleNumeric | NotSimpleNumeric
@@ -130,94 +134,33 @@ def _balanced(X: np.ndarray, p: int) -> np.ndarray:
 
 
 def _check_int64(n: int, p: int) -> None:
-    """Refuse n and p where n balanced products mod p plus p can wrap int64."""
+    """Refuse n and p where an int64 sum of n balanced products mod p, plus
+    p, can wrap: a matvec or dot product of the Lanczos pass, or a column
+    update of the stack's Hessenberg reduction."""
     if n * (p // 2) ** 2 + p >= 1 << 63:
         raise PreconditionError(f"n = {n} overflows int64 products mod {p}")
 
 
-def _hessenberg_mod(A: np.ndarray, p: int) -> np.ndarray:
-    """Upper Hessenberg form of A mod p by similarity (Cohen, Alg. 2.2.9).
+def _lanczos_mod(A: np.ndarray, p: int) -> Optional[tuple[list[int], list[int]]]:
+    """Tridiagonal form of the integer symmetric A mod p, as (a_0..a_{n-1},
+    c_1..c_{n-1}) with A w_k = w_{k+1} + a_k w_k + c_k w_{k-1}; None when
+    some w_k != 0 has d_k = w_k.w_k = 0 mod p.
 
-    One pivot per column, with a row/column swap when the subdiagonal entry
-    is 0 mod p.  Entries stay balanced, |h| <= p // 2, so every int64
-    product is at most (p // 2)^2 and a column update at most
-    n*(p // 2)^2 + p, the bound _check_int64 checks.
-    """
-    n = A.shape[0]
-    H = _balanced(A, p)
-    for j in range(n - 2):
-        if not H[j + 1, j]:  # pivot on the first nonzero below, if any
-            below = np.flatnonzero(H[j + 2:, j])
-            if below.size == 0:
-                continue  # column j is already reduced
-            r = j + 2 + int(below[0])
-            H[[j + 1, r]] = H[[r, j + 1]]
-            H[:, [j + 1, r]] = H[:, [r, j + 1]]
-        if not np.count_nonzero(H[j + 2:, j]):
-            continue  # nothing below the pivot to clear
-        inv = _balanced(pow(int(H[j + 1, j]), -1, p), p)
-        u = _balanced(H[j + 2:, j] * inv, p)
-        # H <- L H L^-1 with L = I - u e_{j+1}^T: clear column j below the
-        # subdiagonal, then add u-weighted columns j+2.. to column j+1.
-        H[j + 2:, j:] = _balanced(H[j + 2:, j:] - np.outer(u, H[j + 1, j:]), p)
-        H[:, j + 1] = _balanced(H[:, j + 1] + H[:, j + 2:] @ u, p)
-    return H
+    From w_0 = v, v_i = 3^(i+1) mod 65537 (i < n), the symmetric Lanczos
+    recurrence with a_k = w_k.A w_k / d_k and c_k = d_k / d_{k-1} keeps the
+    w_k orthogonal under x.y.  When w_k = 0, the span of w_0..w_{k-1} is
+    A-invariant, and so, A being symmetric, is its orthogonal complement:
+    the pass restarts there, with c_k = 0, from the first nonzero
+    e_i - sum_l (w_l[i] / d_l) w_l, and needs no further orthogonalisation.
+    In a block each w is a monic polynomial in A applied to the block's
+    start, of degree its place in the block.  So for p > 65537, where
+    v != 0 mod p, no zero coupling is exactly rank K = n mod p for
+    K = [v, Av, ..., A^(n-1) v], which proves A simple.  A zero says
+    nothing: A may be non-simple, or v not cyclic mod p.
 
-
-def _charpoly_mod(A: np.ndarray, n: int, p: int) -> list[int]:
-    """Char poly of A mod p by Hessenberg reduction; returns [c_0..c_n] with
-    poly = sum c_k x^(n-k).  Needs no division by k, so any prime p works."""
-    _check_int64(n, p)
-    return _charpoly_hessenberg(_hessenberg_mod(A, p), p)
-
-
-def _charpoly_hessenberg(H: np.ndarray, p: int) -> list[int]:
-    """_charpoly_mod's result from an upper Hessenberg H mod p, by Cohen's
-    recurrence: p_0 = 1 and
-    p_m = (x - h_mm) p_{m-1} - sum_{i<m} h_im (prod_{j=i+1..m} h_{j,j-1}) p_{i-1}.
-
-    Each p_i is packed into one Python int, coefficient j in bits
-    [j*s, (j+1)*s) (Kronecker substitution), so x p_{m-1} is a shift and
-    each term of the sum one big-int multiply-add.  Weights are negated mod
-    p, so every term is non-negative: a slot sums at most n products below
-    p^2 and one residue below p, stays below (n + 2) p^2 < 2^s and never
-    carries into the next.  Each p_m is unpacked once and reduced slot by
-    slot into [0, p).
-    """
-    n = H.shape[0]
-    h = H.tolist()
-    s = ((n + 2) * p * p).bit_length()
-    mask = (1 << s) - 1
-    chain = [1]  # p_0 .. p_{m-1}, packed, constant term in the low slot
-    for m in range(n):  # builds p_{m+1}; row and column m of H, 0-indexed
-        prev = chain[-1]
-        acc = (prev << s) + (-h[m][m] % p) * prev
-        t = 1
-        for i in range(m, 0, -1):  # p_{i-1} is chain[i - 1], of i slots
-            t = t * h[i][i - 1] % p
-            if not t:
-                break
-            w = -h[i - 1][m] * t % p
-            if w:
-                acc += w * chain[i - 1]
-        packed = 0
-        for j in range(m + 1, -1, -1):  # slots high to low, each mod p
-            packed = packed << s | (acc >> j * s & mask) % p
-        chain.append(packed)
-    return [chain[-1] >> j * s & mask for j in range(n, -1, -1)]
-
-
-def _cyclic_hessenberg(A: np.ndarray) -> np.ndarray:
-    """Hessenberg form H of the integer symmetric A mod q = _crt_prime(0)
-    by a similarity Q with Q e_0 = v, v_i = 3^(i+1) mod 65537 (i < n).
-
-    A is first conjugated by P = [v, e_1, ..., e_{n-1}], whose inverse is
-    I - ((v - e_0) / 3) e_0^T: one matvec and one rank-1 update.  The steps
-    of _hessenberg_mod then fix e_0, as their swaps and L = I - u e_{j+1}^T
-    touch only indices >= 1.  So K = [v, Av, ..., A^(n-1) v] is Q times a
-    triangular matrix with products of H's subdiagonal on its diagonal: H
-    has no zero there exactly when rank K = n mod q, which proves A simple.
-    A zero says nothing: A may be non-simple, or v not cyclic mod q.
+    Every entry and scalar is balanced, |s| <= p // 2, so each int64
+    product is at most (p // 2)^2 and each sum at most n*(p // 2)^2 + p,
+    the bound _check_int64 checks before any product.
 
     3 generates the units mod the prime 65537, so the entries of v are
     distinct and follow no low-degree pattern.  Patterned vectors miss
@@ -226,20 +169,58 @@ def _cyclic_hessenberg(A: np.ndarray) -> np.ndarray:
     Laplacian that is symmetric under reversal, apart from all-ones.
     """
     n = A.shape[0]
-    q = _crt_prime(0)
-    _check_int64(n, q)
-    A = _balanced(np.asarray(A % q, dtype=np.int64), q)  # object entries too
-    v = np.array([pow(3, i + 1, 65537) for i in range(n)], dtype=np.int64)  # balanced
-    A[:, 0] = _balanced(A @ v, q)  # A P
-    c = _balanced((v - (np.arange(n) == 0)) * pow(3, -1, q), q)  # (v - e_0) / 3
-    return _hessenberg_mod(A - np.outer(c, A[0]), q)  # P^-1 A P
+    _check_int64(n, p)
+    A = _balanced(np.asarray(A % p, dtype=np.int64), p)  # object entries too
+    W = np.zeros((n + 1, n), dtype=np.int64)  # row l + 1: w_l; row 0: w_{-1} = 0
+    W[1] = _balanced(np.array([pow(3, i + 1, 65537) for i in range(n)], dtype=np.int64), p)
+    alpha, coupling, inv, i = [], [], [], 0  # inv[l]: 1 / d_l
+    for k in range(n):
+        w = W[k + 1]
+        d = int(w @ w) % p
+        c = _balanced(d * inv[-1], p) if k else 0  # c_k; 0 when w_k = 0
+        while not d and not w.any():  # restart from e_i, i past every earlier start
+            e = -(_balanced(W[1:k + 1, i] * np.array(inv, dtype=np.int64), p) @ W[1:k + 1])
+            e[i] += 1
+            w[:], i = _balanced(e, p), i + 1
+            d = int(w @ w) % p
+        if not d:
+            return None
+        inv.append(_balanced(pow(d, -1, p), p))
+        u = _balanced(A @ w, p)
+        alpha.append(a := _balanced(int(w @ u) * inv[k], p))
+        if k:
+            coupling.append(c)
+        if k + 1 < n:  # w_{k+1} = u - c w_{k-1} - a w_k
+            W[k + 2] = _balanced(u - np.array((c, a)) @ W[k:k + 2], p)
+    return alpha, coupling
+
+
+def _charpoly_tridiagonal(alpha: list[int], coupling: list[int], p: int) -> list[int]:
+    """[c_0..c_n] in [0, p), poly = sum c_k x^(n-k), of the tridiagonal form
+    (alpha, coupling) of _lanczos_mod, by p_0 = 1 and
+    p_{k+1} = (x - a_k) p_k - c_k p_{k-1}, on Python ints."""
+    prev, cur = [], [1]  # p_{k-1}, p_k, leading coefficient first
+    for a, c in zip(alpha, [0] + coupling):
+        nxt = [(x - a * y - c * z) % p for x, y, z in zip(cur + [0], [0] + cur, [0, 0] + prev)]
+        prev, cur = cur, nxt
+    return cur
+
+
+def _charpoly_mod(A: np.ndarray, n: int, p: int) -> Optional[list[int]]:
+    """Char poly of A mod p, [c_0..c_n] in [0, p) with poly =
+    sum c_k x^(n-k), from its Lanczos pass; None when the pass breaks down,
+    which the pass over Q never does, so only finitely many p can."""
+    T = _lanczos_mod(A, p)
+    return None if T is None else _charpoly_tridiagonal(*T, p)
 
 
 def _hessenberg_mod_stack(A: np.ndarray, p: int) -> np.ndarray:
-    """_hessenberg_mod over a (B, n, n) stack, each matrix with its own
-    pivot and swap.  A column with nothing to clear gets u = 0, because its
-    pivot is 0 or the entries below it are; every product takes balanced
-    operands, as in _hessenberg_mod."""
+    """Upper Hessenberg form of each matrix of a (B, n, n) stack mod p by
+    similarity (Cohen, Alg. 2.2.9): per column one pivot, swapped in per
+    matrix when the subdiagonal entry is 0 mod p.  A column with nothing to
+    clear gets u = 0, because its pivot is 0 or the entries below it are.
+    Entries stay balanced, so every int64 product is at most (p // 2)^2
+    and a column update at most n*(p // 2)^2 + p."""
     n = A.shape[1]
     H = _balanced(A, p)
     for j in range(n - 2):
@@ -259,8 +240,8 @@ def _hessenberg_mod_stack(A: np.ndarray, p: int) -> np.ndarray:
 
 
 def _charpoly_mod_stack(A: np.ndarray, p: int) -> np.ndarray:
-    """_charpoly_mod of each matrix of a (B, n, n) int64 stack: row b is
-    [c_0..c_n] of A[b] mod p, in [0, p).
+    """Char poly mod p of each matrix of a (B, n, n) int64 stack: row b is
+    [c_0..c_n] of A[b] mod p, in [0, p), poly = sum c_k x^(n-k).
 
     Cohen's recurrence as p_{m+1} = x p_m - sum_{k<=m} w_k p_k with
     w_k = h_km prod_{j=k+1..m} h_{j,j-1}, one batched dot product per m over
@@ -309,10 +290,11 @@ def _coeff_bound(A: np.ndarray) -> int:
     return 2 * min(hadamard, spectral) + 1
 
 
-def _integer_charpoly(A: np.ndarray, H0: Optional[np.ndarray] = None) -> list[int]:
+def _integer_charpoly(A: np.ndarray, T0: Optional[tuple] = None) -> list[int]:
     """Exact char poly of an integer symmetric matrix via CRT over primes;
-    H0, a Hessenberg form similar to A mod the first prime, spares its reduction.
+    T0, the first prime's Lanczos pass of A, spares that pass.
 
+    A prime whose pass breaks down is skipped, the first one included.
     Garner's mixed-radix combination: one inverse of the running modulus
     per prime lifts all n + 1 coefficients at once."""
     n = A.shape[0]
@@ -320,14 +302,16 @@ def _integer_charpoly(A: np.ndarray, H0: Optional[np.ndarray] = None) -> list[in
     coeffs = [0] * (n + 1)
     while modulus < bound:
         p = _crt_prime(i)
-        if H0 is None or i:
-            residues = _charpoly_mod(np.asarray(A % p, dtype=np.int64), n, p)
+        i += 1
+        if i == 1 and T0 is not None:
+            residues = _charpoly_tridiagonal(*T0, p)
         else:
-            residues = _charpoly_hessenberg(H0, p)
+            residues = _charpoly_mod(A, n, p)
+        if residues is None:
+            continue
         inv = pow(modulus, -1, p)
         coeffs = [c + modulus * ((r - c) * inv % p) for c, r in zip(coeffs, residues)]
         modulus *= p
-        i += 1
     # c_0 .. c_n, poly = sum c_k x^(n-k), c_0 = 1
     return [polys.symmetric_residue(c, modulus) for c in coeffs]
 
@@ -380,14 +364,14 @@ def simplicity_exact(M: SymmetricMatrix) -> SimplicityVerdict:
     """SimpleExact iff char_poly(M) is squarefree; certificate otherwise.
 
     M and num = den*M share their eigenvectors, so a cyclic v of num proves
-    most simple M with one reduction.  Otherwise det(xI - M) = ip(den*x)/den^n
-    for the integer char poly ip of num, whose first residue that reduction
-    gives, so M is simple exactly when ip is squarefree.
+    most simple M with one Lanczos pass.  Otherwise det(xI - M) =
+    ip(den*x)/den^n for the integer char poly ip of num, whose first residue
+    that pass gives, so M is simple exactly when ip is squarefree.
     """
-    H = _cyclic_hessenberg(M.num)
-    if np.diagonal(H, -1).all():
+    T = _lanczos_mod(M.num, _crt_prime(0))
+    if T is not None and all(T[1]):
         return _SIMPLE_EXACT
-    g = repeated_factor(_integer_charpoly(M.num, H)[::-1])
+    g = repeated_factor(_integer_charpoly(M.num, T)[::-1])
     if g is None:
         return _SIMPLE_EXACT
     # The monic gcd of det(xI - M) and its derivative is g(den*x) rescaled

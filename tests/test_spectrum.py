@@ -146,15 +146,32 @@ def test_char_poly_beyond_int64_matches_cofactor_oracle():
     assert list(char_poly(M).coeffs) == cofactor_char_poly(M)
 
 
-def test_charpoly_mod_refuses_int64_wrap(monkeypatch):
-    p = spectrum._crt_prime(0)
+class _Untouchable(np.ndarray):
+    """An array view whose entries fail the test as soon as any arithmetic
+    or numpy function reads them: only its shape may be used."""
+
+    def __array_ufunc__(self, *args, **kwargs):
+        pytest.fail("reached the products")
+
+    def __array_function__(self, *args, **kwargs):
+        pytest.fail("reached the products")
+
+
+def _smallest_wrapping_n(p):
+    """The smallest n whose sums of n balanced products mod p can wrap."""
     half = p // 2
-    n = -(-((1 << 63) - p) // (half * half))  # smallest n that can wrap
+    n = -(-((1 << 63) - p) // (half * half))
     assert (n - 1) * half * half + p < 1 << 63 <= n * half * half + p
-    # The refusal must come before the O(n^3) reduction, whose first step is O(n^2).
-    monkeypatch.setattr(spectrum, "_hessenberg_mod", lambda *a: pytest.fail("reached the products"))
+    return n
+
+
+def test_charpoly_mod_refuses_int64_wrap():
+    p = spectrum._crt_prime(0)
+    n = _smallest_wrapping_n(p)
+    # The refusal must come before any product over the entries.
+    A = np.zeros((n, n), dtype=np.int64).view(_Untouchable)
     with pytest.raises(PreconditionError):
-        spectrum._charpoly_mod(np.zeros((n, n), dtype=np.int64), n, p)
+        spectrum._charpoly_mod(A, n, p)
 
 
 def _largest_safe_prime(n):
@@ -165,11 +182,12 @@ def _largest_safe_prime(n):
     return p
 
 
-@pytest.mark.parametrize("n", [3, 16, 32])
+@pytest.mark.parametrize("n", [2, 3, 16, 32])
 def test_charpoly_mod_exact_at_the_int64_limit(n):
-    # At the largest prime the guard admits, products of unbalanced residues
-    # (up to n*p*(p/2)) would wrap; balanced ones stay below 2^63.  The
-    # reference is the exact char poly, from CRT primes far below the limit.
+    # At the largest prime the guard admits, a sum of n products of balanced
+    # residues stays below 2^63, and the pass keeps every scalar balanced.
+    # The reference is the exact char poly, from CRT primes far below the
+    # limit.
     p = _largest_safe_prime(n)
     assert (n + 1) * (p // 2) ** 2 + p >= 1 << 63  # the guard refuses n + 1
     rng = np.random.default_rng(n)
@@ -177,16 +195,15 @@ def test_charpoly_mod_exact_at_the_int64_limit(n):
     A = np.triu(A) + np.triu(A, 1).T
     ref = [int(c) % p for c in reversed(char_poly(SymmetricMatrix(A)).coeffs)]
     assert spectrum._charpoly_mod(A, n, p) == ref
+    alpha, coupling = spectrum._lanczos_mod(A, p)
+    assert all(abs(s) <= p // 2 for s in alpha + coupling)
 
 
-def test_charpoly_mod_small_primes_match_cofactor_oracle(monkeypatch):
-    # Small primes zero out subdiagonal pivots, so the reduction's row/column
-    # swap and its already-reduced column are both reached.  The pivot search
-    # (np.flatnonzero) runs only when the subdiagonal entry is 0 mod p: an
-    # empty result is a column with nothing to reduce, a nonempty one a swap.
-    found = []
-    real = np.flatnonzero
-    monkeypatch.setattr(np, "flatnonzero", lambda a: found.append(r := real(a)) or r)
+def test_charpoly_mod_small_primes_match_cofactor_oracle():
+    # Small primes meet every outcome of the pass: a breakdown (None), a
+    # restart (a zero coupling) and a single block; each result that is
+    # not None must be the oracle's residue.
+    seen = Counter()
     rng = np.random.default_rng(12)
     for n in range(1, 9):
         for _ in range(2):
@@ -195,8 +212,12 @@ def test_charpoly_mod_small_primes_match_cofactor_oracle(monkeypatch):
             ref = cofactor_char_poly(M)[::-1]
             for p in (2, 3, 5, 7, 11):
                 got = spectrum._charpoly_mod(np.asarray(M.num % p), n, p)
-                assert got == [int(c) % p for c in ref], (n, p)
-    assert any(r.size == 0 for r in found) and any(r.size > 0 for r in found)
+                T = spectrum._lanczos_mod(M.num, p)
+                assert (got is None) == (T is None)
+                if got is not None:
+                    assert got == [int(c) % p for c in ref], (n, p)
+                seen["none" if T is None else "restart" if not all(T[1]) else "one block"] += 1
+    assert len(seen) == 3, seen
 
 
 def _mixed_stack(n, rng):
@@ -222,11 +243,22 @@ def _mixed_stack(n, rng):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, spectrum._crt_prime(0)])
 def test_charpoly_mod_stack_matches_per_matrix_kernel(p):
+    # The per-matrix reference is the exact char poly, reduced mod p.
     rng = np.random.default_rng(p)
     for n in range(1, 9):
         A = _mixed_stack(n, rng) % p
         got = spectrum._charpoly_mod_stack(A, p)
-        assert got.tolist() == [spectrum._charpoly_mod(a, n, p) for a in A], (n, p)
+        ref = [[int(c) % p for c in reversed(char_poly(SymmetricMatrix(a)).coeffs)] for a in A]
+        assert got.tolist() == ref, (n, p)
+
+
+def test_charpoly_mod_stack_matches_lanczos_on_every_graph_n_le_6():
+    q = spectrum._crt_prime(0)
+    for n in range(1, 7):
+        A = graph_stack(n, 0, 1 << n * (n - 1) // 2)
+        assert spectrum._charpoly_mod_stack(A, q).tolist() == [
+            spectrum._charpoly_mod(a, n, q) for a in A
+        ], n
 
 
 @pytest.mark.parametrize("n", [16, 32])
@@ -254,71 +286,60 @@ def test_charpoly_mod_stack_refuses_int64_wrap(monkeypatch):
         spectrum._charpoly_mod_stack(np.zeros((1, 2049, 2049), dtype=np.int64), p)
 
 
-def _list_recurrence(H, p):
-    """Cohen's recurrence on coefficient lists, constant term first: the
-    reference for the packed _charpoly_hessenberg."""
-    n = H.shape[0]
-    h = H.tolist()
-    chain = [[1]]  # p_0 .. p_{m-1}
-    for m in range(n):
-        prev = chain[-1]
-        hmm = h[m][m]
-        nxt = [0] + prev
-        nxt[:m + 1] = [a - hmm * c for a, c in zip(nxt, prev)]
-        t = 1
-        for i in range(m, 0, -1):
-            t = t * h[i][i - 1] % p
-            if not t:
-                break
-            w = h[i - 1][m] * t % p
-            if w:
-                nxt[:i] = [a - w * c for a, c in zip(nxt, chain[i - 1])]
-        chain.append([c % p for c in nxt])
-    return chain[-1][::-1]
+class _Tridiagonal:
+    """The n x n matrix with diagonal alpha, ones below it and the couplings
+    above it, whose char poly the three-term recurrence computes; indexed
+    as cofactor_char_poly reads a matrix."""
+
+    def __init__(self, alpha, coupling):
+        self.n, self.alpha, self.coupling = len(alpha), alpha, coupling
+
+    def __getitem__(self, ij):
+        i, j = ij
+        if i == j:
+            return self.alpha[i]
+        return 1 if i == j + 1 else self.coupling[i] if j == i + 1 else 0
 
 
-def _assert_packed_matches_list(H, p):
-    assert spectrum._charpoly_hessenberg(H, p) == _list_recurrence(H, p), (H.tolist(), p)
+def _assert_recurrence_matches_cofactor(alpha, coupling, p):
+    ref = cofactor_char_poly(_Tridiagonal(alpha, coupling))[::-1]
+    got = spectrum._charpoly_tridiagonal(alpha, coupling, p)
+    assert got == [int(c) % p for c in ref], (alpha, coupling, p)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
-def test_packed_recurrence_small_primes(p):
-    # Small primes zero out subdiagonal entries of the reduction, which the
-    # recurrence's early break then meets.
+def test_tridiagonal_recurrence_small_primes(p):
     rng = np.random.default_rng(p)
-    for n in range(1, 9):
-        for A in _mixed_stack(n, rng) % p:
-            _assert_packed_matches_list(spectrum._hessenberg_mod(A, p), p)
+    for n in range(1, 8):
+        for _ in range(4):
+            alpha = rng.integers(-(p // 2), p // 2 + 1, size=n).tolist()
+            coupling = rng.integers(-(p // 2), p // 2 + 1, size=n - 1).tolist()
+            _assert_recurrence_matches_cofactor(alpha, coupling, p)
 
 
-@pytest.mark.parametrize("n", [3, 16, 32])
-def test_packed_recurrence_at_the_int64_limit(n):
-    # The largest prime the int64 guard admits: p^2 alone needs more than
-    # 64 bits, so every slot of the packed polynomials does too.
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_tridiagonal_recurrence_at_the_largest_safe_prime(n):
     p = _largest_safe_prime(n)
-    assert ((n + 2) * p * p).bit_length() > 64
+    half = p // 2
     rng = np.random.default_rng(n)
-    A = rng.integers(0, p, size=(n, n))
-    _assert_packed_matches_list(spectrum._hessenberg_mod(np.triu(A) + np.triu(A, 1).T, p), p)
+    for extreme in (False, True):
+        alpha = [half if extreme else int(a) for a in rng.integers(-half, half + 1, size=n)]
+        coupling = [-half if extreme else int(c) for c in rng.integers(-half, half + 1, size=n - 1)]
+        _assert_recurrence_matches_cofactor(alpha, coupling, p)
 
 
-def test_packed_recurrence_n1_and_zero_subdiagonal():
+def test_tridiagonal_recurrence_n1_and_zero_couplings():
     p = spectrum._crt_prime(1)
     for a in (0, 1, -5, p // 2):
-        _assert_packed_matches_list(np.array([[a]], dtype=np.int64), p)
+        _assert_recurrence_matches_cofactor([a], [], p)
     rng = np.random.default_rng(7)
-    for n in range(2, 12):
+    for n in range(2, 8):
         for zeros in ([0], [n - 2], list(range(0, n - 1, 2)), list(range(n - 1))):
-            H = np.triu(rng.integers(-(p // 2), p // 2 + 1, size=(n, n)), -1)
-            H[np.array(zeros) + 1, zeros] = 0
-            _assert_packed_matches_list(H, p)
-
-
-def test_packed_recurrence_every_graph_n_le_5():
-    q = spectrum._crt_prime(0)
-    for M in _graphs():
-        _assert_packed_matches_list(spectrum._cyclic_hessenberg(M.num), q)
-        _assert_packed_matches_list(spectrum._hessenberg_mod(np.asarray(M.num), q), q)
+            alpha = rng.integers(-(p // 2), p // 2 + 1, size=n).tolist()
+            coupling = rng.integers(1, p // 2 + 1, size=n - 1).tolist()
+            for z in zeros:
+                coupling[z] = 0
+            _assert_recurrence_matches_cofactor(alpha, coupling, p)
 
 
 def test_char_polys_one_prime_exact_or_refused():
@@ -460,8 +481,10 @@ def _squarefree(M):
 
 
 def _screen(num):
-    """The screen's verdict: no zero on the cyclic reduction's subdiagonal."""
-    return bool(np.diagonal(spectrum._cyclic_hessenberg(num), -1).all())
+    """The screen's verdict: the first prime's Lanczos pass has no zero
+    coupling."""
+    T = spectrum._lanczos_mod(num, spectrum._crt_prime(0))
+    return T is not None and all(T[1])
 
 
 def test_krylov_screen_sound():
@@ -479,7 +502,7 @@ def test_krylov_screen_sound():
 
 
 def test_screen_is_the_krylov_rank():
-    # The subdiagonal test equals rank K = n mod q, as the independent
+    # No zero coupling equals rank K = n mod q, as the independent
     # recheck's own elimination computes it.
     for M in chain(_graphs(), _draws()):
         rows = M.num.tolist()
@@ -495,11 +518,11 @@ def _primes_needed(A):
 
 
 def test_one_reduction_per_prime(monkeypatch):
-    # A rank-deficient matrix reuses the screen's reduction as its first
-    # CRT residue; a full rank stops after that one reduction.
+    # A rank-deficient matrix reuses the screen's pass as its first CRT
+    # residue; a full rank stops after that one pass.
     calls = []
-    real = spectrum._hessenberg_mod
-    monkeypatch.setattr(spectrum, "_hessenberg_mod", lambda A, p: calls.append(p) or real(A, p))
+    real = spectrum._lanczos_mod
+    monkeypatch.setattr(spectrum, "_lanczos_mod", lambda A, p: calls.append(p) or real(A, p))
     sparse = [sample_matrix(SPARSE_50, 50, trial_rng(5, t)) for t in range(12)]
     for M in [K3, SymmetricMatrix(K3.num, 2), *sparse]:
         calls.clear()
@@ -508,6 +531,40 @@ def test_one_reduction_per_prime(monkeypatch):
         assert calls == [spectrum._crt_prime(i) for i in range(k)], (tag, calls)
     assert _primes_needed(sparse[0].num) > 1
     assert [simplicity_exact(M).tag for M in sparse].count("NotSimpleExact") == 3
+
+
+def test_small_crt_primes_skip_breakdowns(monkeypatch):
+    # With the primes from 2 upward, passes break down (w != 0, w.w = 0 mod
+    # p), the first prime's included; each such prime is skipped, and the
+    # char polys and verdicts stay those of the word-sized primes.
+    graphs = [M for M in _graphs() if M.n <= 4]
+    verdicts = [(v.tag, v.certificate) for v in map(simplicity_exact, graphs)]
+    small = list(islice(polys.primes_from(2), 1000))
+    calls = 0
+
+    def crt_prime(i):
+        nonlocal calls
+        calls += 1
+        if calls > 10**4:
+            pytest.fail("the CRT loop does not advance past a skipped prime")
+        return small[i]
+
+    skipped = []
+    real = spectrum._lanczos_mod
+
+    def lanczos(A, p):
+        T = real(A, p)
+        if T is None:
+            skipped.append(p)
+        return T
+
+    monkeypatch.setattr(spectrum, "_crt_prime", crt_prime)
+    monkeypatch.setattr(spectrum, "_lanczos_mod", lanczos)
+    for M, verdict in zip(graphs, verdicts):
+        assert spectrum._integer_charpoly(M.num) == [int(c) for c in reversed(cofactor_char_poly(M))]
+        v = simplicity_exact(M)
+        assert (v.tag, v.certificate) == verdict, M.to_json()
+    assert 2 in skipped and len(set(skipped)) > 1, Counter(skipped)
 
 
 # sha256 of repr([(tag, certificate), ...]) over _graphs() and _draws(), as
@@ -540,13 +597,13 @@ def test_krylov_decides_path_laplacian(monkeypatch, n):
 
 def test_krylov_refuses_int64_wrap(monkeypatch):
     p = spectrum._crt_prime(0)
-    half = p // 2
-    n = -(-((1 << 63) - p) // (half * half))  # smallest n that can wrap
-    assert (n - 1) * half * half + p < 1 << 63 <= n * half * half + p
-    for name in ("_balanced", "_hessenberg_mod"):
-        monkeypatch.setattr(spectrum, name, lambda *a: pytest.fail("reached the products"))
+    n = _smallest_wrapping_n(p)
+    monkeypatch.setattr(spectrum, "_balanced", lambda *a: pytest.fail("reached the products"))
+    A = np.zeros((n, n), dtype=np.int64).view(_Untouchable)
     with pytest.raises(PreconditionError):
-        spectrum._cyclic_hessenberg(np.zeros((n, n), dtype=np.int64))
+        spectrum._lanczos_mod(A, p)
+    with pytest.raises(PreconditionError):
+        simplicity_exact(SymmetricMatrix(np.zeros((n, n), dtype=np.int64)))
 
 
 def test_krylov_screen_object_num(monkeypatch):
