@@ -8,9 +8,10 @@ contiguous chunks and maps them over a process pool of at most one process
 per CPU.
 
 The census is batched: each index range becomes int64 (B, n, n) adjacency
-stacks, whose char polys come from one Hessenberg pass mod one prime, and
-squarefreeness is decided once per distinct char poly (151 at n = 6, 988
-at n = 7).  n = 6 takes about 0.2 s and n = 7 about 17 s on one core.
+stacks, whose char polys come from one exact Faddeev-LeVerrier pass in
+int64, and squarefreeness is decided once per distinct char poly (151 at
+n = 6, 988 at n = 7).  n = 6 takes about 0.1 s and n = 7 about 12 s on
+one core.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .matrices import (
 )
 from .smallball import WeightVector, is_rich
 from .spectrum import (
-    char_polys_one_prime,
+    char_polys_stack,
     eigen_decompose,
     multiplicity_clusters,
     repeated_factor,
@@ -159,19 +160,20 @@ def _summary(successes: int, trials: int, seed: int, t0: float) -> ExperimentSum
     )
 
 
-# Graphs per (B, n, n) int64 stack: 25 MB at n = 7.
+# Graphs per (B, n, n) int64 stack.  At n = 7 a stack is 26 MB, and a
+# chunk peaks at 82 MB of arrays: A, M and A @ M of the char poly pass.
 _CENSUS_BATCH = 1 << 16
 
 
 def _census_chunk(args) -> int:
     """Simple graphs among indices [start, stop) on n vertices: char polys
-    stack by stack in one pass mod one prime, then one squarefree test per
+    stack by stack in one exact int64 pass, then one squarefree test per
     distinct char poly, weighted by its multiplicity."""
     n, start, stop = args
     counts: Counter = Counter()
     for a in range(start, stop, _CENSUS_BATCH):
         A = graph_stack(n, a, min(a + _CENSUS_BATCH, stop))
-        rows = char_polys_one_prime(A)
+        rows = char_polys_stack(A)
         # Rows as opaque bytes: np.unique sorts those 8x faster than axis=0.
         keys, mult = np.unique(rows.view(f"V{rows.shape[1] * 8}")[:, 0], return_counts=True)
         distinct = keys.view(np.int64).reshape(-1, rows.shape[1])
@@ -183,11 +185,11 @@ def exhaustive_census(n: int, workers: int = 1) -> CensusResult:
     """Classify every graph on n vertices by exact spectral simplicity.
 
     Graphs go through in (B, n, n) stacks of up to _CENSUS_BATCH: one
-    batched Hessenberg char poly pass mod one prime, which the coefficient
-    bound covers for n <= 7 (its spectral half, 3,739 for K_7, is the
-    smaller one here), then one squarefree test per distinct char poly.
-    n = 6 (32,768 graphs, 151 distinct char polys) takes about 0.2 s and
-    n = 7 (2,097,152 graphs, 988 distinct) about 17 s on one core.
+    Faddeev-LeVerrier char poly pass in int64, whose overflow guard
+    n 2^n n^n < 2^63 holds for every graph stack with n <= 7 (7.4e8 at
+    n = 7), then one squarefree test per distinct char poly.  n = 6
+    (32,768 graphs, 151 distinct char polys) takes about 0.1 s and n = 7
+    (2,097,152 graphs, 988 distinct) about 12 s on one core.
     """
     if not 2 <= n <= 7:
         raise PreconditionError("census supports 2 <= n <= 7")

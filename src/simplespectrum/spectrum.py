@@ -17,12 +17,11 @@ which only finitely many primes can do, as x.y is positive definite over Q.
 Garner's CRT reconstructs the char poly against an a-priori coefficient
 bound, the smaller of Hadamard's inequality on the row norms and
 Maclaurin's inequality on the Frobenius norm, so the result is exact, not
-probabilistic.  Stacks of small matrices whose bound one prime covers, such
-as the graphs of a census, go through one batched Hessenberg reduction
-(Cohen, A Course in Computational Algebraic Number Theory, Alg. 2.2.9),
-each matrix with its own pivots.  Simplicity is then squarefreeness: the
-root 0 split off, gcd(p, p') constant, settled by a mod-q screen or else
-the PRS gcd.  For a real symmetric matrix algebraic multiplicity equals
+probabilistic.  Stacks of small matrices whose char polys fit int64, such
+as the graphs of a census, go through one Faddeev-LeVerrier pass over the
+whole stack in int64 with no prime.  Simplicity is then squarefreeness:
+the root 0 split off, gcd(p, p') constant, settled by a mod-q screen or
+else the PRS gcd.  For a real symmetric matrix algebraic multiplicity equals
 geometric multiplicity, so squarefree <=> simple spectrum.
 
 Numeric route: LAPACK's symmetric eigensolver (np.linalg.eigh), followed
@@ -46,8 +45,7 @@ from .matrices import SymmetricMatrix
 from .rationals import format_rational, parse_rational
 
 # Primes start just below 2^27 so that the balanced int64 products and dot
-# products of the Lanczos pass and the stack's Hessenberg reduction cannot
-# overflow for n up to 2048:
+# products of the Lanczos pass cannot overflow for n up to 2048:
 # n * (p // 2)^2 + p < 2^63.
 _PRIME_FLOOR = (1 << 27) - 100
 
@@ -135,8 +133,7 @@ def _balanced(X: np.ndarray, p: int) -> np.ndarray:
 
 def _check_int64(n: int, p: int) -> None:
     """Refuse n and p where an int64 sum of n balanced products mod p, plus
-    p, can wrap: a matvec or dot product of the Lanczos pass, or a column
-    update of the stack's Hessenberg reduction."""
+    p, can wrap: a matvec or dot product of the Lanczos pass."""
     if n * (p // 2) ** 2 + p >= 1 << 63:
         raise PreconditionError(f"n = {n} overflows int64 products mod {p}")
 
@@ -214,56 +211,6 @@ def _charpoly_mod(A: np.ndarray, n: int, p: int) -> Optional[list[int]]:
     return None if T is None else _charpoly_tridiagonal(*T, p)
 
 
-def _hessenberg_mod_stack(A: np.ndarray, p: int) -> np.ndarray:
-    """Upper Hessenberg form of each matrix of a (B, n, n) stack mod p by
-    similarity (Cohen, Alg. 2.2.9): per column one pivot, swapped in per
-    matrix when the subdiagonal entry is 0 mod p.  A column with nothing to
-    clear gets u = 0, because its pivot is 0 or the entries below it are.
-    Entries stay balanced, so every int64 product is at most (p // 2)^2
-    and a column update at most n*(p // 2)^2 + p."""
-    n = A.shape[1]
-    H = _balanced(A, p)
-    for j in range(n - 2):
-        nonzero = H[:, j + 2:, j] != 0
-        swap = np.flatnonzero((H[:, j + 1, j] == 0) & nonzero.any(axis=1))
-        if swap.size:  # pivot on the first nonzero below, per matrix
-            r = j + 2 + nonzero[swap].argmax(axis=1)
-            H[swap, j + 1], H[swap, r] = H[swap, r], H[swap, j + 1]
-            H[swap, :, j + 1], H[swap, :, r] = H[swap, :, r], H[swap, :, j + 1]
-        # One pow per distinct pivot; a zero pivot has only zeros below it.
-        pivots, at = np.unique(H[:, j + 1, j], return_inverse=True)
-        inv = [pow(v, -1, p) if v else 0 for v in pivots.tolist()]
-        u = _balanced(H[:, j + 2:, j] * _balanced(np.array(inv, dtype=np.int64), p)[at, None], p)
-        H[:, j + 2:, j:] = _balanced(H[:, j + 2:, j:] - u[:, :, None] * H[:, None, j + 1, j:], p)
-        H[:, :, j + 1] = _balanced(H[:, :, j + 1] + (H[:, :, j + 2:] @ u[:, :, None])[:, :, 0], p)
-    return H
-
-
-def _charpoly_mod_stack(A: np.ndarray, p: int) -> np.ndarray:
-    """Char poly mod p of each matrix of a (B, n, n) int64 stack: row b is
-    [c_0..c_n] of A[b] mod p, in [0, p), poly = sum c_k x^(n-k).
-
-    Cohen's recurrence as p_{m+1} = x p_m - sum_{k<=m} w_k p_k with
-    w_k = h_km prod_{j=k+1..m} h_{j,j-1}, one batched dot product per m over
-    balanced operands: at most n products of size (p // 2)^2 plus one
-    balanced term, the bound checked below.
-    """
-    B, n, _ = A.shape
-    _check_int64(n, p)
-    H = _hessenberg_mod_stack(A, p)
-    P = np.zeros((B, n + 1, n + 1), dtype=np.int64)  # row k: p_k, constant first
-    P[:, 0, 0] = 1
-    T = np.ones((B, n), dtype=np.int64)  # T[:, k] = prod_{j=k+1..m} h_{j,j-1}
-    for m in range(n):
-        if m:
-            T[:, :m] = _balanced(T[:, :m] * H[:, m, m - 1, None], p)
-        w = _balanced(H[:, :m + 1, m] * T[:, :m + 1], p)
-        nxt = -(w[:, None, :] @ P[:, :m + 1, :m + 2])[:, 0]
-        nxt[:, 1:] += P[:, m, :m + 1]
-        P[:, m + 1, :m + 2] = _balanced(nxt, p)
-    return P[:, n, ::-1] % p
-
-
 def _coeff_bound(A: np.ndarray) -> int:
     """CRT range 2*min(H, F) + 1 for the char poly coefficients of the
     integer symmetric A: H and F each bound every |c_k|.
@@ -290,9 +237,10 @@ def _coeff_bound(A: np.ndarray) -> int:
     return 2 * min(hadamard, spectral) + 1
 
 
-def _integer_charpoly(A: np.ndarray, T0: Optional[tuple] = None) -> list[int]:
+def _integer_charpoly(A: np.ndarray, T0: object = ...) -> list[int]:
     """Exact char poly of an integer symmetric matrix via CRT over primes;
-    T0, the first prime's Lanczos pass of A, spares that pass.
+    T0, when given, is the first prime's Lanczos pass of A, None if it
+    broke down, and spares that pass.
 
     A prime whose pass breaks down is skipped, the first one included.
     Garner's mixed-radix combination: one inverse of the running modulus
@@ -303,8 +251,8 @@ def _integer_charpoly(A: np.ndarray, T0: Optional[tuple] = None) -> list[int]:
     while modulus < bound:
         p = _crt_prime(i)
         i += 1
-        if i == 1 and T0 is not None:
-            residues = _charpoly_tridiagonal(*T0, p)
+        if i == 1 and T0 is not ...:
+            residues = None if T0 is None else _charpoly_tridiagonal(*T0, p)
         else:
             residues = _charpoly_mod(A, n, p)
         if residues is None:
@@ -323,20 +271,33 @@ def char_poly(M: SymmetricMatrix) -> CharPoly:
     return CharPoly(tuple(Fraction(c[k], M.den**k) for k in reversed(range(M.n + 1))))
 
 
-def char_polys_one_prime(A: np.ndarray) -> np.ndarray:
+def char_polys_stack(A: np.ndarray) -> np.ndarray:
     """Exact char polys of a (B, n, n) int64 stack of integer symmetric
-    matrices, as rows [c_0..c_n] like _integer_charpoly, from one pass mod
-    the first CRT prime.
+    matrices, as rows [c_0..c_n] like _integer_charpoly, by one
+    Faddeev-LeVerrier pass in int64 with no modulus: M_1 = A,
+    c_k = -tr(M_k) / k, exact as c_k is an integer, and
+    M_{k+1} = A (M_k + c_k I).
 
-    Raises PreconditionError when the coefficient bound of the stack (that
-    of its entrywise largest magnitudes) needs more than that one prime.
+    With m = max |a_ij| over the stack and r = n m, every |lambda| <= r and
+    |c_j| <= C(n,j) r^j.  So M_k = sum_{j<k} c_j A^(k-j) has entries of at
+    most 2^n r^k, as has each partial sum of the product that forms it, and
+    a trace is at most n 2^n r^n.  Raises PreconditionError, before any
+    product, when that bound reaches 2^63; for graphs with n = 7 it is
+    7.4e8.
     """
-    p = _crt_prime(0)
-    if _coeff_bound(np.abs(A).max(axis=0)) > p:
-        raise PreconditionError(f"char poly coefficients of this stack exceed one prime, {p}")
-    # |a_ij| < bound <= p, so A needs no reduction before balancing.
-    rows = _charpoly_mod_stack(A, p)
-    return np.where(rows > p // 2, rows - p, rows)
+    B, n, _ = A.shape
+    m = max(-int(A.min()), int(A.max()))  # np.abs would wrap -2^63
+    if n * 2**n * (n * m) ** n >= 1 << 63:
+        raise PreconditionError(f"n = {n}, max |a_ij| = {m} may overflow int64 char polys")
+    rows = np.ones((B, n + 1), dtype=np.int64)
+    d = np.arange(n)
+    M = A.copy()
+    for k in range(1, n + 1):
+        rows[:, k] = c = -M[:, d, d].sum(axis=1) // k
+        if k < n:
+            M[:, d, d] += c[:, None]
+            M = A @ M
+    return rows
 
 
 def repeated_factor(ip: list[int]) -> Optional[list[int]]:

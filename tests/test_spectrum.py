@@ -221,10 +221,10 @@ def test_charpoly_mod_small_primes_match_cofactor_oracle():
 
 
 def _mixed_stack(n, rng):
-    """Symmetric integer n x n matrices that, for n >= 3 and any prime,
-    reach each branch of the reduction at column 0: a swap (a_10 = 0,
-    a_20 = 1), a column already reduced (a_i0 = 0 for i >= 1), and generic
-    sparse and dense draws.  Later columns vary from matrix to matrix."""
+    """Three rounds of four symmetric integer n x n matrices: two small
+    dense ones (for n >= 3 the first has a_10 = 0 and a_20 = 1, the second
+    a_i0 = 0 for i >= 1), a small sparse one, and a dense one with entries
+    up to 10^6, so every fourth matrix is dense."""
     mats = []
     for _ in range(3):
         swap, reduced, sparse, dense = (
@@ -241,49 +241,73 @@ def _mixed_stack(n, rng):
     return np.tril(A) + np.swapaxes(np.tril(A, -1), 1, 2)
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, spectrum._crt_prime(0)])
-def test_charpoly_mod_stack_matches_per_matrix_kernel(p):
-    # The per-matrix reference is the exact char poly, reduced mod p.
-    rng = np.random.default_rng(p)
-    for n in range(1, 9):
-        A = _mixed_stack(n, rng) % p
-        got = spectrum._charpoly_mod_stack(A, p)
-        ref = [[int(c) % p for c in reversed(char_poly(SymmetricMatrix(a)).coeffs)] for a in A]
-        assert got.tolist() == ref, (n, p)
+def _exact_rows(A):
+    """The exact char poly of each matrix of a stack, as rows [c_0..c_n]."""
+    return [[int(c) for c in reversed(char_poly(SymmetricMatrix(a)).coeffs)] for a in A]
 
 
-def test_charpoly_mod_stack_matches_lanczos_on_every_graph_n_le_6():
-    q = spectrum._crt_prime(0)
+@pytest.mark.parametrize("n", range(1, 9))
+def test_char_polys_stack_matches_per_matrix_kernel(n):
+    A = _mixed_stack(n, np.random.default_rng(n))
+    small = A[np.arange(len(A)) % 4 != 3]
+    assert spectrum.char_polys_stack(small).tolist() == _exact_rows(small)
+    if n >= 3:  # n 2^n (n 10^6)^n >= 2^63
+        with pytest.raises(PreconditionError):
+            spectrum.char_polys_stack(A)
+    else:
+        assert spectrum.char_polys_stack(A).tolist() == _exact_rows(A)
+
+
+def test_char_polys_stack_matches_lanczos_on_every_graph_n_le_6():
     for n in range(1, 7):
         A = graph_stack(n, 0, 1 << n * (n - 1) // 2)
-        assert spectrum._charpoly_mod_stack(A, q).tolist() == [
-            spectrum._charpoly_mod(a, n, q) for a in A
-        ], n
+        assert spectrum.char_polys_stack(A).tolist() == [spectrum._integer_charpoly(a) for a in A], n
 
 
-@pytest.mark.parametrize("n", [16, 32])
-def test_charpoly_mod_stack_exact_at_the_int64_limit(n):
-    # As test_charpoly_mod_exact_at_the_int64_limit, for a stack: residues
-    # kept in [0, p) would wrap int64 here, balanced ones do not.
-    p = _largest_safe_prime(n)
+def _largest_safe_entry(n):
+    """The largest m with n * 2^n * (n m)^n < 2^63."""
+    m = int(((1 << 63) / (n * 2**n)) ** (1 / n)) // n  # float estimate
+    while n * 2**n * (n * (m + 1)) ** n < 1 << 63:
+        m += 1
+    while n * 2**n * (n * m) ** n >= 1 << 63:
+        m -= 1
+    return m
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 12])
+def test_char_polys_stack_exact_at_the_int64_limit(n):
+    # c J has the largest eigenvalue, n c, that entries of magnitude c
+    # allow; the reference is the exact char poly from the CRT.
+    c = _largest_safe_entry(n)
+    J = np.ones((n, n), dtype=np.int64)
     rng = np.random.default_rng(n)
-    A = rng.integers(0, p, size=(3, n, n))
+    A = np.stack([c * J, -c * J, c * np.eye(n, dtype=np.int64), rng.integers(-c, c + 1, size=(n, n))])
     A = np.triu(A) + np.swapaxes(np.triu(A, 1), 1, 2)
-    ref = [
-        [int(c) % p for c in reversed(char_poly(SymmetricMatrix(a)).coeffs)] for a in A
-    ]
-    assert spectrum._charpoly_mod_stack(A, p).tolist() == ref
+    assert spectrum.char_polys_stack(A).tolist() == _exact_rows(A)
+    for sign in (1, -1):
+        with pytest.raises(PreconditionError):
+            spectrum.char_polys_stack(sign * (c + 1) * J[None])
 
 
-def test_charpoly_mod_stack_refuses_int64_wrap(monkeypatch):
-    p = spectrum._crt_prime(0)
-    half = p // 2
-    assert 2048 * half * half + p < 1 << 63 <= 2049 * half * half + p
-    monkeypatch.setattr(
-        spectrum, "_hessenberg_mod_stack", lambda *a: pytest.fail("reached the products")
-    )
-    with pytest.raises(PreconditionError):
-        spectrum._charpoly_mod_stack(np.zeros((1, 2049, 2049), dtype=np.int64), p)
+class _MinMaxOnly(_Untouchable):
+    """As _Untouchable, but its min and max may be read."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if method == "reduce" and ufunc in (np.minimum, np.maximum):
+            return ufunc.reduce(*(np.asarray(x) for x in inputs), **kwargs)
+        return super().__array_ufunc__(ufunc, method, *inputs, **kwargs)
+
+
+def test_char_polys_stack_refuses_int64_wrap():
+    # The refusal must come before any product; np.abs(-2^63) is -2^63,
+    # so the bound must not take the magnitude through int64.
+    big = np.zeros((2, 3, 3), dtype=np.int64)
+    big[1, 0, 0] = -(2**63)
+    wide = np.zeros((1, 16, 16), dtype=np.int64)
+    wide[0, 0, 0] = 1  # 16 * 2^16 * 16^16 >= 2^63
+    for A in (big, wide, np.full((1, 2, 2), 2**62, dtype=np.int64)):
+        with pytest.raises(PreconditionError):
+            spectrum.char_polys_stack(A.view(_MinMaxOnly))
 
 
 class _Tridiagonal:
@@ -342,15 +366,15 @@ def test_tridiagonal_recurrence_n1_and_zero_couplings():
             _assert_recurrence_matches_cofactor(alpha, coupling, p)
 
 
-def test_char_polys_one_prime_exact_or_refused():
+def test_char_polys_stack_exact_or_refused():
     rng = np.random.default_rng(3)
     A = np.concatenate([_mixed_stack(5, rng)[[0, 1, 2]], graph_stack(5, 1020, 1024)])
-    got = spectrum.char_polys_one_prime(A)
+    got = spectrum.char_polys_stack(A)
     assert got.tolist() == [spectrum._integer_charpoly(a) for a in A]
-    # One entry of 10^6 at n = 5 needs more than one prime.
+    # One entry of 10^6 at n = 5 may overflow int64.
     A[0, 0, 0] = 10**6
     with pytest.raises(PreconditionError):
-        spectrum.char_polys_one_prime(A)
+        spectrum.char_polys_stack(A)
 
 
 def test_char_poly_bound_sums_squares_exactly():
@@ -567,6 +591,30 @@ def test_small_crt_primes_skip_breakdowns(monkeypatch):
     assert 2 in skipped and len(set(skipped)) > 1, Counter(skipped)
 
 
+def test_first_prime_pass_runs_once_per_matrix(monkeypatch):
+    # With the primes from 2 upward the first prime's pass breaks down on
+    # most graphs; the CRT must skip that prime, not run its pass again.
+    small = list(islice(polys.primes_from(2), 1000))
+    monkeypatch.setattr(spectrum, "_crt_prime", small.__getitem__)
+    calls = []
+    real = spectrum._lanczos_mod
+
+    def lanczos(A, p):
+        T = real(A, p)
+        calls.append((p, T is None))
+        return T
+
+    monkeypatch.setattr(spectrum, "_lanczos_mod", lanczos)
+    broke = 0
+    for M in [M for M in _graphs() if M.n <= 4]:
+        calls.clear()
+        simplicity_exact(M)
+        primes = [p for p, _ in calls]
+        assert len(primes) == len(set(primes)), (M.to_json(), calls)
+        broke += calls[0] == (2, True)
+    assert broke > 1, broke
+
+
 # sha256 of repr([(tag, certificate), ...]) over _graphs() and _draws(), as
 # simplicity_exact gave them when it always computed the char poly.
 VERDICTS_SHA256 = "12d6db87953a639cb7262d60fb0c8d827368ef7b0a583f0623534cbc98d5a12e"
@@ -631,7 +679,7 @@ def test_repeated_factor_strips_root_zero():
     ips = {
         tuple(row[::-1])
         for n in range(1, 7)
-        for row in spectrum.char_polys_one_prime(graph_stack(n, 0, 1 << n * (n - 1) // 2)).tolist()
+        for row in spectrum.char_polys_stack(graph_stack(n, 0, 1 << n * (n - 1) // 2)).tolist()
     }
     ips |= {
         tuple(spectrum._integer_charpoly(sample_matrix(SPARSE_50, n, trial_rng(5, n)).num)[::-1])
