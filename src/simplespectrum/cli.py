@@ -134,8 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument(
         "--rmax", type=int, default=2,
-        help="largest GAP rank (default 2); the search builds ranks 1 and 2 "
-        "only, so any value >= 2 behaves as 2",
+        help="largest GAP rank (default 2); the search builds ranks 1 and 2, "
+        "so 1 tries rank 1 only and any larger value tries both",
     )
     p.add_argument("--volmax", type=int, default=10**4)
 
@@ -193,10 +193,11 @@ def run(args) -> list[dict]:
             "mode": res.mode,
         }]
     if args.command == "gap-cover":
+        if args.rmax < 1:
+            raise SimpleSpectrumError(f"--rmax must be >= 1, not {args.rmax}")
         V = smallball.WeightVector.exact(_load_vector(args.vector))
-        g = structure.find_covering_gap(
-            V, args.m, r_max=args.rmax, vol_max=args.volmax
-        )
+        caps = (args.volmax, args.volmax if args.rmax >= 2 else 0)
+        g = structure.find_covering_gap(V, args.m, vol_max=caps)
         if g is None:
             return [{"kind": "gap-cover", "found": False}]
         return [{"kind": "gap-cover", "found": True, "gap": g.to_json(),

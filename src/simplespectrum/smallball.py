@@ -39,7 +39,12 @@ class WeightVector:
 
     @classmethod
     def exact(cls, values: Sequence) -> "WeightVector":
-        return cls(tuple(Fraction(v) for v in values), "exact")
+        # A numpy integer becomes a Python int first: Fraction keeps it as
+        # the numerator, where it would wrap in arithmetic and not serialize.
+        return cls(
+            tuple(Fraction(int(v) if isinstance(v, np.integer) else v) for v in values),
+            "exact",
+        )
 
     @classmethod
     def numeric(cls, values: Sequence) -> "WeightVector":

@@ -139,38 +139,35 @@ def _rank2_cover(
 def find_covering_gap(
     V: WeightVector,
     m: int,
-    r_max: int = 2,
-    vol_max: int = 10**4,
+    vol_max: tuple[int, int] = (10**4, 10**4),
     enum_cap: int = gaps.DEFAULT_ENUM_CAP,
 ) -> Optional[Gap]:
-    """Search for a proper symmetric GAP of rank <= min(r_max, 2) and volume
-    <= vol_max containing all but at most m elements of V (with
-    multiplicity).  The search builds ranks 1 and 2 only, so any r_max >= 2
-    behaves as 2.
+    """Search for a proper symmetric GAP of rank 1 or 2 containing all but
+    at most m elements of V (with multiplicity).  vol_max holds one volume
+    cap per rank: rank 1 is tried under vol_max[0], then rank 2 under
+    vol_max[1]; a cap below 1 skips its rank.
 
     Returns None when the bounded candidate search exhausts.  Every result
     is re-verified by enumeration before it is returned.
     """
-    gap_idx = covering_gap_with_indices(V, m, r_max, vol_max, enum_cap)
+    gap_idx = covering_gap_with_indices(V, m, vol_max, enum_cap)
     return gap_idx[0] if gap_idx else None
 
 
 def covering_gap_with_indices(
     V: WeightVector,
     m: int,
-    r_max: int = 2,
-    vol_max: int = 10**4,
+    vol_max: tuple[int, int] = (10**4, 10**4),
     enum_cap: int = gaps.DEFAULT_ENUM_CAP,
 ) -> Optional[tuple[Gap, tuple[int, ...]]]:
-    """find_covering_gap plus the covered index set; the rank is at most
-    min(r_max, 2)."""
+    """find_covering_gap plus the covered index set, under the same
+    per-rank caps vol_max = (cap for rank 1, cap for rank 2)."""
     if V.mode != "exact":
         raise PreconditionError("covering search needs an exact-mode vector")
     n = len(V)
     if not 0 <= m <= n:
         raise PreconditionError("need 0 <= m <= |V|")
-    if r_max < 1:
-        raise PreconditionError("r_max must be >= 1")
+    cap1, cap2 = vol_max
     values = V.entries
     if not any(values):
         return Gap.trivial(), tuple(range(n))
@@ -191,7 +188,7 @@ def covering_gap_with_indices(
     for g, mult in table.items():
         if len(mult) >= n - m:
             dim = mult[n - m - 1][0] if n > m else 0
-            if 2 * dim + 1 <= vol_max:
+            if 2 * dim + 1 <= cap1:
                 rank1.append((-sum(k <= dim for k, _ in mult), dim, g))
     if rank1:
         _, dim, g = min(rank1)
@@ -199,13 +196,13 @@ def covering_gap_with_indices(
         idx = tuple(sorted(i for k, i in table[g] if k <= dim))
         if _verify_cover(gap, values, idx, m, enum_cap):
             return gap, idx
-    if r_max < 2:
+    if cap2 < 1:
         return None
 
     # Rank 2: pairs drawn from the candidates dividing the most values.
     top = sorted(table, key=lambda g: (-len(table[g]), g))[:_TOP_RANK1]
     for g1, g2 in combinations(top, 2):
-        hit = _rank2_cover(g1, g2, ints, L, m, vol_max)
+        hit = _rank2_cover(g1, g2, ints, L, m, cap2)
         if hit is not None:
             gap, idx = hit
             if _verify_cover(gap, values, idx, m, enum_cap):
@@ -228,6 +225,11 @@ def _vol_bound_ok(vol: int, c0: Fraction, p: Fraction, n: int, rank: int) -> boo
     return vol * vol * (n**rank) <= rhs * rhs
 
 
+def _vol_cap(c0: Fraction, p: Fraction, n: int, rank: int) -> int:
+    """The largest vol with _vol_bound_ok(vol, c0, p, n, rank)."""
+    return math.isqrt((c0 / p) ** 2 // n**rank)
+
+
 def _stability_subsets(n_i: int, k_i: int, seed: int):
     """Deterministic stream of candidate index subsets of size k_i."""
     if math.comb(n_i, k_i) <= _SUBSET_EXHAUSTIVE_LIMIT:
@@ -245,7 +247,7 @@ def refine_structure(
 
     Raises PreconditionError when V is not rich at exponent params.A, and
     SearchBudgetError when either the stability search or a covering
-    search exhausts its budget.
+    search exhausts its budget, or a cover leaves no coordinate in W.
     """
     n = len(V)
     eps, d0 = params.eps, params.d0
@@ -256,21 +258,16 @@ def refine_structure(
         )
 
     def cover(idx_pool: list[int], m: int, c0: Fraction, p: Fraction):
+        cap1 = _vol_cap(c0, p, n, 1)
+        if cap1 < 1:  # else a zero vector would still get its trivial GAP
+            return None
+        cap2 = _vol_cap(c0, p, n, 2) if d0 >= 2 else 0
         sub = WeightVector.exact([V.entries[i] for i in idx_pool])
-        for rank in range(1, d0 + 1):
-            vol_max = int(math.floor(float(c0 / p) * n ** (-rank / 2)))
-            if vol_max < 1:
-                continue
-            hit = covering_gap_with_indices(
-                sub, m, r_max=rank, vol_max=vol_max, enum_cap=params.enum_cap
-            )
-            if hit is not None:
-                gap, local_idx = hit
-                if gap.rank <= rank and _vol_bound_ok(
-                    gaps.volume(gap), c0, p, n, gap.rank
-                ):
-                    return gap, tuple(idx_pool[j] for j in local_idx)
-        return None
+        hit = covering_gap_with_indices(sub, m, (cap1, cap2), params.enum_cap)
+        if hit is None:
+            return None
+        gap, local_idx = hit
+        return gap, tuple(idx_pool[j] for j in local_idx)
 
     m1 = math.ceil(n ** (1 - eps / 2))
     first = cover(list(range(n)), min(m1, n), params.C0, p1)
@@ -282,6 +279,11 @@ def refine_structure(
 
     for iteration in range(max_iters):
         n_i = len(w_idx)
+        if not n_i:
+            raise SearchBudgetError(
+                "covering GAP covers no coordinate",
+                partial={"iteration": iteration, "p": p_i},
+            )
         k_i = max(1, math.floor(eps * n_i))
         threshold = n_i ** (d0 * eps) * float(p_i)
         for subset in _stability_subsets(n_i, k_i, params.seed):
@@ -344,7 +346,6 @@ def verify_report(
     """
     n = len(V)
     eps, d0 = params.eps, params.d0
-    failed = []
     details: dict = {}
 
     idx_ok = (
@@ -354,61 +355,48 @@ def verify_report(
         and len(set(report.wprime_indices)) == len(report.wprime_indices)
     )
     details["indices"] = {"ok": idx_ok}
-    if not idx_ok:
-        failed.append("indices")
 
     w_min = n - math.ceil(n ** (1 - eps / 4))
-    w_ok = len(report.w_indices) >= w_min
     details["w_size_bound"] = {
-        "ok": w_ok, "size": len(report.w_indices), "min": w_min
+        "ok": len(report.w_indices) >= w_min,
+        "size": len(report.w_indices),
+        "min": w_min,
     }
-    if not w_ok:
-        failed.append("w_size_bound")
 
     wp_max = eps * n
-    wp_ok = len(report.wprime_indices) <= wp_max
     details["wprime_size_bound"] = {
-        "ok": wp_ok, "size": len(report.wprime_indices), "max": wp_max
+        "ok": len(report.wprime_indices) <= wp_max,
+        "size": len(report.wprime_indices),
+        "max": wp_max,
     }
-    if not wp_ok:
-        failed.append("wprime_size_bound")
 
-    mem_ok = True
+    mem_ok = False
     if idx_ok:
         try:
             members = gaps.member_set(report.gap, params.enum_cap)
             mem_ok = all(V.entries[i] in members for i in report.w_indices)
         except CapExceededError:
-            mem_ok = False
-    else:
-        mem_ok = False
+            pass
     details["membership"] = {"ok": mem_ok}
-    if not mem_ok:
-        failed.append("membership")
 
     vol = gaps.volume(report.gap)
-    vol_ok = _vol_bound_ok(vol, 2 * params.C0, report.p, n, report.gap.rank)
     details["volume_bound"] = {
-        "ok": vol_ok,
+        "ok": _vol_bound_ok(vol, 2 * params.C0, report.p, n, report.gap.rank),
         "volume": vol,
         "bound": float(2 * params.C0 / report.p) * n ** (-report.gap.rank / 2),
     }
-    if not vol_ok:
-        failed.append("volume_bound")
 
-    sb_ok = True
     if idx_ok:
         sub = WeightVector.exact([V.entries[i] for i in report.wprime_indices])
         res = smallball.small_ball_exact(sub, d, cap=params.sum_cap)
         thr = n ** (d0 * eps) * float(report.p)
-        sb_ok = float(res.p) <= thr
         details["smallball_bound"] = {
-            "ok": sb_ok, "p_wprime": format_rational(res.p), "threshold": thr
+            "ok": float(res.p) <= thr,
+            "p_wprime": format_rational(res.p),
+            "threshold": thr,
         }
     else:
-        sb_ok = False
         details["smallball_bound"] = {"ok": False}
-    if not sb_ok:
-        failed.append("smallball_bound")
 
-    return VerificationResult(ok=not failed, failed=tuple(failed), details=details)
+    failed = tuple(name for name, cert in details.items() if not cert["ok"])
+    return VerificationResult(ok=not failed, failed=failed, details=details)

@@ -191,6 +191,31 @@ def test_dist_missing_key_exits_2(capsys, tmp_path, key):
     assert_contract_error(capsys, argv, f"distribution {d!r}")
 
 
+def test_refine_empty_w_exits_2(capsys, tmp_path):
+    # The first cover of five equal values may skip all of them.
+    v = _write(tmp_path, "v.json", json.dumps(["1"] * 5))
+    d = _write(tmp_path, "d.json", DIST)
+    argv = ["refine", "--vector", v, "--dist", d, "--A", "1", "--eps", "0.2"]
+    assert main(argv) == 2
+    assert "covers no coordinate" in capsys.readouterr().err
+
+
+def test_gap_cover_rmax(capsys, tmp_path):
+    # Base-100 digits: no rank-1 cover fits volume 100, a rank-2 one does.
+    values = [str(a + 100 * b) for a in (-2, -1, 0, 1, 2) for b in (-1, 0, 1)]
+    v = _write(tmp_path, "v.json", json.dumps(values))
+    out = {}
+    for rmax in ("1", "2", "3"):
+        argv = ["gap-cover", "--vector", v, "--m", "0", "--rmax", rmax]
+        code, out[rmax] = run_cli(capsys, *argv, "--volmax", "100")
+        assert code == 0
+    assert json.loads(out["1"]) == {"kind": "gap-cover", "found": False}
+    assert len(json.loads(out["2"])["gap"]["generators"]) == 2
+    assert out["3"] == out["2"]
+    assert main(["gap-cover", "--vector", v, "--m", "0", "--rmax", "0"]) == 2
+    assert capsys.readouterr().err == "error: --rmax must be >= 1, not 0\n"
+
+
 def test_refine_bad_c0_exits_2(capsys, tmp_path):
     v = _write(tmp_path, "v.json", json.dumps(["1"] * 16))
     d = _write(tmp_path, "d.json", DIST)

@@ -120,6 +120,15 @@ def test_sums_beyond_int64_match_oracle():
             assert (res.p, res.attaining_atom) == brute_force(values, d)
 
 
+def test_numpy_integer_entries_match_list():
+    # Numpy integers become Python ints: 2^62 * 4 would wrap in int64.
+    values = [2**62] * 4
+    V = WeightVector.exact(np.array(values))
+    assert V == WeightVector.exact(values)
+    assert all(type(v.numerator) is int for v in V.entries)
+    assert small_ball_exact(V, RAD) == small_ball_exact(WeightVector.exact(values), RAD)
+
+
 def test_masses_beyond_int64_closed_form():
     # Probabilities (1/3, 2/3): masses are integers over 3^41 > 2^63.
     assert 3**41 > 2**63

@@ -1,18 +1,23 @@
+import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 
-from simplespectrum import gaps
+from simplespectrum import gaps, structure
 from simplespectrum.dist import rademacher
-from simplespectrum.errors import CapExceededError, PreconditionError
+from simplespectrum.errors import CapExceededError, PreconditionError, SearchBudgetError
 from simplespectrum.gaps import Gap, volume
-from simplespectrum.smallball import WeightVector
+from simplespectrum.smallball import WeightVector, small_ball_exact
 from simplespectrum.structure import (
     StructureParams,
     StructureReport,
     _rank2_cover,
+    _vol_bound_ok,
+    _vol_cap,
     covering_gap_with_indices,
     find_covering_gap,
     refine_structure,
@@ -37,13 +42,13 @@ def test_cover_outlier():
 
 def test_cover_incommensurable_returns_none():
     V = WeightVector.exact([F(1), F(10**6 + 1), F(7, 3)])
-    assert find_covering_gap(V, m=0, r_max=1, vol_max=10) is None
+    assert find_covering_gap(V, m=0, vol_max=(10, 0)) is None
 
 
 def test_cover_rank2():
     # Base-100 digits need two generators at small volume.
     values = [a + 100 * b for a in (-2, -1, 0, 1, 2) for b in (-1, 0, 1)]
-    g = find_covering_gap(WeightVector.exact(values), m=0, r_max=2, vol_max=100)
+    g = find_covering_gap(WeightVector.exact(values), m=0, vol_max=(100, 100))
     assert g is not None
     assert g.rank <= 2
     from simplespectrum.gaps import member_set
@@ -201,7 +206,8 @@ def test_cover_matches_fraction_oracle():
         r_max = rng.choices([1, 2, 3], [2, 1, 1])[0]
         vol_max = rng.choices([3, 10, 100, 10**4], [1, 2, 3, 3])[0]
         want = _ref_cover(tuple(values), m, r_max, vol_max)
-        got = covering_gap_with_indices(WeightVector.exact(values), m, r_max, vol_max)
+        caps = (vol_max, vol_max if r_max >= 2 else 0)
+        got = covering_gap_with_indices(WeightVector.exact(values), m, caps)
         assert got == want, (values, m, r_max, vol_max)
         hits += want is not None
         rank2 += want is not None and want[0].rank == 2
@@ -215,6 +221,50 @@ def test_refine_all_ones():
     assert report.p == F(12870, 65536)
     assert report.gap == Gap((F(1),), (F(1),))
     assert verify_report(V, RAD, PARAMS, report).ok
+
+
+def test_refine_numpy_input_matches_list():
+    a = refine_structure(WeightVector.exact(np.array([1] * 16)), RAD, PARAMS)
+    b = refine_structure(WeightVector.exact([1] * 16), RAD, PARAMS)
+    assert json.dumps(a.to_json()) == json.dumps(b.to_json())
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_refine_empty_w_raises_budget_error(n):
+    # m1 = ceil(n^0.9) = n, so the first cover may skip every coordinate.
+    with pytest.raises(SearchBudgetError, match="covers no coordinate"):
+        refine_structure(WeightVector.exact([1] * n), RAD, PARAMS)
+
+
+def test_vol_cap_is_exact():
+    ratios = [F(k, q) for k in range(1, 80) for q in (1, 3, 7)]
+    ratios += [F(49 * k) for k in range(1, 40)] + [F(10**6, 3), F(10**12 + 1, 7)]
+    for n in range(1, 61):
+        for rank in (1, 2):
+            for c0_over_p in ratios:
+                cap = _vol_cap(c0_over_p, F(1), n, rank)
+                assert _vol_bound_ok(cap, c0_over_p, F(1), n, rank)
+                assert not _vol_bound_ok(cap + 1, c0_over_p, F(1), n, rank)
+    # floor(float(c0/p) * n**(-r/2)) gives k - 1 for k = 1, 2, 3, 4, 6, ...
+    assert all(_vol_cap(F(49 * k), F(1), 49, 2) == k for k in range(1, 40))
+
+
+@pytest.mark.parametrize("d0", [1, 2, 3])
+def test_refine_searches_once_per_cover(monkeypatch, d0):
+    # With every search failing, the first cover fails after one call that
+    # carries both exact per-rank caps.
+    calls = []
+
+    def failing(sub, m, vol_max, enum_cap):
+        calls.append(vol_max)
+
+    monkeypatch.setattr(structure, "covering_gap_with_indices", failing)
+    V = WeightVector.exact([1] * 16)
+    with pytest.raises(SearchBudgetError, match="initial"):
+        refine_structure(V, RAD, replace(PARAMS, d0=d0, C0=F(100)))
+    p = small_ball_exact(V, RAD).p
+    cap2 = _vol_cap(F(100), p, 16, 2) if d0 >= 2 else 0
+    assert calls == [(_vol_cap(F(100), p, 16, 1), cap2)]
 
 
 def test_refine_excludes_outlier():
