@@ -7,11 +7,14 @@ are integer sums.  Parallelism splits the trials into `workers`
 contiguous chunks and maps them over a process pool of at most one process
 per CPU.
 
-The census is batched: each index range becomes int64 (B, n, n) adjacency
-stacks, whose char polys come from one exact Faddeev-LeVerrier pass in
-int64, and squarefreeness is decided once per distinct char poly (151 at
-n = 6, 988 at n = 7).  n = 6 takes about 0.1 s and n = 7 about 12 s on
-one core.
+The census is bordered, as Tao-Vu's argument is: every graph on n vertices
+is one graph A' on n - 1 vertices plus a 0/1 border b, and
+det(xI - A) = x p_{A'}(x) - b^T adj(xI - A') b.  So one exact int64
+Faddeev-LeVerrier pass over stacks of the (n - 1)-vertex graphs, whose
+intermediates are the coefficients of adj(xI - A'), gives the char polys
+of all 2^(n-1) borders of each as quadratic forms, and squarefreeness is
+decided once per distinct char poly (151 at n = 6, 988 at n = 7).  n = 6
+takes about 0.02 s and n = 7 about 1.3 s on one core.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .matrices import (
 )
 from .smallball import WeightVector, is_rich
 from .spectrum import (
-    char_polys_stack,
+    char_polys_bordered,
     eigen_decompose,
     multiplicity_clusters,
     repeated_factor,
@@ -160,20 +163,23 @@ def _summary(successes: int, trials: int, seed: int, t0: float) -> ExperimentSum
     )
 
 
-# Graphs per (B, n, n) int64 stack.  At n = 7 a stack is 26 MB, and a
-# chunk peaks at 82 MB of arrays: A, M and A @ M of the char poly pass.
+# About this many n-vertex graphs per stack: a stack holds
+# max(1, _CENSUS_BATCH >> (n - 1)) graphs on n - 1 vertices, each with all
+# 2^(n - 1) borders.  At n = 8 a stack's char poly rows are 4.7 MB.
 _CENSUS_BATCH = 1 << 16
 
 
 def _census_chunk(args) -> int:
-    """Simple graphs among indices [start, stop) on n vertices: char polys
-    stack by stack in one exact int64 pass, then one squarefree test per
+    """Simple graphs among those on n vertices whose (n - 1)-vertex minor
+    graph_from_index(n - 1, i) has i in [start, stop): char polys stack by
+    stack in one exact int64 bordered pass, then one squarefree test per
     distinct char poly, weighted by its multiplicity."""
     n, start, stop = args
+    borders = (np.arange(1 << (n - 1))[:, None] >> np.arange(n - 1)) & 1
+    step = max(1, _CENSUS_BATCH >> (n - 1))
     counts: Counter = Counter()
-    for a in range(start, stop, _CENSUS_BATCH):
-        A = graph_stack(n, a, min(a + _CENSUS_BATCH, stop))
-        rows = char_polys_stack(A)
+    for a in range(start, stop, step):
+        rows = char_polys_bordered(graph_stack(n - 1, a, min(a + step, stop)), borders)
         # Rows as opaque bytes: np.unique sorts those 8x faster than axis=0.
         keys, mult = np.unique(rows.view(f"V{rows.shape[1] * 8}")[:, 0], return_counts=True)
         distinct = keys.view(np.int64).reshape(-1, rows.shape[1])
@@ -184,17 +190,20 @@ def _census_chunk(args) -> int:
 def exhaustive_census(n: int, workers: int = 1) -> CensusResult:
     """Classify every graph on n vertices by exact spectral simplicity.
 
-    Graphs go through in (B, n, n) stacks of up to _CENSUS_BATCH: one
-    Faddeev-LeVerrier char poly pass in int64, whose overflow guard
-    n 2^n n^n < 2^63 holds for every graph stack with n <= 7 (7.4e8 at
-    n = 7), then one squarefree test per distinct char poly.  n = 6
-    (32,768 graphs, 151 distinct char polys) takes about 0.1 s and n = 7
-    (2,097,152 graphs, 988 distinct) about 12 s on one core.
+    The (n - 1)-vertex graphs go through in stacks, each bordered with all
+    2^(n-1) 0/1 vectors by char_polys_bordered: one Faddeev-LeVerrier pass
+    in int64, whose overflow guard holds for every graph stack with
+    n <= 8 (1.5e9 < 2^63 at n = 8), then one squarefree test per distinct
+    char poly.  Each graph on n vertices is one (minor, border) pair, so
+    each is counted once, and workers split the minors.  n = 6 (32,768
+    graphs, 151 distinct char polys) takes about 0.02 s, n = 7 (2,097,152
+    graphs, 988 distinct) about 1.3 s on one core, and n = 8 (268,435,456
+    graphs, 210,782,880 simple) about 140 s on two workers.
     """
-    if not 2 <= n <= 7:
-        raise PreconditionError("census supports 2 <= n <= 7")
+    if not 2 <= n <= 8:
+        raise PreconditionError("census supports 2 <= n <= 8")
     total = 1 << (n * (n - 1) // 2)
-    simple = _dispatch(_census_chunk, (n,), total, workers)
+    simple = _dispatch(_census_chunk, (n,), 1 << ((n - 1) * (n - 2) // 2), workers)
     return CensusResult(
         n=n, total=total, simple_count=simple, nonsimple_count=total - simple
     )

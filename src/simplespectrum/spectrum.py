@@ -17,12 +17,15 @@ which only finitely many primes can do, as x.y is positive definite over Q.
 Garner's CRT reconstructs the char poly against an a-priori coefficient
 bound, the smaller of Hadamard's inequality on the row norms and
 Maclaurin's inequality on the Frobenius norm, so the result is exact, not
-probabilistic.  Stacks of small matrices whose char polys fit int64, such
-as the graphs of a census, go through one Faddeev-LeVerrier pass over the
-whole stack in int64 with no prime.  Simplicity is then squarefreeness:
-the root 0 split off, gcd(p, p') constant, settled by a mod-q screen or
-else the PRS gcd.  For a real symmetric matrix algebraic multiplicity equals
-geometric multiplicity, so squarefree <=> simple spectrum.
+probabilistic.  Stacks of small matrices whose char polys fit int64 go
+through one Faddeev-LeVerrier pass over the whole stack in int64 with no
+prime; its intermediates are the coefficients of the adjugate, so the
+same pass over the (n - 1)-vertex graphs of a census, plus one quadratic
+form per border, gives the char polys of all their n-vertex borderings.
+Simplicity is then squarefreeness: the root 0 split off, gcd(p, p')
+constant, settled by a mod-q screen or else the PRS gcd.  For a real
+symmetric matrix algebraic multiplicity equals geometric multiplicity, so
+squarefree <=> simple spectrum.
 
 Numeric route: LAPACK's symmetric eigensolver (np.linalg.eigh), followed
 by gap clustering.  Where the two disagree the exact verdict is ground truth.
@@ -42,7 +45,6 @@ import numpy as np
 from . import polys
 from .errors import ConvergenceError, PreconditionError
 from .matrices import SymmetricMatrix
-from .rationals import format_rational, parse_rational
 
 # Primes start just below 2^27 so that the balanced int64 products and dot
 # products of the Lanczos pass cannot overflow for n up to 2048:
@@ -81,13 +83,6 @@ class CharPoly:
         for c in reversed(self.coeffs):
             acc = acc * x + (float(c) if isinstance(x, float) else c)
         return acc
-
-    def to_json(self) -> list[str]:
-        return [format_rational(c) for c in self.coeffs]
-
-    @classmethod
-    def from_json(cls, obj) -> "CharPoly":
-        return cls(tuple(parse_rational(c) for c in obj))
 
 
 @dataclass(frozen=True)
@@ -271,33 +266,88 @@ def char_poly(M: SymmetricMatrix) -> CharPoly:
     return CharPoly(tuple(Fraction(c[k], M.den**k) for k in reversed(range(M.n + 1))))
 
 
+def _faddeev_stack(A: np.ndarray):
+    """One Faddeev-LeVerrier pass in int64 over a (S, n, n) stack of integer
+    matrices, with no modulus: yields (B_{k-1}, c_k) for k = 1..n, where
+    c_k are the char poly coefficients, det(xI - A) = sum_k c_k x^(n-k), and
+    B_k those of adj(xI - A) = sum_k B_k x^(n-1-k).  B_0 = I,
+    M_k = A B_{k-1}, c_k = -tr(M_k) / k, exact as c_k is an integer, and
+    B_k = M_k + c_k I.  The callers check their int64 bounds first."""
+    n = A.shape[1]
+    d = np.arange(n)
+    Bk = np.broadcast_to(np.eye(n, dtype=np.int64), A.shape)
+    for k in range(1, n + 1):
+        M = A @ Bk if k > 1 else A.copy()
+        c = -M[:, d, d].sum(axis=1) // k
+        yield Bk, c
+        M[:, d, d] += c[:, None]
+        Bk = M
+
+
+def _max_abs(A: np.ndarray) -> int:
+    """max |a| over A, read by min and max alone: np.abs would wrap -2^63."""
+    return max(-int(A.min()), int(A.max()))
+
+
 def char_polys_stack(A: np.ndarray) -> np.ndarray:
-    """Exact char polys of a (B, n, n) int64 stack of integer symmetric
+    """Exact char polys of a (S, n, n) int64 stack of integer symmetric
     matrices, as rows [c_0..c_n] like _integer_charpoly, by one
-    Faddeev-LeVerrier pass in int64 with no modulus: M_1 = A,
-    c_k = -tr(M_k) / k, exact as c_k is an integer, and
-    M_{k+1} = A (M_k + c_k I).
+    Faddeev-LeVerrier pass (_faddeev_stack).
 
     With m = max |a_ij| over the stack and r = n m, every |lambda| <= r and
-    |c_j| <= C(n,j) r^j.  So M_k = sum_{j<k} c_j A^(k-j) has entries of at
-    most 2^n r^k, as has each partial sum of the product that forms it, and
-    a trace is at most n 2^n r^n.  Raises PreconditionError, before any
+    |c_j| <= C(n,j) r^j.  So B_k = sum_{j<=k} c_j A^(k-j) has entries of at
+    most 2^n r^k, each partial sum of the product A B_k at most 2^n r^(k+1),
+    and a trace at most n 2^n r^n.  Raises PreconditionError, before any
     product, when that bound reaches 2^63; for graphs with n = 7 it is
     7.4e8.
     """
-    B, n, _ = A.shape
-    m = max(-int(A.min()), int(A.max()))  # np.abs would wrap -2^63
+    n = A.shape[1]
+    m = _max_abs(A)
     if n * 2**n * (n * m) ** n >= 1 << 63:
         raise PreconditionError(f"n = {n}, max |a_ij| = {m} may overflow int64 char polys")
-    rows = np.ones((B, n + 1), dtype=np.int64)
-    d = np.arange(n)
-    M = A.copy()
-    for k in range(1, n + 1):
-        rows[:, k] = c = -M[:, d, d].sum(axis=1) // k
-        if k < n:
-            M[:, d, d] += c[:, None]
-            M = A @ M
+    rows = np.ones((A.shape[0], n + 1), dtype=np.int64)
+    for k, (_, c) in enumerate(_faddeev_stack(A), 1):
+        rows[:, k] = c
     return rows
+
+
+def char_polys_bordered(A: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Exact char polys of every bordered matrix [[0, x^T], [x, A_s]] of a
+    (S, m, m) int64 stack of integer symmetric A_s and a (K, m) int64 table
+    of borders x, as (S * K, m + 2) rows [c_0..c_{m+1}], row s K + j for
+    (A_s, X[j]).
+
+    det(xI - [[0, b^T], [b, A']]) = x p_{A'}(x) - b^T adj(xI - A') b, so
+    one Faddeev-LeVerrier pass over the stack serves every border: the
+    coefficient of x^(m-1-k) in the quadratic form is q_k = b^T B_k b, for
+    all borders one int64 matmul of B_k against the outer products b b^T,
+    subtracted from x p_{A'} at column k + 2.  For graphs, with
+    A = graph_stack(m, start, stop) and X[j] the bits of j < 2^m, bit i at
+    x_i, row (s - start) 2^m + j is the char poly of
+    graph_from_index(m + 1, s 2^m + j): the rows are those of
+    char_polys_stack(graph_stack(m + 1, start 2^m, stop 2^m)).
+
+    With r = max(1, m max |a_ij|) and b = max |x_i|, every B_k has entries of
+    at most 2^m r^(m-1), as in char_polys_stack, so each partial sum of a
+    q_k is at most m^2 b^2 2^m r^(m-1) and of a trace at most m 2^m r^m.
+    Raises PreconditionError, before any product, when their sum, which
+    also bounds every coefficient, reaches 2^63; for graphs with m = 7 it
+    is 1.5e9.
+    """
+    S, m, _ = A.shape
+    a, b = _max_abs(A), _max_abs(X)
+    r = max(1, m * a)
+    if 2**m * r ** (m - 1) * (m * r + m * m * b * b) >= 1 << 63:
+        raise PreconditionError(
+            f"m = {m}, max |a_ij| = {a}, max |x_i| = {b} may overflow int64 char polys"
+        )
+    outer = (X[:, :, None] * X[:, None, :]).reshape(len(X), m * m).T
+    rows = np.zeros((S, len(X), m + 2), dtype=np.int64)
+    rows[:, :, 0] = 1
+    for k, (Bk, c) in enumerate(_faddeev_stack(A), 1):
+        rows[:, :, k] += c[:, None]
+        rows[:, :, k + 1] -= Bk.reshape(S, m * m) @ outer  # q_{k-1}
+    return rows.reshape(-1, m + 2)
 
 
 def repeated_factor(ip: list[int]) -> Optional[list[int]]:

@@ -380,10 +380,14 @@ def verify_report(
     details["membership"] = {"ok": mem_ok}
 
     vol = gaps.volume(report.gap)
+    try:
+        bound = float(2 * params.C0 / report.p) * n ** (-report.gap.rank / 2)
+    except OverflowError:  # c0 / p past the float range, for a tiny p
+        bound = math.inf
     details["volume_bound"] = {
         "ok": _vol_bound_ok(vol, 2 * params.C0, report.p, n, report.gap.rank),
         "volume": vol,
-        "bound": float(2 * params.C0 / report.p) * n ** (-report.gap.rank / 2),
+        "bound": bound,
     }
 
     if idx_ok:

@@ -67,12 +67,20 @@ def test_census_range_check():
     with pytest.raises(PreconditionError):
         exhaustive_census(1)
     with pytest.raises(PreconditionError):
-        exhaustive_census(8)
+        exhaustive_census(9)
 
 
 def test_census_worker_invariance():
     assert exhaustive_census(4, workers=1) == exhaustive_census(4, workers=3)
-    assert exhaustive_census(6, workers=1) == exhaustive_census(6, workers=2)
+    for n in (5, 6):
+        c = exhaustive_census(n, workers=1)
+        assert exhaustive_census(n, workers=2) == c == exhaustive_census(n, workers=3)
+
+
+def test_census_n7_count():
+    # The count of the per-graph kernel this bordered pass replaced.
+    c = exhaustive_census(7)
+    assert (c.total, c.simple_count) == (2_097_152, 1_687_140)
 
 
 @pytest.mark.parametrize("n", range(1, 6))

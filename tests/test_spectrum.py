@@ -19,7 +19,6 @@ from simplespectrum.matrices import (
     trial_rng,
 )
 from simplespectrum.spectrum import (
-    CharPoly,
     char_poly,
     eigen_decompose,
     multiplicity_clusters,
@@ -308,6 +307,85 @@ def test_char_polys_stack_refuses_int64_wrap():
     for A in (big, wide, np.full((1, 2, 2), 2**62, dtype=np.int64)):
         with pytest.raises(PreconditionError):
             spectrum.char_polys_stack(A.view(_MinMaxOnly))
+
+
+def _bordered(A, X):
+    """The stack of [[0, x^T], [x, A_s]] over the matrices A_s of A and the
+    rows x of X, s major: the matrices char_polys_bordered(A, X) covers."""
+    S, m, _ = A.shape
+    out = np.zeros((S, len(X), m + 1, m + 1), dtype=np.int64)
+    out[:, :, 1:, 1:] = A[:, None]
+    out[:, :, 0, 1:] = out[:, :, 1:, 0] = X
+    return out.reshape(-1, m + 1, m + 1)
+
+
+def _all_borders(m):
+    """Row j: the bits of j, j < 2^m."""
+    return (np.arange(1 << m)[:, None] >> np.arange(m)) & 1
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_char_polys_bordered_is_char_polys_stack_on_every_graph(n):
+    # Graph s 2^(n-1) + j is graph s on vertices 1..n-1 bordered by the
+    # bits of j at vertex 0, so the rows agree in order, not just as a
+    # multiset, over the whole range and over any range of minors.
+    m, total = n - 1, 1 << (n - 1) * (n - 2) // 2
+    want = spectrum.char_polys_stack(graph_stack(n, 0, total << m))
+    got = spectrum.char_polys_bordered(graph_stack(m, 0, total), _all_borders(m))
+    assert np.array_equal(got, want)
+    a, b = total // 3, total - total // 4
+    part = spectrum.char_polys_bordered(graph_stack(m, a, b), _all_borders(m))
+    assert np.array_equal(part, want[a << m:b << m])
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_char_polys_bordered_matches_per_matrix_kernel(m):
+    rng = np.random.default_rng(100 + m)
+    A = _mixed_stack(m, rng)
+    small = A[np.arange(len(A)) % 4 != 3]
+    X = rng.integers(-3, 4, size=(5, m))
+    assert spectrum.char_polys_bordered(small, X).tolist() == _exact_rows(_bordered(small, X))
+    if m >= 3:  # 2^m r^(m-1) (m r + 9 m^2) >= 2^63 for r = m 10^6
+        with pytest.raises(PreconditionError):
+            spectrum.char_polys_bordered(A, X)
+    else:
+        assert spectrum.char_polys_bordered(A, X).tolist() == _exact_rows(_bordered(A, X))
+
+
+def _bordered_bound(m, a, b):
+    r = max(1, m * a)
+    return 2**m * r ** (m - 1) * (m * r + m * m * b * b)
+
+
+@pytest.mark.parametrize("m", [1, 2, 4, 7])
+def test_char_polys_bordered_exact_at_the_int64_limit(m):
+    # The largest border entry b the guard admits with unit minor entries,
+    # on +-J, whose spectral radius m is the largest those allow.
+    b = isqrt((1 << 63) // (2**m * m ** (m + 1)))  # estimate
+    while _bordered_bound(m, 1, b + 1) < 1 << 63:
+        b += 1
+    while _bordered_bound(m, 1, b) >= 1 << 63:
+        b -= 1
+    J = np.ones((m, m), dtype=np.int64)
+    A = np.stack([J, -J, np.eye(m, dtype=np.int64)])
+    X = np.array([[b] * m, [-b] * m, [b] + [-b] * (m - 1)], dtype=np.int64)
+    assert spectrum.char_polys_bordered(A, X).tolist() == _exact_rows(_bordered(A, X))
+    with pytest.raises(PreconditionError):
+        spectrum.char_polys_bordered(A.view(_MinMaxOnly), (X + X.clip(-1, 1)).view(_MinMaxOnly))
+
+
+def test_char_polys_bordered_refuses_int64_wrap():
+    # Minor stack or border table: either can break the bound, and the
+    # refusal comes before any product, with no magnitude through int64.
+    ones, unit = np.ones((1, 3, 3), dtype=np.int64), np.ones((1, 3), dtype=np.int64)
+    wrap = np.zeros((2, 3, 3), dtype=np.int64)
+    wrap[1, 0, 0] = -(2**63)
+    wide = np.ones((1, 13, 13), dtype=np.int64)  # 2^13 13^12 (13^2 + 13^2) >= 2^63
+    cases = [(wrap, unit), (wide, np.ones((1, 13), dtype=np.int64)),
+             (ones, np.array([[0, -(2**63), 0]])), (ones, np.full((1, 3), 2**31))]
+    for A, X in cases:
+        with pytest.raises(PreconditionError):
+            spectrum.char_polys_bordered(A.view(_MinMaxOnly), X.view(_MinMaxOnly))
 
 
 class _Tridiagonal:
@@ -781,12 +859,6 @@ def test_char_poly_small_at_numeric_eigenvalues():
         s = eigen_decompose(M)
         for lam in s.eigenvalues:
             assert abs(p(float(lam))) / scale <= 1e-6
-
-
-def test_char_poly_json():
-    p = char_poly(K3)
-    assert p.to_json() == ["-2", "-3", "0", "1"]
-    assert CharPoly.from_json(p.to_json()) == p
 
 
 def test_crt_primes_found_once(monkeypatch):

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -345,6 +346,15 @@ def test_verify_rejects_p_tamper(ones_report):
     res = verify_report(V, RAD, PARAMS, bad)
     assert not res.ok
     assert "volume_bound" in res.failed or "smallball_bound" in res.failed
+
+
+def test_verify_p_below_float_range_fails_not_raises(ones_report):
+    # 2 C0 / p exceeds the float range: the exact volume check still holds,
+    # its display bound is inf, and the small-ball bound fails.
+    V = WeightVector.exact([1] * 16)
+    res = verify_report(V, RAD, PARAMS, _mutate(ones_report, p=F(1, 10**400)))
+    assert not res.ok and res.failed == ("smallball_bound",)
+    assert res.details["volume_bound"] == {"ok": True, "volume": 3, "bound": math.inf}
 
 
 def test_verify_p_halved_still_ok(ones_report):
