@@ -21,10 +21,8 @@ from .harness import (
 )
 from .matrices import (
     EnsembleSpec,
-    MinorSplit,
     SymmetricMatrix,
     graph_from_index,
-    minor_decompose,
     sample_matrix,
     trial_rng,
 )

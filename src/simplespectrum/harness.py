@@ -1,4 +1,4 @@
-"""Experiments: orthogonality lemma checks, exhaustive graph censuses,
+"""Experiments: exact orthogonality lemma checks, exhaustive graph censuses,
 Monte Carlo simplicity estimation, rich-eigenvector frequency.
 
 All randomized experiments derive a per-trial stream from (seed, trial),
@@ -6,6 +6,10 @@ so results are independent of trial ordering and worker count; reductions
 are integer sums.  Parallelism splits the trials into `workers`
 contiguous chunks and maps them over a process pool of at most one process
 per CPU.
+
+The orthogonality lemma is checked with no float: the repeated-root factor
+g of a non-simple M must divide the char poly of its minor, and the witness
+is g with the remainder of that division.
 
 The census is bordered, as Tao-Vu's argument is: every graph on n vertices
 is one graph A' on n - 1 vertices plus a 0/1 border b, and
@@ -27,26 +31,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dist import AtomicDistribution
+from . import polys
 from .errors import PreconditionError
 from .matrices import (
     EnsembleSpec,
     SymmetricMatrix,
     graph_stack,
-    minor_decompose,
     sample_matrix,
     trial_rng,
 )
 from .smallball import WeightVector, is_rich
 from .spectrum import (
+    char_poly,
     char_polys_bordered,
     eigen_decompose,
-    multiplicity_clusters,
     repeated_factor,
     simplicity_exact,
 )
-
-ORTHO_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -90,47 +91,30 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054):
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def verify_orthogonality_lemma(
-    M: SymmetricMatrix, tol: float = ORTHO_TOL
-) -> tuple[bool, dict]:
-    """For a matrix with non-simple spectrum, confirm the minor has an
-    eigenvector orthogonal to the border column X.
+def verify_orthogonality_lemma(M: SymmetricMatrix) -> tuple[bool, dict]:
+    """For a matrix with non-simple spectrum, confirm exactly that the minor
+    M' (M without its last row and column) has, at each repeated eigenvalue
+    lam of M, an eigenvector u with u . X = 0, X the border column.
 
-    Minor eigenvalues are clustered at a relative gap threshold; within a
-    cluster the test is basis-independent: a multi-dimensional eigenspace
-    always contains a vector orthogonal to X, and a singleton requires
-    |X . u| <= tol * |X|.  Returns (ok, witness) with the best eigenvalue
-    and achieved residual.
+    The repeated eigenvalues are the roots of g = gcd(p_M, dp_M/dx), the
+    NotSimpleExact certificate, and g | p_{M'} proves the lemma for every
+    root, irrational ones included.  With a the corner entry and
+    q(x) = X^T adj(xI - M') X, p_M = (x - a) p_{M'} - q, so q(lam) = 0 at
+    each root lam of g.  At a lam simple in M' with unit eigenvector u,
+    q(lam) = (u . X)^2 prod_{mu != lam} (lam - mu), so u . X = 0; at a lam
+    multiple in M', the eigenspace holds a vector orthogonal to X.  Cauchy
+    interlacing makes g | p_{M'} hold always, so a nonzero remainder means a
+    wrong char poly, minor or g.  Returns (ok, witness): the factor g and
+    the remainder of p_{M'} by g, both constant term first.
     """
     if M.n < 2:
         raise PreconditionError("lemma needs n >= 2")
     verdict = simplicity_exact(M)
     if verdict.tag != "NotSimpleExact":
         raise PreconditionError("lemma hypothesis requires a non-simple spectrum")
-    split = minor_decompose(M)
-    x = np.array([float(v) for v in split.x])
-    xnorm = float(np.linalg.norm(x))
-    if xnorm == 0.0:
-        return True, {"eigenvalue": None, "residual": 0.0, "reason": "zero X"}
-    spec = eigen_decompose(split.minor, tol=1e-13)
-    diameter = float(spec.eigenvalues[-1] - spec.eigenvalues[0]) if split.minor.n > 1 else 0.0
-    clusters, _ = multiplicity_clusters(spec, 1e-8 * max(1.0, diameter))
-    best = None
-    for cluster in clusters:
-        U = spec.eigenvectors[:, cluster]
-        lam = float(np.mean(spec.eigenvalues[cluster]))
-        if len(cluster) >= 2:
-            # The eigenspace has dimension >= 2, so a unit vector in it
-            # orthogonal to X exists exactly.
-            cand = (0.0, lam)
-        else:
-            resid = abs(float(U[:, 0] @ x))
-            cand = (resid, lam)
-        if best is None or cand[0] < best[0]:
-            best = cand
-    resid, lam = best
-    ok = resid <= tol * xnorm
-    return ok, {"eigenvalue": lam, "residual": resid, "x_norm": xnorm}
+    minor = SymmetricMatrix(M.num[:-1, :-1], M.den)
+    rem = polys.pseudo_rem(char_poly(minor).coeffs, verdict.certificate)
+    return not rem, {"factor": verdict.certificate, "remainder": rem}
 
 
 def _dispatch(chunk, head: tuple, total: int, workers: int) -> int:

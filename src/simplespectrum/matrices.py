@@ -1,4 +1,4 @@
-"""Exact symmetric matrices: sampling, graph adjacency indexing, minor split.
+"""Exact symmetric matrices: sampling and graph adjacency indexing.
 
 A matrix is an integer numerator array `num` over one denominator `den`:
 int64 when every entry fits, Python ints (dtype=object) otherwise, so the
@@ -144,19 +144,6 @@ class EnsembleSpec:
     diag: AtomicDistribution
 
 
-@dataclass(frozen=True)
-class MinorSplit:
-    """The block split M = [[minor, x], [x*, corner]]."""
-
-    minor: SymmetricMatrix
-    x: tuple[Fraction, ...]
-    corner: Fraction
-
-    def reassemble(self) -> SymmetricMatrix:
-        rows = [list(row) + [xi] for row, xi in zip(self.minor.entries, self.x)]
-        return SymmetricMatrix.from_rows(rows + [list(self.x) + [self.corner]])
-
-
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """Derived deterministic stream for trial `trial` of experiment `seed`."""
     return np.random.default_rng([seed, trial])
@@ -236,12 +223,3 @@ def graph_stack(n: int, start: int, stop: int) -> np.ndarray:
     A[:, iu[0], iu[1]] = bits
     A[:, iu[1], iu[0]] = bits
     return A
-
-
-def minor_decompose(M: SymmetricMatrix) -> MinorSplit:
-    """Split off the last row/column: (M_{n-1}, X, corner)."""
-    if M.n < 2:
-        raise PreconditionError("minor decomposition needs n >= 2")
-    m = M.n - 1
-    x = tuple(Fraction(v, M.den) for v in M.num[:m, m].tolist())
-    return MinorSplit(SymmetricMatrix(M.num[:m, :m], M.den), x, M[m, m])

@@ -50,11 +50,12 @@ def pseudo_rem(a: list[int], b: list[int]) -> list[int]:
     lb = b[-1]
     for k in range(da - db, -1, -1):
         coef = a[db + k]
-        for i in range(len(a)):
-            a[i] *= lb
-        for i in range(db + 1):
+        if lb != 1:  # a monic divisor leaves a as it is
+            for i in range(len(a)):
+                a[i] *= lb
+        for i in range(db):
             a[i + k] -= coef * b[i]
-        a[db + k] = 0
+        a[db + k] = 0  # lb * coef - coef * lb
     return normalize(a)
 
 

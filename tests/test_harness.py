@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from simplespectrum.matrices import (
     graph_stack,
     trial_rng,
 )
+from simplespectrum.spectrum import CharPoly, char_poly
 
 GNP = EnsembleSpec(offdiag=bernoulli_half(), diag=zero_atom())
 SIGN = EnsembleSpec(offdiag=rademacher(), diag=rademacher())
@@ -38,7 +41,7 @@ def test_wilson_rejects_zero_trials():
 def test_lemma_k3():
     ok, witness = verify_orthogonality_lemma(graph_from_index(3, 7))
     assert ok
-    assert witness["residual"] <= 1e-8 * witness["x_norm"]
+    assert witness == {"factor": (1, 1), "remainder": []}  # g = x + 1
 
 
 def test_lemma_zero_matrix():
@@ -46,11 +49,53 @@ def test_lemma_zero_matrix():
         SymmetricMatrix.from_rows([[0, 0, 0], [0, 0, 0], [0, 0, 0]])
     )
     assert ok
+    assert witness == {"factor": (0, 0, 1), "remainder": []}  # g = x^2
+
+
+def test_lemma_half_k3():
+    M = SymmetricMatrix.from_rows([[0, "1/2", "1/2"], ["1/2", 0, "1/2"], ["1/2", "1/2", 0]])
+    assert M.den == 2
+    ok, witness = verify_orthogonality_lemma(M)
+    assert ok
+    assert witness == {"factor": (Fraction(1, 2), 1), "remainder": []}
+
+
+def test_lemma_irrational_repeated_roots():
+    # g = x^2 + x - 1: both repeated eigenvalues (-1 +- sqrt 5)/2 are irrational.
+    ok, witness = verify_orthogonality_lemma(graph_from_index(6, 684))
+    assert ok
+    assert witness == {"factor": (-1, 1, 1), "remainder": []}
+
+
+@pytest.mark.parametrize("shift", [2**30, 10**20])
+def test_lemma_exact_at_large_shift(shift):
+    # The star K_{1,3} shifted by shift * I; a float eigenvector check misses
+    # u . X = 0 here by more than 1e-8 |X| already at 2^30.
+    M = SymmetricMatrix(graph_from_index(4, 7).num + shift * np.eye(4, dtype=object))
+    ok, witness = verify_orthogonality_lemma(M)
+    assert ok
+    assert witness == {"factor": (-shift, 1), "remainder": []}
+
+
+def test_lemma_rejects_tampered_minor_char_poly(monkeypatch):
+    def tampered(M):
+        cp = char_poly(M)
+        return CharPoly((cp.coeffs[0] + 1,) + cp.coeffs[1:])
+
+    monkeypatch.setattr(harness, "char_poly", tampered)
+    ok, witness = verify_orthogonality_lemma(graph_from_index(3, 7))
+    assert not ok
+    assert witness["remainder"] == [1]  # x^2 divided by x + 1
 
 
 def test_lemma_requires_nonsimple():
     with pytest.raises(PreconditionError):
         verify_orthogonality_lemma(SymmetricMatrix.from_rows([[1, 0], [0, 2]]))
+
+
+def test_lemma_needs_n2():
+    with pytest.raises(PreconditionError):
+        verify_orthogonality_lemma(SymmetricMatrix.from_rows([[0]]))
 
 
 def test_census_2():

@@ -11,7 +11,6 @@ from simplespectrum.matrices import (
     EnsembleSpec,
     SymmetricMatrix,
     graph_from_index,
-    minor_decompose,
     sample_matrix,
     trial_rng,
 )
@@ -69,42 +68,6 @@ def test_graph_index_bijection(n):
     total = 1 << (n * (n - 1) // 2)
     seen = {graph_from_index(n, i).entries for i in range(total)}
     assert len(seen) == total
-
-
-def test_minor_decompose_k3():
-    split = minor_decompose(graph_from_index(3, 7))
-    assert split.minor.entries == ((0, 1), (1, 0))
-    assert split.x == (1, 1)
-    assert split.corner == 0
-    assert split.reassemble() == graph_from_index(3, 7)
-
-
-def test_minor_decompose_diag():
-    M = SymmetricMatrix.from_rows([[1, 0], [0, 2]])
-    split = minor_decompose(M)
-    assert split.minor.entries == ((1,),)
-    assert split.x == (0,)
-    assert split.corner == 2
-
-
-def test_minor_decompose_2x2_general():
-    M = SymmetricMatrix.from_rows([["1/2", 3], [3, -7]])
-    split = minor_decompose(M)
-    assert split.minor.entries == ((Fraction(1, 2),),)
-    assert split.x == (3,)
-    assert split.corner == -7
-    assert split.reassemble() == M
-
-
-def test_minor_needs_n2():
-    with pytest.raises(PreconditionError):
-        minor_decompose(SymmetricMatrix.from_rows([[1]]))
-
-
-def test_reassembly_roundtrip_samples():
-    for t in range(20):
-        M = sample_matrix(SIGN, 5, trial_rng(11, t))
-        assert minor_decompose(M).reassemble() == M
 
 
 def test_entry_frequency_four_sigma():

@@ -577,6 +577,31 @@ def _draws():
             yield sample_matrix(spec, n, trial_rng(21, n))
 
 
+def _remainder_over_q(a, b):
+    """Remainder of a by b by long division over Fractions."""
+    a = [Fraction(c) for c in a]
+    while len(a) >= len(b):
+        c, s = a[-1] / b[-1], len(a) - len(b)
+        for i, bi in enumerate(b):
+            a[s + i] -= c * bi
+        a.pop()
+        polys.normalize(a)
+    return a
+
+
+@pytest.mark.parametrize("monic", [False, True])
+def test_pseudo_rem_is_scaled_remainder(monic):
+    rng = np.random.default_rng(17 + monic)
+    for _ in range(300):
+        a = rng.integers(-20, 21, int(rng.integers(1, 9))).tolist()
+        b = rng.integers(-9, 10, int(rng.integers(1, 5))).tolist()
+        a[-1], b[-1] = a[-1] or 1, 1 if monic else (b[-1] or -3)
+        if monic:  # a Fraction divisor, as the orthogonality lemma passes
+            b = [Fraction(c, 2) for c in b[:-1]] + [1]
+        scale = Fraction(b[-1]) ** max(len(a) - len(b) + 1, 0)
+        assert polys.pseudo_rem(a, b) == [scale * c for c in _remainder_over_q(a, b)]
+
+
 def _squarefree(M):
     ip = spectrum._integer_charpoly(M.num)[::-1]
     return polys.degree(polys.gcd_int(ip, polys.derivative(ip))) == 0
