@@ -23,9 +23,12 @@ prime; its intermediates are the coefficients of the adjugate, so the
 same pass over the (n - 1)-vertex graphs of a census, plus one quadratic
 form per border, gives the char polys of all their n-vertex borderings.
 Simplicity is then squarefreeness: the root 0 split off, gcd(p, p')
-constant, settled by a mod-q screen or else the PRS gcd.  For a real
-symmetric matrix algebraic multiplicity equals geometric multiplicity, so
-squarefree <=> simple spectrum.
+constant, settled by the gcd mod q, lifted and checked by trial division
+when it is not constant, or else by the PRS gcd.  A stack of char polys
+is screened at once by the remainder sequence of p and p' mod q, run on
+all rows in lockstep, and only the rows it leaves reach that gcd.  For a
+real symmetric matrix algebraic multiplicity equals geometric
+multiplicity, so squarefree <=> simple spectrum.
 
 Numeric route: LAPACK's symmetric eigensolver (np.linalg.eigh), followed
 by gap clustering.  Where the two disagree the exact verdict is ground truth.
@@ -350,6 +353,44 @@ def char_polys_bordered(A: np.ndarray, X: np.ndarray) -> np.ndarray:
     return rows.reshape(-1, m + 2)
 
 
+def squarefree_screen(rows: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Squarefreeness of a (D, n + 1) int64 stack of integer polynomials p
+    of degree n, rows [c_0..c_n] leading coefficient first as
+    char_polys_stack gives them, settled where no gcd is needed: two (D,)
+    masks (proved, square).
+
+    proved: the fraction-free remainder sequence of p and p' mod the prime
+    q, run on all rows in lockstep, is normal down to a nonzero constant.
+    Per degree it takes two eliminations, t = b_0 a - a_0 x b and then
+    b_0 t - t_0 b, with b_0 = lc(b) a unit mod q, so gcd(a, b) mod q is
+    kept, and the row stays proved while every new leading coefficient is
+    nonzero mod q.  Then the
+    gcd of p and p' is constant mod q, and so over Q, as q divides neither
+    lc(p) nor lc(p') = n lc(p): the same one-sided certificate as
+    repeated_factor's screen.  square: c_(n-1) = c_n = 0, so x^2 divides p
+    and p is not squarefree.  Rows in neither need a gcd.
+
+    Every entry is reduced into [0, q) before any product, the degree
+    vector of p' included, so each product is below q^2 and each difference
+    of two below 2 q^2.  Raises PreconditionError, before any product, when
+    that reaches 2^63 or when q <= n, where q could divide lc(p').
+    """
+    n = rows.shape[1] - 1
+    if 2 * q * q >= 1 << 63 or q <= n:
+        raise PreconditionError(f"screen mod q = {q} needs n < q and 2 q^2 < 2^63 at n = {n}")
+    a = rows % q
+    b = a[:, :-1] * np.arange(n, 0, -1) % q  # p'
+    proved = a[:, 0] != 0
+    while b.shape[1] > 1:
+        b0 = b[:, :1]
+        t = b0 * a[:, 1:]  # b_0 a - a_0 x b, its leading term dropped
+        t[:, :-1] -= a[:, :1] * b[:, 1:]
+        t %= q
+        a, b = b, (b0 * t[:, 1:] - t[:, :1] * b[:, 1:]) % q  # b_0 t - t_0 b
+        proved &= b[:, 0] != 0
+    return proved, ~rows[:, -2:].any(axis=1)
+
+
 def repeated_factor(ip: list[int]) -> Optional[list[int]]:
     """None when the nonzero integer polynomial ip (constant term first) is
     squarefree, else the primitive gcd(ip, ip') of positive degree.
@@ -357,17 +398,28 @@ def repeated_factor(ip: list[int]) -> Optional[list[int]]:
     With ip = x^k r, r(0) != 0 and k >= 1, ip' = x^(k-1) (k r + x r') and x
     divides neither r nor k r + x r', so gcd(ip, ip') = x^(k-1) gcd(r, r'):
     only r goes through the gcd.
+
+    When q = _crt_prime(0) divides neither leading coefficient, the monic
+    gcd h of r and r' mod q has degree at least that of G = gcd(r, r') over
+    Q, which divides it mod q.  A constant h proves r squarefree.  Otherwise
+    h, lifted to balanced residues, is G when it divides r and r' exactly:
+    then it divides G, its degree is no smaller, and both are primitive
+    with a positive leading coefficient.  This is the modular gcd with a
+    trial division (Brown 1971); the primitive-PRS gcd decides the rest.
     """
     k = next(i for i, c in enumerate(ip) if c)
     r = ip[k:]
     dr = polys.derivative(r)
-    # Cheap one-sided screen: a constant gcd mod q proves a constant gcd
-    # over Q when q divides neither leading coefficient.
     q = _crt_prime(0)
-    if not dr or (r[-1] % q and dr[-1] % q and polys.degree(polys.poly_gcd_mod(r, dr, q)) == 0):
-        g = [0] * (k - 1) + [1]  # x^(k-1), or 1 when k = 0
+    if not dr:
+        G = [1]
+    elif r[-1] % q and dr[-1] % q:
+        G = [polys.symmetric_residue(c, q) for c in polys.poly_gcd_mod(r, dr, q)]
+        if polys.degree(G) and (polys.pseudo_rem(r, G) or polys.pseudo_rem(dr, G)):
+            G = polys.gcd_int(r, dr)
     else:
-        g = [0] * (k - 1) + polys.gcd_int(r, dr)
+        G = polys.gcd_int(r, dr)
+    g = [0] * (k - 1) + G  # x^(k-1) G; G alone when k = 0
     return g if polys.degree(g) else None
 
 

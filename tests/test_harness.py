@@ -128,6 +128,49 @@ def test_census_n7_count():
     assert (c.total, c.simple_count) == (2_097_152, 1_687_140)
 
 
+# Simple graphs on n vertices, from the per-graph kernel the bordered pass
+# replaced.
+SIMPLE_GRAPHS = {2: 1, 3: 6, 4: 30, 5: 750, 6: 20_340, 7: 1_687_140}
+
+
+def _count_repeated_factor(monkeypatch):
+    calls = []
+    real = harness.repeated_factor
+    monkeypatch.setattr(harness, "repeated_factor", lambda ip: calls.append(ip) or real(ip))
+    return calls
+
+
+def test_census_routes_only_unsettled_rows_to_the_gcd(monkeypatch):
+    # The screen proves every simple distinct char poly and x^2 | p settles
+    # 10, 57 and 243 more, so only 9 of 33, 36 of 151 and 191 of 988 reach
+    # repeated_factor.
+    calls = _count_repeated_factor(monkeypatch)
+    for n, reached in {5: 9, 6: 36, 7: 191}.items():
+        calls.clear()
+        assert exhaustive_census(n, workers=1).simple_count == SIMPLE_GRAPHS[n]
+        assert len(calls) == reached, n
+
+
+@pytest.mark.parametrize("q, reached", [(11, 458), (13, 405)])
+def test_census_counts_at_a_small_screen_prime(monkeypatch, q, reached):
+    # A small screen prime misses more rows, and repeated_factor decides
+    # them: the counts stay, with 458 of 988 rows to the gcd at q = 11.
+    monkeypatch.setattr(harness, "_crt_prime", lambda i: q)
+    calls = _count_repeated_factor(monkeypatch)
+    for n, simple in SIMPLE_GRAPHS.items():
+        assert exhaustive_census(n, workers=1).simple_count == simple, n
+    assert len({tuple(ip) for ip in calls if len(ip) == 8}) == reached
+
+
+def test_distinct_rows_matches_np_unique():
+    rng = np.random.default_rng(3)
+    small = rng.integers(-3, 4, (2000, 5))
+    for rows in (small, small * (1 << 40), np.array([[-(1 << 15)] * 3, [(1 << 15) - 1] * 3])):
+        distinct, mult = harness._distinct_rows(rows)
+        keys, counts = np.unique(rows, axis=0, return_counts=True)
+        assert np.array_equal(distinct, keys) and np.array_equal(mult, counts)
+
+
 @pytest.mark.parametrize("n", range(1, 6))
 def test_graph_stack_matches_graph_from_index(n):
     total = 1 << (n * (n - 1) // 2)

@@ -775,15 +775,46 @@ def _unstripped_factor(ip):
     return g if polys.degree(g) else None
 
 
-def test_repeated_factor_strips_root_zero():
-    # x^k r with r(0) != 0 gives x^(k-1) gcd(r, r'): equal to the gcd of the
-    # whole polynomial on every census char poly for n <= 6 and on seeded
-    # G(n, 2/25) draws.
-    ips = {
-        tuple(row[::-1])
-        for n in range(1, 7)
-        for row in spectrum.char_polys_stack(graph_stack(n, 0, 1 << n * (n - 1) // 2)).tolist()
-    }
+def _unique_rows(rows):
+    """Distinct rows of a 2-D int64 array, sorted as opaque bytes: an oracle
+    independent of the census's lexsort dedupe."""
+    w = rows.shape[1]
+    keys = np.unique(np.ascontiguousarray(rows).view(f"V{w * 8}")[:, 0])
+    return keys.view(np.int64).reshape(-1, w)
+
+
+@pytest.fixture(scope="module")
+def graph_char_polys():
+    """{n: (D, n + 1) distinct char poly rows [c_0..c_n]} over every graph
+    on n <= 7 vertices; n = 7 by bordering the 6-vertex graphs in stacks."""
+    rows = {n: _unique_rows(spectrum.char_polys_stack(graph_stack(n, 0, 1 << n * (n - 1) // 2)))
+            for n in range(1, 7)}
+    X = (np.arange(64)[:, None] >> np.arange(6)) & 1
+    parts = [spectrum.char_polys_bordered(graph_stack(6, a, a + 1024), X) for a in range(0, 1 << 15, 1024)]
+    rows[7] = _unique_rows(np.concatenate([_unique_rows(r) for r in parts]))
+    assert {n: len(r) for n, r in rows.items()} == {1: 1, 2: 2, 3: 4, 4: 11, 5: 33, 6: 151, 7: 988}
+    return rows
+
+
+def _counting(monkeypatch, module, name):
+    """Wrap module.name so that each call's arguments are kept; returns the
+    list they go to."""
+    calls = []
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
+def test_repeated_factor_strips_root_zero(monkeypatch, graph_char_polys):
+    # x^k r with r(0) != 0 gives x^(k-1) gcd(r, r'): equal to the PRS gcd of
+    # the whole polynomial on every graph char poly for n <= 7 and on seeded
+    # G(n, 2/25) draws.  On the graphs the lifted mod-q gcd always passes
+    # its trial division, so the PRS never runs.
+    ips = {tuple(row[::-1]) for rows in graph_char_polys.values() for row in rows.tolist()}
+    calls = _counting(monkeypatch, polys, "gcd_int")
+    for ip in ips:
+        spectrum.repeated_factor(list(ip))
+    assert not calls
     ips |= {
         tuple(spectrum._integer_charpoly(sample_matrix(SPARSE_50, n, trial_rng(5, n)).num)[::-1])
         for n in range(10, 51, 4)
@@ -800,6 +831,66 @@ def test_repeated_factor_strips_root_zero():
     assert spectrum.repeated_factor([0, 1]) is None  # x
     assert spectrum.repeated_factor([0, 0, -2, 0, 2]) == [0, 1]  # 2x^2(x^2 - 1)
     assert spectrum.repeated_factor([0, 0, 1, -2, 1]) == [0, -1, 1]  # x^2(x - 1)^2
+
+
+def _poly_product(*roots):
+    """prod (x - a) over roots, constant term first."""
+    p = [1]
+    for a in roots:
+        p = [x - a * y for x, y in zip([0] + p, p + [0])]
+    return p
+
+
+def test_repeated_factor_lift_misses_go_to_prs(monkeypatch):
+    q = spectrum._crt_prime(0)
+    calls = _counting(monkeypatch, polys, "gcd_int")
+    # (x - 1)(x - 1 - q) is squarefree over Q, but (x - 1)^2 mod q: the lift
+    # x - 1 does not divide r' = 2x - 2 - q, and the PRS says squarefree.
+    assert spectrum.repeated_factor(_poly_product(1, 1 + q)) is None
+    assert len(calls) == 1
+    # (x - c)^2 (x + 1) with c > q / 2: the balanced lift is x - (c - q),
+    # which misses, and the PRS finds x - c.
+    c = q // 2 + 7
+    assert spectrum.repeated_factor(_poly_product(c, c, -1)) == [-c, 1]
+    assert len(calls) == 2
+    # A lift that holds skips the PRS: (x - 3)^2 (x + 1).
+    assert spectrum.repeated_factor(_poly_product(3, 3, -1)) == [-3, 1]
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("q", [spectrum._crt_prime(0), 11, 13, 101])
+def test_squarefree_screen_sound(graph_char_polys, q):
+    # proved implies squarefree and square implies not, on every graph char
+    # poly with n <= 7, also at small primes where the screen misses more.
+    for n, rows in graph_char_polys.items():
+        proved, square = spectrum.squarefree_screen(rows, q)
+        simple = np.array([spectrum.repeated_factor(r[::-1]) is None for r in rows.tolist()])
+        assert not (proved & ~simple).any(), (n, rows[proved & ~simple])
+        assert not (square & simple).any(), (n, rows[square & simple])
+        if q == spectrum._crt_prime(0):  # the census's prime proves every simple row
+            assert np.array_equal(proved, simple), n
+
+
+def test_squarefree_screen_refuses_int64_wrap_and_small_q():
+    rows = np.zeros((3, 8), dtype=np.int64).view(_Untouchable)  # n = 7
+    wide = isqrt((1 << 62) - 1) + 1  # 2 q^2 >= 2^63 first here
+    assert 2 * (wide - 1) ** 2 < 1 << 63 <= 2 * wide**2
+    for q in (wide, 7, 2):
+        with pytest.raises(PreconditionError):
+            spectrum.squarefree_screen(rows, q)
+
+
+def test_squarefree_screen_reduces_before_products(graph_char_polys):
+    # Rows shifted by multiples of q to near 2^62 are the same mod q, so
+    # they screen the same: nothing wraps before the reduction.
+    q = spectrum._crt_prime(0)
+    rows = graph_char_polys[7]
+    shift = (1 << 62) // q * q
+    top = int(rows.max()) + shift
+    assert top < 1 << 63 <= top * 7  # p' = degrees * rows would wrap
+    assert np.array_equal(
+        spectrum.squarefree_screen(rows + shift, q)[0], spectrum.squarefree_screen(rows, q)[0]
+    )
 
 
 def test_simplicity_zero_2x2():
