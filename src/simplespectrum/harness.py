@@ -13,16 +13,21 @@ is g with the remainder of that division.
 
 The census is bordered, as Tao-Vu's argument is: every graph on n vertices
 is one graph A' on n - 1 vertices plus a 0/1 border b, and
-det(xI - A) = x p_{A'}(x) - b^T adj(xI - A') b.  So one exact int64
-Faddeev-LeVerrier pass over stacks of the (n - 1)-vertex graphs, whose
-intermediates are the coefficients of adj(xI - A'), gives the char polys
-of all 2^(n-1) borders of each as quadratic forms.  Each stack is
-deduplicated exactly by a lexsort, and one remainder sequence of p and p'
-mod q, run on all its distinct rows at once, proves every simple one
+det(xI - A) = x p_{A'}(x) - b^T adj(xI - A') b.  Relabeling the vertices
+keeps the spectrum: for pi in S_(n-1), (A', b) -> (pi A' pi^T, pi b) is a
+bijection on the borders that keeps det(xI - A).  So only one minor per
+isomorphism class is bordered (matrices.graph_orbits: 156 of the 32,768
+graphs on 6 vertices, 1,044 of the 2,097,152 on 7), and each of its rows
+counts as many graphs as its orbit holds.  One exact int64
+Faddeev-LeVerrier pass over stacks of these minors, whose intermediates
+are the coefficients of adj(xI - A'), gives the char polys of all 2^(n-1)
+borders of each as quadratic forms.  Each stack is deduplicated exactly by
+a lexsort that sums the orbit weights, and one remainder sequence of p and
+p' mod q, run on all its distinct rows at once, proves every simple one
 squarefree; x^2 | p marks more as non-simple.  Only the rest (36 of the
 151 distinct char polys at n = 6, 191 of 988 at n = 7) reach
-repeated_factor.  n = 6 takes about 0.012 s and n = 7 about 0.7 s on one
-core.
+repeated_factor.  On one core n = 7 takes about 0.02 s and n = 8 about
+0.6 s, two thirds of it the orbit table of the 7-vertex graphs.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from .errors import PreconditionError
 from .matrices import (
     EnsembleSpec,
     SymmetricMatrix,
+    graph_orbits,
     graph_stack,
     sample_matrix,
     trial_rng,
@@ -155,18 +161,18 @@ def _summary(successes: int, trials: int, seed: int, t0: float) -> ExperimentSum
     )
 
 
-# About this many n-vertex graphs per stack: a stack holds
-# max(1, _CENSUS_BATCH >> (n - 1)) graphs on n - 1 vertices, each with all
-# 2^(n - 1) borders.  At n = 8 a stack's char poly rows are 4.7 MB.
+# About this many char poly rows per stack: a stack holds
+# max(1, _CENSUS_BATCH >> (n - 1)) orbit representatives on n - 1 vertices,
+# each with all 2^(n - 1) borders.  At n = 8 a stack's rows are 4.7 MB.
 _CENSUS_BATCH = 1 << 16
 
 
-def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _distinct_rows(rows: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of a 2-D int64 array, in lexicographic order, and
-    their multiplicities, exactly, with no hashing: np.lexsort over the
-    columns, then a compare of adjacent sorted keys.  Entries that all fit
-    int16 sort as int16, which numpy's stable sort takes by radix, about 4x
-    faster than int64."""
+    the sum of the int64 `weights` over the copies of each, exactly, with
+    no hashing: np.lexsort over the columns, then a compare of adjacent
+    sorted keys.  Entries that all fit int16 sort as int16, which numpy's
+    stable sort takes by radix, about 4x faster than int64."""
     keys = rows.T
     if -(1 << 15) <= rows.min() and rows.max() < 1 << 15:
         keys = keys.astype(np.int16)
@@ -176,53 +182,61 @@ def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     new[0] = True
     np.any(s[:, 1:] != s[:, :-1], axis=0, out=new[1:])
     starts = np.flatnonzero(new)
-    return rows[order[starts]], np.diff(starts, append=len(order))
+    return rows[order[starts]], np.add.reduceat(weights[order], starts)
 
 
 def _census_chunk(args) -> int:
     """Simple graphs among those on n vertices whose (n - 1)-vertex minor
-    graph_from_index(n - 1, i) has i in [start, stop): char polys stack by
-    stack in one exact int64 bordered pass, deduplicated, and the distinct
-    rows decided at once by the mod-q remainder-sequence screen.  Rows the
-    screen cannot settle get one repeated_factor call per distinct char
-    poly, weighted by its multiplicity across the stacks."""
+    lies in the S_(n-1)-orbit of a representative graph_orbits(n - 1)[0][i]
+    with i in [start, stop): the representatives' char polys stack by stack
+    in one exact int64 bordered pass, each row weighted by its orbit's
+    size, deduplicated, and the distinct rows decided at once by the mod-q
+    remainder-sequence screen.  Rows the screen cannot settle get one
+    repeated_factor call per distinct char poly, weighted by its total
+    weight across the stacks."""
     n, start, stop = args
+    reps, sizes = graph_orbits(n - 1)
     borders = (np.arange(1 << (n - 1))[:, None] >> np.arange(n - 1)) & 1
     step = max(1, _CENSUS_BATCH >> (n - 1))
     q = _crt_prime(0)
     simple, undecided = 0, Counter()
     for a in range(start, stop, step):
-        rows = char_polys_bordered(graph_stack(n - 1, a, min(a + step, stop)), borders)
-        distinct, mult = _distinct_rows(rows)
+        b = min(a + step, stop)
+        rows = char_polys_bordered(graph_stack(n - 1, reps[a:b]), borders)
+        distinct, weight = _distinct_rows(rows, np.repeat(sizes[a:b], len(borders)))
         proved, square = squarefree_screen(distinct, q)
-        simple += int(mult[proved].sum())
+        simple += int(weight[proved].sum())
         rest = ~(proved | square)
-        undecided.update(dict(zip(map(tuple, distinct[rest].tolist()), mult[rest].tolist())))
+        undecided.update(dict(zip(map(tuple, distinct[rest].tolist()), weight[rest].tolist())))
     return simple + sum(
-        m for cp, m in undecided.items() if repeated_factor(list(cp[::-1])) is None
+        w for cp, w in undecided.items() if repeated_factor(list(cp[::-1])) is None
     )
 
 
 def exhaustive_census(n: int, workers: int = 1) -> CensusResult:
     """Classify every graph on n vertices by exact spectral simplicity.
 
-    The (n - 1)-vertex graphs go through in stacks, each bordered with all
-    2^(n-1) 0/1 vectors by char_polys_bordered: one Faddeev-LeVerrier pass
-    in int64, whose overflow guard holds for every graph stack with
-    n <= 8 (1.5e9 < 2^63 at n = 8).  The distinct char polys of a stack
-    then go through squarefree_screen at once, and only those it leaves
-    undecided through repeated_factor, once each across the stacks.  Each
-    graph on n vertices is one (minor, border) pair, so each is counted
-    once, and workers split the minors.  n = 6 (32,768 graphs, 151
-    distinct char polys, 36 to repeated_factor) takes about 0.012 s, n = 7
-    (2,097,152 graphs, 988 distinct, 191 to repeated_factor) about 0.7 s
-    on one core, and n = 8 (268,435,456 graphs, 210,782,880 simple) about
-    113 s on two workers.
+    The (n - 1)-vertex graphs go through one per isomorphism class, the
+    least index of each S_(n-1)-orbit of graph_orbits, weighted by the
+    orbit's size.  They go in stacks, each bordered with all 2^(n-1) 0/1
+    vectors by char_polys_bordered: one Faddeev-LeVerrier pass in int64,
+    whose overflow guard holds for every graph stack with n <= 8
+    (1.5e9 < 2^63 at n = 8).  The distinct char polys of a stack then go
+    through squarefree_screen at once, and only those it leaves undecided
+    through repeated_factor, once each across the stacks.  Each graph on n
+    vertices is one (minor, border) pair, and the pairs whose minor lies in
+    an orbit of size s carry s times the char polys of the representative's
+    borders, so the weighted count is exact; workers split the
+    representatives.  On one core of a 2-vCPU VM, n = 6 (32,768 graphs,
+    151 distinct char polys, 36 to repeated_factor) takes about 0.003 s,
+    n = 7 (2,097,152 graphs, 988 distinct, 191 to repeated_factor) about
+    0.02 s, and n = 8 (268,435,456 graphs, 210,782,880 simple) about 0.6 s
+    at a peak RSS of 110 MB, 0.4 s of it building graph_orbits(7).
     """
     if not 2 <= n <= 8:
         raise PreconditionError("census supports 2 <= n <= 8")
     total = 1 << (n * (n - 1) // 2)
-    simple = _dispatch(_census_chunk, (n,), 1 << ((n - 1) * (n - 2) // 2), workers)
+    simple = _dispatch(_census_chunk, (n,), len(graph_orbits(n - 1)[0]), workers)
     return CensusResult(
         n=n, total=total, simple_count=simple, nonsimple_count=total - simple
     )

@@ -1,4 +1,5 @@
-"""Exact symmetric matrices: sampling and graph adjacency indexing.
+"""Exact symmetric matrices: sampling, graph adjacency indexing, and the
+isomorphism classes of the graphs so indexed.
 
 A matrix is an integer numerator array `num` over one denominator `den`:
 int64 when every entry fits, Python ints (dtype=object) otherwise, so the
@@ -209,17 +210,78 @@ def graph_from_index(n: int, index: int) -> SymmetricMatrix:
     return _symmetric_fill(n, bits.astype(np.int64), np.zeros(n, dtype=np.int64))
 
 
-def graph_stack(n: int, start: int, stop: int) -> np.ndarray:
-    """int64 (stop - start, n, n) stack of graph_from_index(n, i).num for
-    i in [start, stop), built without a SymmetricMatrix per graph."""
+def graph_stack(n: int, indices) -> np.ndarray:
+    """int64 (len(indices), n, n) stack of graph_from_index(n, i).num for
+    i in `indices`, in their order, repeats kept (a run is range(a, b)),
+    built without a SymmetricMatrix per graph."""
     nbits = n * (n - 1) // 2
     if n < 1 or nbits > 62:
         raise PreconditionError("graph_stack needs 1 <= n <= 11")
-    if not 0 <= start <= stop <= 1 << nbits:
-        raise PreconditionError(f"range [{start}, {stop}) out of range for n={n}")
-    bits = (np.arange(start, stop, dtype=np.int64)[:, None] >> np.arange(nbits)) & 1
-    A = np.zeros((stop - start, n, n), dtype=np.int64)
+    idx = np.asarray(indices, dtype=np.int64)
+    if idx.ndim != 1:
+        raise PreconditionError("graph_stack needs a 1-D sequence of indices")
+    if len(idx) and not (0 <= idx.min() and idx.max() < 1 << nbits):
+        raise PreconditionError(f"indices out of range [0, 2^{nbits}) for n={n}")
+    bits = (idx[:, None] >> np.arange(nbits)) & 1
+    A = np.zeros((len(idx), n, n), dtype=np.int64)
     iu = _upper_indices(n)
     A[:, iu[0], iu[1]] = bits
     A[:, iu[1], iu[0]] = bits
     return A
+
+
+def _swap_adjacent(m: int, i: int, x: np.ndarray) -> np.ndarray:
+    """The indices of the graphs x on m vertices with vertices i and i + 1
+    swapped.  The swap is an involution on the edge bits, so each pair of
+    bits k < d it exchanges is one delta swap, done at once for all pairs
+    with the same shift d - k."""
+    iu = _upper_indices(m)
+    pos = np.zeros((m, m), dtype=np.int64)
+    pos[iu] = pos[iu[1], iu[0]] = np.arange(len(iu[0]))
+    swap = np.arange(m)
+    swap[[i, i + 1]] = i + 1, i
+    masks = {}
+    for k, d in enumerate(pos[swap[iu[0]], swap[iu[1]]].tolist()):
+        if d > k:
+            masks[d - k] = masks.get(d - k, 0) | 1 << k
+    for shift, mask in masks.items():
+        t = ((x >> shift) ^ x) & mask
+        x = x ^ (t | t << shift)
+    return x
+
+
+@lru_cache(maxsize=8)
+def graph_orbits(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The S_m-orbits of the graphs graph_from_index(m, i) under relabeling
+    of the vertices: the least index of each orbit, ascending, and the size
+    of that orbit, as read-only int64 arrays built once per m.
+
+    The adjacent transpositions (i, i + 1) generate S_m, so the orbits are
+    the components of the graph on indices that joins x to each of its m - 1
+    swaps.  Every index starts labeled by itself; a round lowers each label
+    to the least across those edges and then jumps it to its label's label.
+    A label is always an index of the same orbit and at most its own, so at
+    the fixed point it is the orbit's least index.  The labels are int32
+    arrays of 2^(m(m-1)/2) entries: m = 7 (2,097,152 graphs, 1,044 orbits)
+    takes about 0.4 s and 80 MB on a 2-vCPU VM, and m = 8 would need 2^28
+    labels, so it is refused.
+    """
+    if not 0 <= m <= 7:
+        raise PreconditionError("graph_orbits needs 0 <= m <= 7")
+    idx = np.arange(1 << m * (m - 1) // 2, dtype=np.int32)
+    swaps = [_swap_adjacent(m, i, idx) for i in range(m - 1)]
+    label = idx
+    while True:
+        new = label.copy()
+        for s in swaps:
+            np.minimum(new, new[s], out=new)
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    del swaps, new  # 56 MB at m = 7, freed before bincount's 16 MB
+    reps = np.flatnonzero(label == idx)
+    sizes = np.bincount(label)[reps]
+    for a in (reps, sizes):
+        a.flags.writeable = False
+    return reps, sizes

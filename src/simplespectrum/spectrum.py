@@ -325,10 +325,10 @@ def char_polys_bordered(A: np.ndarray, X: np.ndarray) -> np.ndarray:
     coefficient of x^(m-1-k) in the quadratic form is q_k = b^T B_k b, for
     all borders one int64 matmul of B_k against the outer products b b^T,
     subtracted from x p_{A'} at column k + 2.  For graphs, with
-    A = graph_stack(m, start, stop) and X[j] the bits of j < 2^m, bit i at
-    x_i, row (s - start) 2^m + j is the char poly of
+    A = graph_stack(m, range(start, stop)) and X[j] the bits of j < 2^m,
+    bit i at x_i, row (s - start) 2^m + j is the char poly of
     graph_from_index(m + 1, s 2^m + j): the rows are those of
-    char_polys_stack(graph_stack(m + 1, start 2^m, stop 2^m)).
+    char_polys_stack(graph_stack(m + 1, range(start 2^m, stop 2^m))).
 
     With r = max(1, m max |a_ij|) and b = max |x_i|, every B_k has entries of
     at most 2^m r^(m-1), as in char_polys_stack, so each partial sum of a

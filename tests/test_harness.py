@@ -117,7 +117,7 @@ def test_census_range_check():
 
 def test_census_worker_invariance():
     assert exhaustive_census(4, workers=1) == exhaustive_census(4, workers=3)
-    for n in (5, 6):
+    for n in (5, 6, 7):
         c = exhaustive_census(n, workers=1)
         assert exhaustive_census(n, workers=2) == c == exhaustive_census(n, workers=3)
 
@@ -126,6 +126,12 @@ def test_census_n7_count():
     # The count of the per-graph kernel this bordered pass replaced.
     c = exhaustive_census(7)
     assert (c.total, c.simple_count) == (2_097_152, 1_687_140)
+
+
+def test_census_n8_count():
+    # First counted over all 2^21 labeled 7-vertex minors, on two workers.
+    c = exhaustive_census(8)
+    assert (c.total, c.simple_count) == (268_435_456, 210_782_880)
 
 
 # Simple graphs on n vertices, from the per-graph kernel the bordered pass
@@ -166,20 +172,35 @@ def test_distinct_rows_matches_np_unique():
     rng = np.random.default_rng(3)
     small = rng.integers(-3, 4, (2000, 5))
     for rows in (small, small * (1 << 40), np.array([[-(1 << 15)] * 3, [(1 << 15) - 1] * 3])):
-        distinct, mult = harness._distinct_rows(rows)
-        keys, counts = np.unique(rows, axis=0, return_counts=True)
+        keys, inverse, counts = np.unique(rows, axis=0, return_inverse=True, return_counts=True)
+        distinct, mult = harness._distinct_rows(rows, np.ones(len(rows), dtype=np.int64))
         assert np.array_equal(distinct, keys) and np.array_equal(mult, counts)
+        weights = rng.integers(1, 5041, len(rows))
+        distinct, total = harness._distinct_rows(rows, weights)
+        assert np.array_equal(distinct, keys) and total.dtype == np.int64
+        assert total.tolist() == np.bincount(inverse, weights=weights).astype(np.int64).tolist()
 
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_graph_stack_matches_graph_from_index(n):
     total = 1 << (n * (n - 1) // 2)
-    A = graph_stack(n, 0, total)
+    A = graph_stack(n, range(total))
     assert A.dtype == np.int64 and A.shape == (total, n, n)
     for i in range(total):
         assert np.array_equal(A[i], graph_from_index(n, i).num)
     start = total // 3
-    assert np.array_equal(graph_stack(n, start, total), A[start:])
+    assert np.array_equal(graph_stack(n, range(start, total)), A[start:])
+    shuffled = np.random.default_rng(n).integers(0, total, 2 * total)  # unsorted, repeats
+    assert np.array_equal(graph_stack(n, shuffled), A[shuffled])
+    assert graph_stack(n, []).shape == (0, n, n)
+
+
+def test_graph_stack_rejects_bad_indices():
+    for indices in ([-1], [64], [[0, 1]]):
+        with pytest.raises(PreconditionError):
+            graph_stack(4, indices)
+    with pytest.raises(PreconditionError):
+        graph_stack(12, [0])
 
 
 @pytest.mark.parametrize("batch", [1, 7])

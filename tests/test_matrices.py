@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -177,3 +179,69 @@ def test_upper_indices_built_once_and_read_only():
         assert not got.flags.writeable
         with pytest.raises(ValueError):
             got[0] = 1
+
+
+# Graphs on m vertices up to isomorphism (OEIS A000088), m = 0..7.
+UNLABELED_GRAPHS = [1, 1, 2, 4, 11, 34, 156, 1044]
+
+
+def _images(m, indices):
+    """(len(indices), m!) array: the index of each graph under every
+    permutation of its m vertices, by moving its edge bits."""
+    iu = np.triu_indices(m, 1)
+    pos = np.zeros((m, m), dtype=np.int64)
+    pos[iu] = pos[iu[::-1]] = np.arange(len(iu[0]))
+    perms = np.array(list(itertools.permutations(range(m))), dtype=np.int64)
+    perms = perms.reshape(math.factorial(m), m)
+    weights = 1 << pos[perms[:, iu[0]], perms[:, iu[1]]]
+    bits = (np.asarray(indices)[:, None] >> np.arange(len(iu[0]))) & 1
+    return bits @ weights.T
+
+
+@pytest.mark.parametrize("m", range(8))
+def test_graph_orbits_counts_and_sizes(m):
+    reps, sizes = matrices.graph_orbits(m)
+    assert reps.dtype == sizes.dtype == np.int64
+    assert len(reps) == len(sizes) == UNLABELED_GRAPHS[m]
+    assert int(sizes.sum()) == 1 << m * (m - 1) // 2
+    assert all(math.factorial(m) % s == 0 for s in sizes.tolist())
+    # Each representative is the least index of its orbit, whose size is the
+    # number of distinct images; so the orbits are disjoint, and by the sum
+    # above they cover every graph.
+    images = np.sort(_images(m, reps), axis=1)
+    assert np.array_equal(images[:, 0], reps)
+    assert np.array_equal((np.diff(images, axis=1) != 0).sum(axis=1) + 1, sizes)
+
+
+def _graph_index(M):
+    """The index i with graph_from_index(M.n, i) == M: its upper-triangular
+    bits, row-major, read back."""
+    bits = M.num[np.triu_indices(M.n, 1)].tolist()
+    return sum(b << k for k, b in enumerate(bits))
+
+
+@pytest.mark.parametrize("m", range(1, 6))
+def test_graph_orbits_match_brute_force(m):
+    # Every permutation applied to one graph of each orbit in turn.
+    seen, reps, sizes = set(), [], []
+    for i in range(1 << m * (m - 1) // 2):
+        if i in seen:
+            continue
+        G = graph_from_index(m, i)
+        orbit = {_graph_index(G.permuted(p)) for p in itertools.permutations(range(m))}
+        assert min(orbit) == i
+        seen |= orbit
+        reps.append(i)
+        sizes.append(len(orbit))
+    got = matrices.graph_orbits(m)
+    assert got[0].tolist() == reps and got[1].tolist() == sizes
+
+
+def test_graph_orbits_built_once_and_read_only():
+    table = matrices.graph_orbits(5)
+    assert table is matrices.graph_orbits(5)
+    for a in table:
+        assert not a.flags.writeable
+    for m in (-1, 8):
+        with pytest.raises(PreconditionError):
+            matrices.graph_orbits(m)

@@ -259,7 +259,7 @@ def test_char_polys_stack_matches_per_matrix_kernel(n):
 
 def test_char_polys_stack_matches_lanczos_on_every_graph_n_le_6():
     for n in range(1, 7):
-        A = graph_stack(n, 0, 1 << n * (n - 1) // 2)
+        A = graph_stack(n, range(1 << n * (n - 1) // 2))
         assert spectrum.char_polys_stack(A).tolist() == [spectrum._integer_charpoly(a) for a in A], n
 
 
@@ -330,11 +330,11 @@ def test_char_polys_bordered_is_char_polys_stack_on_every_graph(n):
     # bits of j at vertex 0, so the rows agree in order, not just as a
     # multiset, over the whole range and over any range of minors.
     m, total = n - 1, 1 << (n - 1) * (n - 2) // 2
-    want = spectrum.char_polys_stack(graph_stack(n, 0, total << m))
-    got = spectrum.char_polys_bordered(graph_stack(m, 0, total), _all_borders(m))
+    want = spectrum.char_polys_stack(graph_stack(n, range(total << m)))
+    got = spectrum.char_polys_bordered(graph_stack(m, range(total)), _all_borders(m))
     assert np.array_equal(got, want)
     a, b = total // 3, total - total // 4
-    part = spectrum.char_polys_bordered(graph_stack(m, a, b), _all_borders(m))
+    part = spectrum.char_polys_bordered(graph_stack(m, range(a, b)), _all_borders(m))
     assert np.array_equal(part, want[a << m:b << m])
 
 
@@ -446,7 +446,7 @@ def test_tridiagonal_recurrence_n1_and_zero_couplings():
 
 def test_char_polys_stack_exact_or_refused():
     rng = np.random.default_rng(3)
-    A = np.concatenate([_mixed_stack(5, rng)[[0, 1, 2]], graph_stack(5, 1020, 1024)])
+    A = np.concatenate([_mixed_stack(5, rng)[[0, 1, 2]], graph_stack(5, range(1020, 1024))])
     got = spectrum.char_polys_stack(A)
     assert got.tolist() == [spectrum._integer_charpoly(a) for a in A]
     # One entry of 10^6 at n = 5 may overflow int64.
@@ -787,10 +787,10 @@ def _unique_rows(rows):
 def graph_char_polys():
     """{n: (D, n + 1) distinct char poly rows [c_0..c_n]} over every graph
     on n <= 7 vertices; n = 7 by bordering the 6-vertex graphs in stacks."""
-    rows = {n: _unique_rows(spectrum.char_polys_stack(graph_stack(n, 0, 1 << n * (n - 1) // 2)))
+    rows = {n: _unique_rows(spectrum.char_polys_stack(graph_stack(n, range(1 << n * (n - 1) // 2))))
             for n in range(1, 7)}
     X = (np.arange(64)[:, None] >> np.arange(6)) & 1
-    parts = [spectrum.char_polys_bordered(graph_stack(6, a, a + 1024), X) for a in range(0, 1 << 15, 1024)]
+    parts = [spectrum.char_polys_bordered(graph_stack(6, range(a, a + 1024)), X) for a in range(0, 1 << 15, 1024)]
     rows[7] = _unique_rows(np.concatenate([_unique_rows(r) for r in parts]))
     assert {n: len(r) for n, r in rows.items()} == {1: 1, 2: 2, 3: 4, 4: 11, 5: 33, 6: 151, 7: 988}
     return rows
