@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -288,6 +289,49 @@ def test_refine_deterministic():
     a = refine_structure(V, RAD, PARAMS)
     b = refine_structure(V, RAD, PARAMS)
     assert a == b
+
+
+PIN_PARAMS = StructureParams(A=2.0, eps=0.2, d0=3, C0=F(100))
+
+
+def _pin_family():
+    """Seeded structured vectors: rank 1 (g·k, k = ±1, ±2) at lengths 16, 24
+    and 32, rank 2 (g1·a + g2·b, a in {-1, 0, 1}, b = ±1, g2 a prime in
+    97..107 over 1..3) at lengths 16..24, and rank 1 at n = 120."""
+    rng = np.random.default_rng(2020)
+
+    def gen():
+        return F(int(rng.integers(1, 10)), int(rng.integers(1, 6)))
+
+    def rank1(n):
+        g = gen()
+        return [g * int(k) for k in rng.choice([-2, -1, 1, 2], n)]
+
+    def rank2(n):
+        g1 = gen()
+        g2 = F(int(rng.choice([97, 101, 103, 107])), int(rng.integers(1, 4)))
+        a, b = rng.integers(-1, 2, n), rng.choice([-1, 1], n)
+        return [g1 * int(x) + g2 * int(y) for x, y in zip(a, b)]
+
+    small = [rank1(n) for n in (16, 24, 32) for _ in range(2)]
+    small += [rank2(n) for n in (16, 19, 22, 24) for _ in range(2)]
+    return small, [rank1(120) for _ in range(6)]
+
+
+# sha256 of repr([(report, report.certificates), ...]) over _pin_family(),
+# as refine_structure gave them with one small_ball_exact per subset visited.
+REFINE_SHA256 = "fa46e0c9f7afe71f38df4ae9d481a937e28d3fcc08f3126c2c167efa5bc05b6d"
+
+
+def test_refine_reports_pinned():
+    small, large = _pin_family()
+    reports = [refine_structure(WeightVector.exact(v), RAD, PIN_PARAMS) for v in small + large]
+    for r in reports[len(small):]:
+        # More subsets than the exhaustive limit: the sampled branch runs.
+        w = len(r.w_indices)
+        assert math.comb(w, math.floor(PIN_PARAMS.eps * w)) > 10**5
+    records = [(r, r.certificates) for r in reports]
+    assert hashlib.sha256(repr(records).encode()).hexdigest() == REFINE_SHA256
 
 
 def _mutate(report, **kwargs):
