@@ -15,7 +15,11 @@ refine_structure runs the iterative loop: cover the vector, look for a
 small stability subset whose concentration stays below n^(d0*eps) times
 the current level, and if none exists re-cover with a tighter GAP at a
 geometrically boosted level.  The level grows past 1 in O(1) rounds, so
-the loop terminates at the stability step.
+the loop terminates at the stability step.  The xi_i are i.i.d., so
+p(W') = sup_x P(sum xi_i w_i = x) depends only on the multiset of W'
+values, and a GAP-covered W takes few distinct values: the stability
+search runs one exact small-ball per distinct multiset, not one per
+subset.
 """
 
 from __future__ import annotations
@@ -245,6 +249,16 @@ def refine_structure(
 ) -> StructureReport:
     """Iterative refinement for a rich exact vector.
 
+    The stability search keys each subset W' by the sorted class ids of
+    its values (equal values share an id).  The xi_i are i.i.d., so p(W')
+    depends only on that multiset, and small_ball_exact runs once per key;
+    later subsets with the key reuse float(p).  Whether the support cap is
+    exceeded depends on the multiset too.  Subsets are still visited in
+    _stability_subsets order, so the first passing subset, the report and
+    any raised error are those of one call per subset.  The memo lives for
+    this call only, since p also depends on d, and holds at most one entry
+    per subset visited: at most 10^5 per stability round.
+
     Raises PreconditionError when V is not rich at exponent params.A, and
     SearchBudgetError when either the stability search or a covering
     search exhausts its budget, or a cover leaves no coordinate in W.
@@ -275,6 +289,9 @@ def refine_structure(
         raise SearchBudgetError("initial covering-GAP search failed")
     gap_i, w_idx = first
     p_i = p1
+    classes: dict = {}
+    class_of = [classes.setdefault(v, len(classes)) for v in V.entries]
+    p_of: dict[tuple[int, ...], float] = {}
     max_iters = math.ceil(2 * params.A / eps) + 2
 
     for iteration in range(max_iters):
@@ -288,12 +305,15 @@ def refine_structure(
         threshold = n_i ** (d0 * eps) * float(p_i)
         for subset in _stability_subsets(n_i, k_i, params.seed):
             wprime = tuple(w_idx[j] for j in subset)
-            res = smallball.small_ball_exact(
-                WeightVector.exact([V.entries[i] for i in wprime]),
-                d,
-                cap=params.sum_cap,
-            )
-            if float(res.p) <= threshold:
+            key = tuple(sorted(class_of[i] for i in wprime))
+            if key not in p_of:
+                res = smallball.small_ball_exact(
+                    WeightVector.exact([V.entries[i] for i in wprime]),
+                    d,
+                    cap=params.sum_cap,
+                )
+                p_of[key] = float(res.p)
+            if p_of[key] <= threshold:
                 report = StructureReport(
                     w_indices=tuple(w_idx), wprime_indices=wprime, p=p_i, gap=gap_i
                 )

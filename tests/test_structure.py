@@ -1,16 +1,20 @@
 import hashlib
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from simplespectrum import gaps, structure
-from simplespectrum.dist import rademacher
+from simplespectrum import gaps, smallball, structure
+from simplespectrum.dist import make_distribution, rademacher
 from simplespectrum.errors import CapExceededError, PreconditionError, SearchBudgetError
 from simplespectrum.gaps import Gap, volume
 from simplespectrum.smallball import WeightVector, small_ball_exact
@@ -26,6 +30,7 @@ from simplespectrum.structure import (
     verify_report,
 )
 
+ROOT = Path(__file__).resolve().parents[1]
 F = Fraction
 RAD = rademacher()
 PARAMS = StructureParams(A=1.0, eps=0.2, d0=3, C0=F(10))
@@ -332,6 +337,78 @@ def test_refine_reports_pinned():
         assert math.comb(w, math.floor(PIN_PARAMS.eps * w)) > 10**5
     records = [(r, r.certificates) for r in reports]
     assert hashlib.sha256(repr(records).encode()).hexdigest() == REFINE_SHA256
+
+
+def _record_small_ball(monkeypatch):
+    """Route small_ball_exact through a recorder of each call's sorted values."""
+    calls = []
+    real = smallball.small_ball_exact
+
+    def recording(V, d, cap=smallball.DEFAULT_SUM_CAP):
+        calls.append(tuple(sorted(V.entries)))
+        return real(V, d, cap)
+
+    monkeypatch.setattr(smallball, "small_ball_exact", recording)
+    return calls
+
+
+def test_refine_small_ball_once_per_value_multiset(monkeypatch):
+    calls = _record_small_ball(monkeypatch)
+    for values in _pin_family()[0]:
+        calls.clear()
+        try:
+            refine_structure(WeightVector.exact(values), RAD, PIN_PARAMS)
+        except SearchBudgetError:
+            continue
+        # The first call is is_rich's, the last verify_report's.
+        stability = calls[1:-1]
+        assert stability and len(set(stability)) == len(stability), values
+
+
+def test_refine_skips_repeated_value_multisets(monkeypatch):
+    calls = _record_small_ball(monkeypatch)
+    visited = []
+    real = structure._stability_subsets
+
+    def counting(n_i, k_i, seed):
+        for subset in real(n_i, k_i, seed):
+            visited.append(subset)
+            yield subset
+
+    monkeypatch.setattr(structure, "_stability_subsets", counting)
+    values = _pin_family()[0][-1]  # rank 2, length 24
+    refine_structure(WeightVector.exact(values), RAD, PIN_PARAMS)
+    assert len(calls) - 2 < len(visited), (len(calls), len(visited))
+
+
+SKEW = make_distribution([-1, 0, 1], [F(1, 3), F(1, 6), F(1, 2)])
+LAWS = {"rad": RAD, "skew": SKEW}
+
+
+def _refine_repr(law):
+    values = _pin_family()[0][-1]
+    r = refine_structure(WeightVector.exact(values), LAWS[law], PIN_PARAMS)
+    return repr((r, r.certificates))
+
+
+def test_refine_memo_is_per_call():
+    # p(W') depends on the law as well as on the values, so state kept from
+    # one call, or keyed on values alone, would hand one law's p to the
+    # other.  Each law's report alone comes from a fresh interpreter.
+    env = dict(os.environ)
+    paths = [str(ROOT / "src"), str(ROOT / "tests"), env.get("PYTHONPATH")]
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, paths))
+    alone = {}
+    for law in LAWS:
+        script = f"import test_structure as t; print(t._refine_repr({law!r}))"
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, capture_output=True, text=True, timeout=300, check=True,
+        )
+        alone[law] = proc.stdout.strip()
+    assert alone["rad"] != alone["skew"]
+    for order in (("rad", "skew"), ("skew", "rad")):
+        assert [_refine_repr(law) for law in order] == [alone[law] for law in order]
 
 
 def _mutate(report, **kwargs):
