@@ -302,7 +302,7 @@ PIN_PARAMS = StructureParams(A=2.0, eps=0.2, d0=3, C0=F(100))
 def _pin_family():
     """Seeded structured vectors: rank 1 (g·k, k = ±1, ±2) at lengths 16, 24
     and 32, rank 2 (g1·a + g2·b, a in {-1, 0, 1}, b = ±1, g2 a prime in
-    97..107 over 1..3) at lengths 16..24, and rank 1 at n = 120."""
+    97..107 over 1..3) at lengths 16, 19, 22 and 24, and rank 1 at n = 120."""
     rng = np.random.default_rng(2020)
 
     def gen():
@@ -339,23 +339,24 @@ def test_refine_reports_pinned():
     assert hashlib.sha256(repr(records).encode()).hexdigest() == REFINE_SHA256
 
 
-def _record_small_ball(monkeypatch):
-    """Route small_ball_exact through a recorder of each call's sorted values."""
-    calls = []
-    real = smallball.small_ball_exact
+def test_refine_small_ball_once_per_value_multiset(monkeypatch):
+    calls, visited = [], []
+    real_ball, real_subsets = smallball.small_ball_exact, structure._stability_subsets
 
     def recording(V, d, cap=smallball.DEFAULT_SUM_CAP):
         calls.append(tuple(sorted(V.entries)))
-        return real(V, d, cap)
+        return real_ball(V, d, cap)
+
+    def counting(n_i, k_i, seed):
+        for subset in real_subsets(n_i, k_i, seed):
+            visited.append(subset)
+            yield subset
 
     monkeypatch.setattr(smallball, "small_ball_exact", recording)
-    return calls
-
-
-def test_refine_small_ball_once_per_value_multiset(monkeypatch):
-    calls = _record_small_ball(monkeypatch)
+    monkeypatch.setattr(structure, "_stability_subsets", counting)
     for values in _pin_family()[0]:
         calls.clear()
+        visited.clear()
         try:
             refine_structure(WeightVector.exact(values), RAD, PIN_PARAMS)
         except SearchBudgetError:
@@ -363,22 +364,8 @@ def test_refine_small_ball_once_per_value_multiset(monkeypatch):
         # The first call is is_rich's, the last verify_report's.
         stability = calls[1:-1]
         assert stability and len(set(stability)) == len(stability), values
-
-
-def test_refine_skips_repeated_value_multisets(monkeypatch):
-    calls = _record_small_ball(monkeypatch)
-    visited = []
-    real = structure._stability_subsets
-
-    def counting(n_i, k_i, seed):
-        for subset in real(n_i, k_i, seed):
-            visited.append(subset)
-            yield subset
-
-    monkeypatch.setattr(structure, "_stability_subsets", counting)
-    values = _pin_family()[0][-1]  # rank 2, length 24
-    refine_structure(WeightVector.exact(values), RAD, PIN_PARAMS)
-    assert len(calls) - 2 < len(visited), (len(calls), len(visited))
+    # The last vector, rank 2 of length 24, repeats multisets.
+    assert len(stability) < len(visited), (len(stability), len(visited))
 
 
 SKEW = make_distribution([-1, 0, 1], [F(1, 3), F(1, 6), F(1, 2)])
