@@ -9,7 +9,7 @@ from .dist import (
     rademacher,
     zero_atom,
 )
-from .gaps import Gap, contains, enumerate_members, full_rank_reduce, is_proper, volume
+from .gaps import Gap, full_rank_reduce, is_proper, volume
 from .harness import (
     CensusResult,
     ExperimentSummary,
@@ -39,7 +39,6 @@ from .spectrum import (
     SimplicityVerdict,
     char_poly,
     eigen_decompose,
-    multiplicity_clusters,
     simplicity_exact,
     simplicity_numeric,
 )

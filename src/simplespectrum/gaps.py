@@ -2,10 +2,11 @@
 
 A GAP is the image of the integer box {|m_i| <= floor(M_i)} under
 m -> sum m_i g_i.  Rank is the number of generators, volume the box
-cardinality, proper means the map is injective on the box.  All
-membership and properness decisions are by finite enumeration under an
-explicit cap; the full-rank reduction iteratively substitutes away
-generators whose lattice directions never land inside a reference GAP.
+cardinality, proper means the map is injective on the box: one member
+per box point.  Membership and properness are both decided from one
+finite enumeration, member_set, under an explicit cap; the full-rank
+reduction iteratively substitutes away generators whose lattice
+directions never land inside a reference GAP.
 """
 
 from __future__ import annotations
@@ -85,27 +86,15 @@ def phi(P: Gap, m) -> Fraction:
     return sum((mi * gi for mi, gi in zip(m, P.generators)), Fraction(0))
 
 
-def enumerate_members(P: Gap, cap: int = DEFAULT_ENUM_CAP) -> list[Fraction]:
-    """All images of the box, with multiplicity (collisions retained)."""
-    _check_cap(P, cap)
-    return [phi(P, m) for m in _box(P)]
-
-
 def member_set(P: Gap, cap: int = DEFAULT_ENUM_CAP) -> frozenset[Fraction]:
+    """The images of the box: the one enumeration of a GAP's members."""
     _check_cap(P, cap)
     return frozenset(phi(P, m) for m in _box(P))
 
 
 def is_proper(P: Gap, cap: int = DEFAULT_ENUM_CAP) -> bool:
-    """True iff the box maps injectively, i.e. no repeated member."""
-    members = enumerate_members(P, cap)
-    return len(set(members)) == len(members)
-
-
-def contains(P: Gap, x, cap: int = DEFAULT_ENUM_CAP) -> bool:
-    _check_cap(P, cap)
-    x = parse_rational(x) if not isinstance(x, Fraction) else x
-    return any(phi(P, m) == x for m in _box(P))
+    """True iff P has one member per box point: |member_set(P)| = volume(P)."""
+    return len(member_set(P, cap)) == volume(P)
 
 
 def _nullspace_vector(vectors: list[tuple[int, ...]], d: int) -> list[Fraction] | None:

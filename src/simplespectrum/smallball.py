@@ -25,6 +25,7 @@ from .errors import CapExceededError, PreconditionError
 
 DEFAULT_SUM_CAP = 10**7
 _EXHAUSTIVE_LIMIT = 1 << 20
+_MC_SAMPLES = 10**4
 
 
 @dataclass(frozen=True)
@@ -154,19 +155,17 @@ def small_ball_windowed(
     V: WeightVector,
     d: AtomicDistribution,
     delta: float,
-    trials: int = 10**4,
     rng: Optional[np.random.Generator] = None,
 ) -> SmallBallResult:
     """Estimate sup_x P(|sum xi_i v_i - x| <= delta/2) for a float vector.
 
     Exhaustive over all |atoms|^n assignments when that fits in 2^20,
-    else Monte Carlo over `trials` samples with the window maximized over
-    sampled sums.
+    else Monte Carlo over a fixed 10^4 samples drawn from rng (seed 0 by
+    default) with the window maximized over sampled sums; the result's
+    `trials` field records that sample count.
     """
     if delta <= 0:
         raise PreconditionError("delta must be positive")
-    if trials < 1:
-        raise PreconditionError("trials must be >= 1")
     entries = [float(v) for v in V.entries]
     atoms = np.array([float(a) for a in d.atoms])
     probs = np.array([float(p) for p in d.probs])
@@ -194,12 +193,12 @@ def small_ball_windowed(
         )
     if rng is None:
         rng = np.random.default_rng(0)
-    draws = rng.choice(k, size=(trials, n), p=probs / probs.sum())
+    draws = rng.choice(k, size=(_MC_SAMPLES, n), p=probs / probs.sum())
     sums = np.sort(atoms[draws] @ np.array(entries))
-    cum = np.concatenate([[0.0], np.cumsum(np.full(trials, 1.0 / trials))])
+    cum = np.concatenate([[0.0], np.cumsum(np.full(_MC_SAMPLES, 1.0 / _MC_SAMPLES))])
     p, center = _windowed_from_sorted(sums, cum, delta)
     return SmallBallResult(
-        p=p, attaining_atom=center, mode="windowed-mc", window=delta, trials=trials
+        p=p, attaining_atom=center, mode="windowed-mc", window=delta, trials=_MC_SAMPLES
     )
 
 
@@ -209,15 +208,14 @@ def is_rich(
     A: float,
     n: int,
     delta: float = 0.0,
-    cap: int = DEFAULT_SUM_CAP,
-    trials: int = 10**4,
     rng: Optional[np.random.Generator] = None,
 ) -> tuple[bool, Union[Fraction, float]]:
     """Test p(V) >= n^(-A); returns (verdict, p).
 
     The threshold always uses the caller-supplied n (by convention the
-    length of the vector under test).  Exact mode compares rationals
-    exactly when A is an integer.
+    length of the vector under test).  Exact mode runs small_ball_exact
+    under its default support cap and compares rationals exactly when A is
+    an integer; numeric mode runs small_ball_windowed with window delta.
     """
     if A <= 0:
         raise PreconditionError("A must be positive")
@@ -226,9 +224,9 @@ def is_rich(
     if V.mode == "exact":
         if delta != 0.0:
             raise PreconditionError("exact mode requires delta = 0")
-        res = small_ball_exact(V, d, cap=cap)
+        res = small_ball_exact(V, d)
         if float(A).is_integer():
             return res.p >= Fraction(1, n ** int(A)), res.p
         return float(res.p) >= n ** (-A), res.p
-    res = small_ball_windowed(V, d, delta, trials=trials, rng=rng)
+    res = small_ball_windowed(V, d, delta, rng=rng)
     return res.p >= n ** (-A), res.p

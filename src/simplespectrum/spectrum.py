@@ -463,41 +463,23 @@ def eigen_decompose(M: SymmetricMatrix, tol: float = 1e-12) -> NumericSpectrum:
     return NumericSpectrum(lam, V, residual)
 
 
-def multiplicity_clusters(
-    s: NumericSpectrum, gap_tol: float
-) -> tuple[list[list[int]], float]:
-    """Partition sorted eigenvalues into runs with consecutive gaps < gap_tol.
+def simplicity_numeric(M: SymmetricMatrix, gap_tol: float = 1e-8) -> SimplicityVerdict:
+    """Numeric screen: SimpleNumeric iff min_gap >= gap_tol * max(1, diameter).
 
-    Returns (clusters as index lists, minimum consecutive gap; inf if n <= 1).
+    min_gap is the smallest gap between consecutive eigenvalues (inf when
+    n = 1) and diameter the spread of the spectrum, so gap_tol is relative
+    to the diameter with an absolute floor of 1 for a flat spectrum.  The
+    eigensolver runs at eigen_decompose's default residual tolerance.
     """
     if gap_tol <= 0:
         raise PreconditionError("gap_tol must be positive")
-    lam = s.eigenvalues
-    clusters = [[0]]
-    min_gap = float("inf")
-    for i in range(1, len(lam)):
-        gap = float(lam[i] - lam[i - 1])
-        min_gap = min(min_gap, gap)
-        if gap < gap_tol:
-            clusters[-1].append(i)
-        else:
-            clusters.append([i])
-    return clusters, min_gap
-
-
-def simplicity_numeric(
-    M: SymmetricMatrix, gap_tol: float = 1e-8, tol: float = 1e-12
-) -> SimplicityVerdict:
-    """Numeric screen: SimpleNumeric iff all clusters are singletons.
-
-    gap_tol is relative to the spectral diameter (absolute floor 1 for a
-    flat spectrum).
-    """
-    s = eigen_decompose(M, tol)
-    diameter = float(s.eigenvalues[-1] - s.eigenvalues[0]) if M.n > 1 else 0.0
-    abs_tol = gap_tol * max(1.0, diameter)
-    clusters, min_gap = multiplicity_clusters(s, abs_tol)
-    simple = all(len(c) == 1 for c in clusters)
+    lam = eigen_decompose(M).eigenvalues
+    if M.n > 1:
+        diameter = float(lam[-1] - lam[0])
+        min_gap = float(np.diff(lam).min())
+    else:
+        diameter, min_gap = 0.0, float("inf")
+    simple = min_gap >= gap_tol * max(1.0, diameter)
     return SimplicityVerdict(
         tag="SimpleNumeric" if simple else "NotSimpleNumeric", min_gap=min_gap
     )

@@ -55,8 +55,6 @@ class StructureParams:
     d0: int = 3
     C0: Fraction = Fraction(10)
     enum_cap: int = gaps.DEFAULT_ENUM_CAP
-    sum_cap: int = smallball.DEFAULT_SUM_CAP
-    seed: int = 0
 
     def __post_init__(self):
         if not (0 < self.eps < 0.25):
@@ -215,12 +213,12 @@ def covering_gap_with_indices(
 
 
 def _verify_cover(gap, values, idx, m, enum_cap) -> bool:
+    """At most m values are left out, and one enumeration of the GAP shows
+    it proper (one member per box point) and holding every covered value."""
     if len(values) - len(idx) > m:
         return False
-    if not gaps.is_proper(gap, enum_cap):
-        return False
     members = gaps.member_set(gap, enum_cap)
-    return all(values[i] in members for i in idx)
+    return len(members) == gaps.volume(gap) and all(values[i] in members for i in idx)
 
 
 def _vol_bound_ok(vol: int, c0: Fraction, p: Fraction, n: int, rank: int) -> bool:
@@ -234,12 +232,13 @@ def _vol_cap(c0: Fraction, p: Fraction, n: int, rank: int) -> int:
     return math.isqrt((c0 / p) ** 2 // n**rank)
 
 
-def _stability_subsets(n_i: int, k_i: int, seed: int):
-    """Deterministic stream of candidate index subsets of size k_i."""
+def _stability_subsets(n_i: int, k_i: int):
+    """Deterministic stream of candidate index subsets of size k_i: all of
+    them, or _SUBSET_SAMPLES draws from a generator seeded with 0."""
     if math.comb(n_i, k_i) <= _SUBSET_EXHAUSTIVE_LIMIT:
         yield from combinations(range(n_i), k_i)
         return
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     for _ in range(_SUBSET_SAMPLES):
         yield tuple(sorted(int(x) for x in rng.choice(n_i, size=k_i, replace=False)))
 
@@ -265,7 +264,7 @@ def refine_structure(
     """
     n = len(V)
     eps, d0 = params.eps, params.d0
-    rich, p1 = smallball.is_rich(V, d, params.A, n, cap=params.sum_cap)
+    rich, p1 = smallball.is_rich(V, d, params.A, n)
     if not rich:
         raise PreconditionError(
             f"vector is not rich: p = {p1} < {n}^(-{params.A})"
@@ -303,14 +302,12 @@ def refine_structure(
             )
         k_i = max(1, math.floor(eps * n_i))
         threshold = n_i ** (d0 * eps) * float(p_i)
-        for subset in _stability_subsets(n_i, k_i, params.seed):
+        for subset in _stability_subsets(n_i, k_i):
             wprime = tuple(w_idx[j] for j in subset)
             key = tuple(sorted(class_of[i] for i in wprime))
             if key not in p_of:
                 res = smallball.small_ball_exact(
-                    WeightVector.exact([V.entries[i] for i in wprime]),
-                    d,
-                    cap=params.sum_cap,
+                    WeightVector.exact([V.entries[i] for i in wprime]), d
                 )
                 p_of[key] = float(res.p)
             if p_of[key] <= threshold:
@@ -412,7 +409,7 @@ def verify_report(
 
     if idx_ok:
         sub = WeightVector.exact([V.entries[i] for i in report.wprime_indices])
-        res = smallball.small_ball_exact(sub, d, cap=params.sum_cap)
+        res = smallball.small_ball_exact(sub, d)
         thr = n ** (d0 * eps) * float(report.p)
         details["smallball_bound"] = {
             "ok": float(res.p) <= thr,

@@ -5,15 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from simplespectrum.errors import CapExceededError
-from simplespectrum.gaps import (
-    Gap,
-    contains,
-    enumerate_members,
-    full_rank_reduce,
-    is_proper,
-    member_set,
-    volume,
-)
+from simplespectrum.gaps import Gap, full_rank_reduce, is_proper, member_set, volume
 
 F = Fraction
 
@@ -39,23 +31,28 @@ def test_volume_fractional_dims_floor():
 
 
 def test_enumerate_rank1():
-    members = enumerate_members(gap([1], [2]))
-    assert sorted(members) == [-2, -1, 0, 1, 2]
+    P = gap([1], [2])
+    assert sorted(member_set(P)) == [-2, -1, 0, 1, 2]
+    assert is_proper(P)
 
 
 def test_enumerate_collision_retained():
-    members = enumerate_members(gap([1, 2], [2, 1]))
-    assert len(members) == 15
-    assert members.count(F(0)) == 3  # (0,0), (2,-1), (-2,1) all map to 0
+    # 15 box points but 9 members: (0,0), (2,-1) and (-2,1) all map to 0.
+    P = gap([1, 2], [2, 1])
+    assert volume(P) == 15
+    assert member_set(P) == {F(k) for k in range(-4, 5)}
+    assert not is_proper(P)
 
 
 def test_enumerate_trivial():
-    assert enumerate_members(Gap.trivial()) == [F(0)]
+    assert member_set(Gap.trivial()) == {F(0)}
+    assert is_proper(Gap.trivial())
 
 
 def test_enumerate_cap():
-    with pytest.raises(CapExceededError):
-        enumerate_members(gap([1], [100]), cap=10)
+    for f in (member_set, is_proper):
+        with pytest.raises(CapExceededError):
+            f(gap([1], [100]), cap=10)
 
 
 def test_proper_examples():
@@ -66,9 +63,9 @@ def test_proper_examples():
 
 def test_contains_examples():
     P = gap([1], [2])
-    assert contains(P, F(2))
-    assert not contains(P, F(3))
-    assert contains(gap([1, 2], [2, 1]), F(4))  # m = (2, 1)
+    assert F(2) in member_set(P)
+    assert F(3) not in member_set(P)
+    assert F(4) in member_set(gap([1, 2], [2, 1]))  # m = (2, 1)
 
 
 @given(

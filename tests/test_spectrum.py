@@ -21,7 +21,6 @@ from simplespectrum.matrices import (
 from simplespectrum.spectrum import (
     char_poly,
     eigen_decompose,
-    multiplicity_clusters,
     simplicity_exact,
     simplicity_numeric,
 )
@@ -942,23 +941,18 @@ def test_eigen_residual_above_tol_raises():
     assert info.value.achieved > 0
 
 
-def test_clusters_singletons():
-    s = eigen_decompose(SymmetricMatrix.from_rows([[1, 0], [0, 2]]))
-    clusters, min_gap = multiplicity_clusters(s, 1e-8)
-    assert clusters == [[0], [1]]
-    assert min_gap == pytest.approx(1.0)
-
-
-def test_clusters_forced_merge():
-    from simplespectrum.spectrum import NumericSpectrum
-
-    s = NumericSpectrum(
-        eigenvalues=np.array([-1.0, -1.0 + 1e-12, 2.0]),
-        eigenvectors=np.eye(3),
-        residual=0.0,
-    )
-    clusters, _ = multiplicity_clusters(s, 1e-8)
-    assert [len(c) for c in clusters] == [2, 1]
+def test_simplicity_numeric_gap_rule():
+    v = simplicity_numeric(SymmetricMatrix.from_rows([[1, 0], [0, 2]]))
+    assert v.tag == "SimpleNumeric"
+    assert v.min_gap == pytest.approx(1.0)
+    v = simplicity_numeric(K3)  # eigenvalues 2, -1, -1
+    assert v.tag == "NotSimpleNumeric"
+    assert v.min_gap < 1e-8
+    v = simplicity_numeric(SymmetricMatrix.from_rows([[5]]))
+    assert v.tag == "SimpleNumeric"
+    assert v.min_gap == float("inf")
+    with pytest.raises(PreconditionError):
+        simplicity_numeric(K3, gap_tol=0)
 
 
 def test_numeric_agrees_with_exact_random():

@@ -47,6 +47,20 @@ def test_cover_outlier():
     assert g == Gap((F(1),), (F(5),))
 
 
+def test_cover_enumerates_each_verified_box_once(monkeypatch):
+    # Properness and membership come from one member_set call.
+    boxes = []
+    real_box = gaps._box
+
+    def counting(P):
+        boxes.append(P)
+        return real_box(P)
+
+    monkeypatch.setattr(gaps, "_box", counting)
+    g = find_covering_gap(WeightVector.exact([1, 2, 3, 4, 5, 100]), m=1)
+    assert boxes == [g]
+
+
 def test_cover_incommensurable_returns_none():
     V = WeightVector.exact([F(1), F(10**6 + 1), F(7, 3)])
     assert find_covering_gap(V, m=0, vol_max=(10, 0)) is None
@@ -347,8 +361,8 @@ def test_refine_small_ball_once_per_value_multiset(monkeypatch):
         calls.append(tuple(sorted(V.entries)))
         return real_ball(V, d, cap)
 
-    def counting(n_i, k_i, seed):
-        for subset in real_subsets(n_i, k_i, seed):
+    def counting(n_i, k_i):
+        for subset in real_subsets(n_i, k_i):
             visited.append(subset)
             yield subset
 
