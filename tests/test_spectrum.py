@@ -941,16 +941,30 @@ def test_eigen_residual_above_tol_raises():
     assert info.value.achieved > 0
 
 
-def test_simplicity_numeric_gap_rule():
+def test_clusters_singletons():
     v = simplicity_numeric(SymmetricMatrix.from_rows([[1, 0], [0, 2]]))
     assert v.tag == "SimpleNumeric"
     assert v.min_gap == pytest.approx(1.0)
-    v = simplicity_numeric(K3)  # eigenvalues 2, -1, -1
-    assert v.tag == "NotSimpleNumeric"
-    assert v.min_gap < 1e-8
     v = simplicity_numeric(SymmetricMatrix.from_rows([[5]]))
     assert v.tag == "SimpleNumeric"
     assert v.min_gap == float("inf")
+
+
+def test_clusters_forced_merge(monkeypatch):
+    from simplespectrum.spectrum import NumericSpectrum
+
+    v = simplicity_numeric(K3)  # eigenvalues 2, -1, -1
+    assert v.tag == "NotSimpleNumeric"
+    assert v.min_gap < 1e-8
+    forced = NumericSpectrum(
+        eigenvalues=np.array([-1.0, -1.0 + 1e-12, 2.0]),
+        eigenvectors=np.eye(3),
+        residual=0.0,
+    )
+    monkeypatch.setattr(spectrum, "eigen_decompose", lambda M: forced)
+    v = simplicity_numeric(K3)
+    assert v.tag == "NotSimpleNumeric"
+    assert v.min_gap == pytest.approx(1e-12, rel=1e-3)
     with pytest.raises(PreconditionError):
         simplicity_numeric(K3, gap_tol=0)
 
