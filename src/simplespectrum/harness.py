@@ -24,10 +24,13 @@ are the coefficients of adj(xI - A'), gives the char polys of all 2^(n-1)
 borders of each as quadratic forms.  Each stack is deduplicated exactly by
 a lexsort that sums the orbit weights, and one remainder sequence of p and
 p' mod q, run on all its distinct rows at once, proves every simple one
-squarefree; x^2 | p marks more as non-simple.  Only the rest (36 of the
-151 distinct char polys at n = 6, 191 of 988 at n = 7) reach
-repeated_factor.  On one core n = 7 takes about 0.02 s and n = 8 about
-0.6 s, two thirds of it the orbit table of the 7-vertex graphs.
+squarefree.  Of the rest, a row with p(lam) = p'(lam) = 0 at an integer
+|lam| <= n - 1, where every eigenvalue of a graph on n vertices lies, is
+non-simple.  Only rows with neither proof, whose repeated roots are
+irrational, reach repeated_factor: 4 of the 151 distinct char polys at
+n = 6 and 13 of 988 at n = 7.  On one core n = 7 takes about 0.005 s and
+n = 8 about 0.5 s, four fifths of it the orbit table of the 7-vertex
+graphs.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ import os
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -55,6 +59,8 @@ from .spectrum import (
     _crt_prime,
     char_poly,
     char_polys_bordered,
+    char_polys_stack,
+    double_integer_root,
     eigen_decompose,
     repeated_factor,
     simplicity_exact,
@@ -62,14 +68,21 @@ from .spectrum import (
 )
 
 
-# Slotted, as SimplicityVerdict is: a run that keeps a result per call
-# holds thousands of them.
+# Slotted, as SimplicityVerdict is, and storing only what the rest follows
+# from: a run that keeps a result per call holds thousands of them.
 @dataclass(frozen=True, slots=True)
 class CensusResult:
     n: int
-    total: int
     simple_count: int
-    nonsimple_count: int
+
+    @property
+    def total(self) -> int:
+        """The number of graphs on n vertices, 2^(n(n-1)/2)."""
+        return 1 << self.n * (self.n - 1) // 2
+
+    @property
+    def nonsimple_count(self) -> int:
+        return self.total - self.simple_count
 
     @property
     def simple_fraction(self) -> float:
@@ -118,8 +131,10 @@ def verify_orthogonality_lemma(M: SymmetricMatrix) -> tuple[bool, dict]:
     q(lam) = (u . X)^2 prod_{mu != lam} (lam - mu), so u . X = 0; at a lam
     multiple in M', the eigenspace holds a vector orthogonal to X.  Cauchy
     interlacing makes g | p_{M'} hold always, so a nonzero remainder means a
-    wrong char poly, minor or g.  Returns (ok, witness): the factor g and
-    the remainder of p_{M'} by g, both constant term first.
+    wrong char poly, minor or g.  p_{M'} is the minor's exact int64
+    char_polys_stack row where that kernel's bound admits the minor, and
+    char_poly's otherwise.  Returns (ok, witness): the factor g and the
+    remainder of p_{M'} by g, both constant term first.
     """
     if M.n < 2:
         raise PreconditionError("lemma needs n >= 2")
@@ -127,7 +142,13 @@ def verify_orthogonality_lemma(M: SymmetricMatrix) -> tuple[bool, dict]:
     if verdict.tag != "NotSimpleExact":
         raise PreconditionError("lemma hypothesis requires a non-simple spectrum")
     minor = SymmetricMatrix(M.num[:-1, :-1], M.den)
-    rem = polys.pseudo_rem(char_poly(minor).coeffs, verdict.certificate)
+    try:  # one exact int64 Faddeev-LeVerrier row, with no prime
+        c = char_polys_stack(minor.num[None])[0].tolist()
+    except PreconditionError:  # entries too large for its int64 bound
+        cp = char_poly(minor).coeffs
+    else:  # as char_poly: the coefficient of x^(n-1-k) is c_k / den^k
+        cp = tuple(Fraction(c[k], minor.den**k) for k in reversed(range(M.n)))
+    rem = polys.pseudo_rem(cp, verdict.certificate)
     return not rem, {"factor": verdict.certificate, "remainder": rem}
 
 
@@ -190,10 +211,11 @@ def _census_chunk(args) -> int:
     lies in the S_(n-1)-orbit of a representative graph_orbits(n - 1)[0][i]
     with i in [start, stop): the representatives' char polys stack by stack
     in one exact int64 bordered pass, each row weighted by its orbit's
-    size, deduplicated, and the distinct rows decided at once by the mod-q
-    remainder-sequence screen.  Rows the screen cannot settle get one
-    repeated_factor call per distinct char poly, weighted by its total
-    weight across the stacks."""
+    size, deduplicated, and the distinct rows decided at once: proved
+    simple by the mod-q remainder-sequence screen, or else non-simple by a
+    double integer root.  Rows with neither get one repeated_factor call
+    per distinct char poly, weighted by its total weight across the
+    stacks."""
     n, start, stop = args
     reps, sizes = graph_orbits(n - 1)
     borders = (np.arange(1 << (n - 1))[:, None] >> np.arange(n - 1)) & 1
@@ -204,10 +226,11 @@ def _census_chunk(args) -> int:
         b = min(a + step, stop)
         rows = char_polys_bordered(graph_stack(n - 1, reps[a:b]), borders)
         distinct, weight = _distinct_rows(rows, np.repeat(sizes[a:b], len(borders)))
-        proved, square = squarefree_screen(distinct, q)
+        proved = squarefree_screen(distinct, q)
         simple += int(weight[proved].sum())
-        rest = ~(proved | square)
-        undecided.update(dict(zip(map(tuple, distinct[rest].tolist()), weight[rest].tolist())))
+        rest, weight = distinct[~proved], weight[~proved]
+        left = ~double_integer_root(rest, n - 1)
+        undecided.update(dict(zip(map(tuple, rest[left].tolist()), weight[left].tolist())))
     return simple + sum(
         w for cp, w in undecided.items() if repeated_factor(list(cp[::-1])) is None
     )
@@ -222,24 +245,23 @@ def exhaustive_census(n: int, workers: int = 1) -> CensusResult:
     vectors by char_polys_bordered: one Faddeev-LeVerrier pass in int64,
     whose overflow guard holds for every graph stack with n <= 8
     (1.5e9 < 2^63 at n = 8).  The distinct char polys of a stack then go
-    through squarefree_screen at once, and only those it leaves undecided
+    through squarefree_screen at once, those it does not prove through
+    double_integer_root with r = n - 1, and only those neither settles
     through repeated_factor, once each across the stacks.  Each graph on n
     vertices is one (minor, border) pair, and the pairs whose minor lies in
     an orbit of size s carry s times the char polys of the representative's
     borders, so the weighted count is exact; workers split the
     representatives.  On one core of a 2-vCPU VM, n = 6 (32,768 graphs,
-    151 distinct char polys, 36 to repeated_factor) takes about 0.003 s,
-    n = 7 (2,097,152 graphs, 988 distinct, 191 to repeated_factor) about
-    0.02 s, and n = 8 (268,435,456 graphs, 210,782,880 simple) about 0.6 s
-    at a peak RSS of 110 MB, 0.4 s of it building graph_orbits(7).
+    151 distinct char polys, 4 to repeated_factor) takes about 0.0008 s,
+    n = 7 (2,097,152 graphs, 988 distinct, 13 to repeated_factor) about
+    0.005 s, and n = 8 (268,435,456 graphs, 210,782,880 simple, 66 to
+    repeated_factor) about 0.5 s at a peak RSS of 110 MB, 0.4 s of it
+    building graph_orbits(7).
     """
     if not 2 <= n <= 8:
         raise PreconditionError("census supports 2 <= n <= 8")
-    total = 1 << (n * (n - 1) // 2)
     simple = _dispatch(_census_chunk, (n,), len(graph_orbits(n - 1)[0]), workers)
-    return CensusResult(
-        n=n, total=total, simple_count=simple, nonsimple_count=total - simple
-    )
+    return CensusResult(n=n, simple_count=simple)
 
 
 def _mc_chunk(args) -> int:

@@ -150,13 +150,24 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng([seed, trial])
 
 
+@lru_cache(maxsize=64)
+def _atom_table(d: AtomicDistribution, den: int) -> tuple[np.ndarray, np.ndarray]:
+    """The float running sums of d's masses, the last set to 1.0, and d's
+    atoms as numerators over `den`, built once per (d, den) and read-only,
+    as they are shared by every draw."""
+    cum = np.array(list(accumulate(float(p) for p in d.probs)))
+    cum[-1] = 1.0
+    scaled = _int_array([a.numerator * (den // a.denominator) for a in d.atoms])
+    for a in (cum, scaled):
+        a.flags.writeable = False
+    return cum, scaled
+
+
 def _sample_atoms(
     d: AtomicDistribution, count: int, rng: np.random.Generator, den: int
 ) -> np.ndarray:
     """`count` i.i.d. draws from d, as numerators over `den`."""
-    cum = list(accumulate(float(p) for p in d.probs))
-    cum[-1] = 1.0
-    scaled = _int_array([a.numerator * (den // a.denominator) for a in d.atoms])
+    cum, scaled = _atom_table(d, den)
     # searchsorted(side="right") is bisect_right on the same float sums.
     return scaled[np.searchsorted(cum, rng.random(count), side="right")]
 

@@ -26,9 +26,10 @@ Simplicity is then squarefreeness: the root 0 split off, gcd(p, p')
 constant, settled by the gcd mod q, lifted and checked by trial division
 when it is not constant, or else by the PRS gcd.  A stack of char polys
 is screened at once by the remainder sequence of p and p' mod q, run on
-all rows in lockstep, and only the rows it leaves reach that gcd.  For a
-real symmetric matrix algebraic multiplicity equals geometric
-multiplicity, so squarefree <=> simple spectrum.
+all rows in lockstep; a double integer root refutes most rows it leaves,
+and only the rest reach that gcd.  For a real symmetric matrix algebraic
+multiplicity equals geometric multiplicity, so squarefree <=> simple
+spectrum.
 
 Numeric route: LAPACK's symmetric eigensolver (np.linalg.eigh), followed
 by gap clustering.  Where the two disagree the exact verdict is ground truth.
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import islice
 from math import comb, isqrt
 from operator import mul
@@ -136,6 +138,15 @@ def _check_int64(n: int, p: int) -> None:
         raise PreconditionError(f"n = {n} overflows int64 products mod {p}")
 
 
+@lru_cache(maxsize=64)
+def _start_vector(n: int) -> np.ndarray:
+    """v_i = 3^(i+1) mod 65537 for i < n, the Lanczos start vector, built
+    once per n and read-only, as it is shared by every pass."""
+    v = np.array([pow(3, i + 1, 65537) for i in range(n)], dtype=np.int64)
+    v.flags.writeable = False
+    return v
+
+
 def _lanczos_mod(A: np.ndarray, p: int) -> Optional[tuple[list[int], list[int]]]:
     """Tridiagonal form of the integer symmetric A mod p, as (a_0..a_{n-1},
     c_1..c_{n-1}) with A w_k = w_{k+1} + a_k w_k + c_k w_{k-1}; None when
@@ -167,7 +178,7 @@ def _lanczos_mod(A: np.ndarray, p: int) -> Optional[tuple[list[int], list[int]]]
     _check_int64(n, p)
     A = _balanced(np.asarray(A % p, dtype=np.int64), p)  # object entries too
     W = np.zeros((n + 1, n), dtype=np.int64)  # row l + 1: w_l; row 0: w_{-1} = 0
-    W[1] = _balanced(np.array([pow(3, i + 1, 65537) for i in range(n)], dtype=np.int64), p)
+    W[1] = _balanced(_start_vector(n), p)
     alpha, coupling, inv, i = [], [], [], 0  # inv[l]: 1 / d_l
     for k in range(n):
         w = W[k + 1]
@@ -288,8 +299,9 @@ def _faddeev_stack(A: np.ndarray):
 
 
 def _max_abs(A: np.ndarray) -> int:
-    """max |a| over A, read by min and max alone: np.abs would wrap -2^63."""
-    return max(-int(A.min()), int(A.max()))
+    """max |a| over A, 0 when A is empty, read by min and max alone: np.abs
+    would wrap -2^63."""
+    return max(-int(A.min(initial=0)), int(A.max(initial=0)))
 
 
 def char_polys_stack(A: np.ndarray) -> np.ndarray:
@@ -353,22 +365,19 @@ def char_polys_bordered(A: np.ndarray, X: np.ndarray) -> np.ndarray:
     return rows.reshape(-1, m + 2)
 
 
-def squarefree_screen(rows: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
+def squarefree_screen(rows: np.ndarray, q: int) -> np.ndarray:
     """Squarefreeness of a (D, n + 1) int64 stack of integer polynomials p
     of degree n, rows [c_0..c_n] leading coefficient first as
-    char_polys_stack gives them, settled where no gcd is needed: two (D,)
-    masks (proved, square).
-
-    proved: the fraction-free remainder sequence of p and p' mod the prime
-    q, run on all rows in lockstep, is normal down to a nonzero constant.
-    Per degree it takes two eliminations, t = b_0 a - a_0 x b and then
-    b_0 t - t_0 b, with b_0 = lc(b) a unit mod q, so gcd(a, b) mod q is
-    kept, and the row stays proved while every new leading coefficient is
-    nonzero mod q.  Then the
-    gcd of p and p' is constant mod q, and so over Q, as q divides neither
-    lc(p) nor lc(p') = n lc(p): the same one-sided certificate as
-    repeated_factor's screen.  square: c_(n-1) = c_n = 0, so x^2 divides p
-    and p is not squarefree.  Rows in neither need a gcd.
+    char_polys_stack gives them, proved where no gcd is needed: a (D,) mask
+    of the rows whose fraction-free remainder sequence of p and p' mod the
+    prime q, run on all rows in lockstep, is normal down to a nonzero
+    constant.  Per degree it takes two eliminations, t = b_0 a - a_0 x b
+    and then b_0 t - t_0 b, with b_0 = lc(b) a unit mod q, so gcd(a, b) mod
+    q is kept, and the row stays proved while every new leading coefficient
+    is nonzero mod q.  Then the gcd of p and p' is constant mod q, and so
+    over Q, as q divides neither lc(p) nor lc(p') = n lc(p): the same
+    one-sided certificate as repeated_factor's screen.  An unproved row may
+    still be squarefree.
 
     Every entry is reduced into [0, q) before any product, the degree
     vector of p' included, so each product is below q^2 and each difference
@@ -388,7 +397,32 @@ def squarefree_screen(rows: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]
         t %= q
         a, b = b, (b0 * t[:, 1:] - t[:, :1] * b[:, 1:]) % q  # b_0 t - t_0 b
         proved &= b[:, 0] != 0
-    return proved, ~rows[:, -2:].any(axis=1)
+    return proved
+
+
+def double_integer_root(rows: np.ndarray, r: int) -> np.ndarray:
+    """(D,) mask of the rows of a (D, n + 1) int64 stack of integer
+    polynomials p, rows [c_0..c_n] leading coefficient first, with
+    p(lam) = p'(lam) = 0 at some integer |lam| <= r: (x - lam)^2 divides p,
+    so p is not squarefree.  An unmarked row may still have a repeated
+    root.
+
+    p and p' are evaluated on the whole (D, 2r + 1) grid of rows and lam by
+    two int64 matmuls against the table lam^j, j <= n.  With m = max |c_k|,
+    each partial sum of a p(lam) is at most m sum_{j<=n} r^j, each of a
+    p'(lam) at most n times that, and each table entry at most r^n.
+    Raises PreconditionError, before any product, when
+    n max(m, 1) sum_{j<=n} r^j reaches 2^63; for the graph char polys with
+    n = 8, where m = 224, and r = 7 it is 1.2e10.
+    """
+    n = rows.shape[1] - 1
+    m = _max_abs(rows)
+    if n * max(m, 1) * sum(r**j for j in range(n + 1)) >= 1 << 63:
+        raise PreconditionError(f"n = {n}, max |c_k| = {m}, r = {r} may overflow int64 evaluations")
+    V = np.arange(-r, r + 1)[:, None] ** np.arange(n, -1, -1)  # row lam: lam^n .. 1
+    p = rows @ V.T
+    dp = (rows[:, :-1] * np.arange(n, 0, -1)) @ V[:, 1:].T
+    return ((p == 0) & (dp == 0)).any(axis=1)
 
 
 def repeated_factor(ip: list[int]) -> Optional[list[int]]:

@@ -20,7 +20,7 @@ from simplespectrum.matrices import (
     graph_stack,
     trial_rng,
 )
-from simplespectrum.spectrum import CharPoly, char_poly
+from simplespectrum.spectrum import CharPoly, char_poly, char_polys_stack, simplicity_exact
 
 GNP = EnsembleSpec(offdiag=bernoulli_half(), diag=zero_atom())
 SIGN = EnsembleSpec(offdiag=rademacher(), diag=rademacher())
@@ -78,14 +78,56 @@ def test_lemma_exact_at_large_shift(shift):
 
 
 def test_lemma_rejects_tampered_minor_char_poly(monkeypatch):
+    # Both routes to the minor's char poly: the int64 stack row for K3's
+    # minor, and char_poly for a minor whose entries fail the stack's guard.
     def tampered(M):
         cp = char_poly(M)
         return CharPoly((cp.coeffs[0] + 1,) + cp.coeffs[1:])
 
+    def tampered_stack(A):
+        rows = char_polys_stack(A)
+        rows[:, -1] += 1
+        return rows
+
     monkeypatch.setattr(harness, "char_poly", tampered)
+    monkeypatch.setattr(harness, "char_polys_stack", tampered_stack)
     ok, witness = verify_orthogonality_lemma(graph_from_index(3, 7))
     assert not ok
     assert witness["remainder"] == [1]  # x^2 divided by x + 1
+    shift = 10**20  # K3 + shift I: g = x - shift + 1
+    K3 = graph_from_index(3, 7).num
+    ok, witness = verify_orthogonality_lemma(SymmetricMatrix(K3 + shift * np.eye(3, dtype=object)))
+    assert not ok
+    assert witness["remainder"] == [1]
+
+
+def test_lemma_stack_route_matches_char_poly_route(monkeypatch):
+    # Witnesses are the same objects, Fractions included, whichever route
+    # gives the minor's char poly.
+    matrices = [
+        M for n in range(2, 6) for i in range(1 << n * (n - 1) // 2)
+        if not simplicity_exact(M := graph_from_index(n, i)).is_simple
+    ]
+    matrices += [
+        SymmetricMatrix.from_rows([[0, "1/2", "1/2"], ["1/2", 0, "1/2"], ["1/2", "1/2", 0]]),
+        # -1/3 twice; the minor keeps den 3.
+        SymmetricMatrix.from_rows([["1/3", "2/3", 0, 0], ["2/3", "1/3", 0, 0], [0, 0, "-1/3", 0], [0, 0, 0, "5/2"]]),
+    ]
+    assert all(M.den > 1 for M in matrices[-2:])
+    big = SymmetricMatrix(graph_from_index(4, 7).num * 2**61 + 2**62 * np.eye(4, dtype=np.int64))
+    calls, real = [], harness.char_poly
+    monkeypatch.setattr(harness, "char_poly", lambda M: calls.append(M) or real(M))
+    stack = [repr(verify_orthogonality_lemma(M)) for M in matrices + [big]]
+    assert calls == [SymmetricMatrix(big.num[:-1, :-1])]  # only the guard's refusal
+    with pytest.raises(PreconditionError):
+        char_polys_stack(big.num[None, :-1, :-1])
+
+    def refuse(A):
+        raise PreconditionError("forced")
+
+    monkeypatch.setattr(harness, "char_polys_stack", refuse)
+    assert [repr(verify_orthogonality_lemma(M)) for M in matrices + [big]] == stack
+    assert len(calls) == len(matrices) + 2
 
 
 def test_lemma_requires_nonsimple():
@@ -106,6 +148,15 @@ def test_census_2():
 def test_census_3():
     c = exhaustive_census(3)
     assert (c.total, c.simple_count) == (8, 6)
+
+
+def test_census_result_stores_only_n_and_the_simple_count():
+    # A run that keeps a result per call holds thousands of them.
+    c = exhaustive_census(5)
+    assert c.__slots__ == ("n", "simple_count") and not hasattr(c, "__dict__")
+    assert (c.total, c.nonsimple_count) == (1024, 274)
+    assert (c.simple_fraction, c.nonsimple_fraction) == (750 / 1024, 274 / 1024)
+    assert c == harness.CensusResult(n=5, simple_count=750)
 
 
 def test_census_range_check():
@@ -147,20 +198,24 @@ def _count_repeated_factor(monkeypatch):
 
 
 def test_census_routes_only_unsettled_rows_to_the_gcd(monkeypatch):
-    # The screen proves every simple distinct char poly and x^2 | p settles
-    # 10, 57 and 243 more, so only 9 of 33, 36 of 151 and 191 of 988 reach
-    # repeated_factor.
+    # The screen proves every simple distinct char poly and a double integer
+    # root refutes 18, 89 and 421 more, so only 1 of 33, 4 of 151 and 13 of
+    # 988 reach repeated_factor.
     calls = _count_repeated_factor(monkeypatch)
-    for n, reached in {5: 9, 6: 36, 7: 191}.items():
+    for n, reached in {5: 1, 6: 4, 7: 13}.items():
         calls.clear()
         assert exhaustive_census(n, workers=1).simple_count == SIMPLE_GRAPHS[n]
         assert len(calls) == reached, n
+        if n == 5:  # C5's (x - 2)(x^2 + x - 1)^2, non-simple by the gcd
+            assert calls == [[-2, 5, 0, -5, 0, 1]]
+            assert harness.repeated_factor(calls[0]) == [-1, 1, 1]
 
 
-@pytest.mark.parametrize("q, reached", [(11, 458), (13, 405)])
+@pytest.mark.parametrize("q, reached", [(11, 280), (13, 227)])
 def test_census_counts_at_a_small_screen_prime(monkeypatch, q, reached):
-    # A small screen prime misses more rows, and repeated_factor decides
-    # them: the counts stay, with 458 of 988 rows to the gcd at q = 11.
+    # A small screen prime misses more rows, simple ones too, and
+    # repeated_factor decides those no double integer root refutes: the
+    # counts stay, with 280 of 988 rows to the gcd at q = 11.
     monkeypatch.setattr(harness, "_crt_prime", lambda i: q)
     calls = _count_repeated_factor(monkeypatch)
     for n, simple in SIMPLE_GRAPHS.items():

@@ -181,6 +181,49 @@ def test_upper_indices_built_once_and_read_only():
             got[0] = 1
 
 
+def _uncached_sample_atoms(d, count, rng, den):
+    """The sampler with its float running sums and scaled atoms rebuilt
+    from the Fractions on every draw."""
+    cum = list(itertools.accumulate(float(p) for p in d.probs))
+    cum[-1] = 1.0
+    scaled = np.array([a.numerator * (den // a.denominator) for a in d.atoms])
+    return scaled[np.searchsorted(cum, rng.random(count), side="right")]
+
+
+SPARSE = make_distribution([0, 1], ["24/25", "1/25"])
+
+
+@pytest.mark.parametrize(
+    "d, den",
+    [(rademacher(), 1), (bernoulli_half(), 1), (SPARSE, 1), (zero_atom(), 1),
+     (RATIONAL.offdiag, 6), (RATIONAL.diag, 6), (make_distribution(["1/7", 2, 3], ["1/5", "1/5", "3/5"]), 14)],
+)
+def test_cached_sampler_matches_uncached(d, den):
+    for t in range(20):
+        for count in (0, 1, 45, 1225):
+            got = matrices._sample_atoms(d, count, trial_rng(t, count), den)
+            want = _uncached_sample_atoms(d, count, trial_rng(t, count), den)
+            assert got.dtype == np.int64 and got.tolist() == want.tolist()
+    cum, scaled = matrices._atom_table(d, den)
+    assert matrices._atom_table(d, den)[0] is cum  # built once per (d, den)
+    for a in (cum, scaled):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0
+
+
+def test_cached_sampler_keeps_seeded_matrices():
+    # Whole matrices, over a denominator shared by both laws, draw for draw.
+    for spec in (SIGN, GNP, RATIONAL):
+        den = math.lcm(*(a.denominator for d in (spec.offdiag, spec.diag) for a in d.atoms))
+        for n in (1, 2, 7, 30):
+            rng, ref = trial_rng(9, n), trial_rng(9, n)
+            M = sample_matrix(spec, n, rng)
+            upper = _uncached_sample_atoms(spec.offdiag, n * (n - 1) // 2, ref, den)
+            diag = _uncached_sample_atoms(spec.diag, n, ref, den)
+            assert M == matrices._symmetric_fill(n, upper, diag, den)
+
+
 # Graphs on m vertices up to isomorphism (OEIS A000088), m = 0..7.
 UNLABELED_GRAPHS = [1, 1, 2, 4, 11, 34, 156, 1044]
 

@@ -429,6 +429,19 @@ def test_tridiagonal_recurrence_at_the_largest_safe_prime(n):
         _assert_recurrence_matches_cofactor(alpha, coupling, p)
 
 
+def test_lanczos_start_vector_built_once_and_read_only():
+    v = spectrum._start_vector(7)
+    assert v is spectrum._start_vector(7)
+    assert v.tolist() == [pow(3, i + 1, 65537) for i in range(7)]
+    assert not v.flags.writeable
+    with pytest.raises(ValueError):
+        v[0] = 1
+    # Balanced mod a small prime in a copy: the shared vector stays as built.
+    A = graph_from_index(7, 12345).num
+    assert spectrum._lanczos_mod(A, 101) == spectrum._lanczos_mod(A, 101)
+    assert v.tolist() == [pow(3, i + 1, 65537) for i in range(7)]
+
+
 def test_tridiagonal_recurrence_n1_and_zero_couplings():
     p = spectrum._crt_prime(1)
     for a in (0, 1, -5, p // 2):
@@ -859,15 +872,61 @@ def test_repeated_factor_lift_misses_go_to_prs(monkeypatch):
 
 @pytest.mark.parametrize("q", [spectrum._crt_prime(0), 11, 13, 101])
 def test_squarefree_screen_sound(graph_char_polys, q):
-    # proved implies squarefree and square implies not, on every graph char
-    # poly with n <= 7, also at small primes where the screen misses more.
+    # proved implies squarefree, and of the rows the screen leaves, a double
+    # integer root implies not, on every graph char poly with n <= 7, also
+    # at small primes where the screen misses more.
     for n, rows in graph_char_polys.items():
-        proved, square = spectrum.squarefree_screen(rows, q)
+        proved = spectrum.squarefree_screen(rows, q)
         simple = np.array([spectrum.repeated_factor(r[::-1]) is None for r in rows.tolist()])
         assert not (proved & ~simple).any(), (n, rows[proved & ~simple])
-        assert not (square & simple).any(), (n, rows[square & simple])
+        refuted = np.zeros_like(proved)
+        refuted[~proved] = spectrum.double_integer_root(rows[~proved], n - 1)
+        assert not (refuted & simple).any(), (n, rows[refuted & simple])
         if q == spectrum._crt_prime(0):  # the census's prime proves every simple row
             assert np.array_equal(proved, simple), n
+            # Only repeated irrational roots are left for the gcd.
+            assert (~(proved | refuted)).sum() == {5: 1, 6: 4, 7: 13}.get(n, 0), n
+
+
+def _has_double_integer_root(row, r):
+    """Whether (x - lam)^2 divides the polynomial with coefficients row,
+    leading first, for some integer |lam| <= r, on Python ints."""
+    p = spectrum.CharPoly(tuple(row[::-1]))
+    dp = spectrum.CharPoly(tuple(polys.derivative(row[::-1])))
+    return any(p(x) == 0 and dp(x) == 0 for x in range(-r, r + 1))
+
+
+def test_double_integer_root_matches_python_evaluation(graph_char_polys):
+    # Exactly the rows with a double integer root, against evaluation on
+    # Python ints: at the census's r = n - 1 on every graph char poly, and
+    # at other r on crafted rows.
+    for n, rows in graph_char_polys.items():
+        got = spectrum.double_integer_root(rows, n - 1).tolist()
+        assert got == [_has_double_integer_root(row, n - 1) for row in rows.tolist()], n
+        if n <= 4:  # every repeated root is an integer; C5 brings irrational ones
+            assert got == [spectrum.repeated_factor(row[::-1]) is not None for row in rows.tolist()]
+    crafted = [_poly_product(*roots)[::-1] for roots in ([3, 3, -1, 0], [-4, -4, 2, 5], [1, 2, 3, 4], [9, 9, 0, 0])]
+    rows = np.array(crafted, dtype=np.int64)
+    for r in (0, 2, 3, 4, 8, 9, 10):
+        assert spectrum.double_integer_root(rows, r).tolist() == [
+            _has_double_integer_root(row, r) for row in crafted
+        ], r
+    assert spectrum.double_integer_root(rows[:0], 3).shape == (0,)
+
+
+def test_double_integer_root_refuses_int64_wrap():
+    # The refusal must come before any product, and the magnitude must not
+    # go through np.abs, which wraps -2^63.
+    big = np.zeros((2, 4), dtype=np.int64)
+    big[1, 3] = -(2**63)
+    for rows, r in (
+        (big, 1),
+        (np.full((1, 9), 1 << 40, dtype=np.int64), 7),  # 8 * 2^40 * 7^8 >= 2^63
+        (np.zeros((1, 20), dtype=np.int64), 10),  # m = 0, but the table's 10^19 >= 2^63
+        (np.ones((3, 3), dtype=np.int64), 1 << 31),
+    ):
+        with pytest.raises(PreconditionError):
+            spectrum.double_integer_root(rows.view(_MinMaxOnly), r)
 
 
 def test_squarefree_screen_refuses_int64_wrap_and_small_q():
@@ -887,9 +946,7 @@ def test_squarefree_screen_reduces_before_products(graph_char_polys):
     shift = (1 << 62) // q * q
     top = int(rows.max()) + shift
     assert top < 1 << 63 <= top * 7  # p' = degrees * rows would wrap
-    assert np.array_equal(
-        spectrum.squarefree_screen(rows + shift, q)[0], spectrum.squarefree_screen(rows, q)[0]
-    )
+    assert np.array_equal(spectrum.squarefree_screen(rows + shift, q), spectrum.squarefree_screen(rows, q))
 
 
 def test_simplicity_zero_2x2():
