@@ -13,7 +13,7 @@ from simplespectrum import (
     Gap,
     StructureParams,
     WeightVector,
-    find_covering_gap,
+    covering_gap_with_indices,
     full_rank_reduce,
     rademacher,
     refine_structure,
@@ -25,7 +25,7 @@ from simplespectrum import (
 def main() -> None:
     print("covering GAPs:")
     V = WeightVector.exact([1, 2, 3, 4, 5, 100])
-    g = find_covering_gap(V, m=1)
+    g, _ = covering_gap_with_indices(V, m=1)
     print(f"  values {[str(v) for v in V.entries]} with one outlier allowed:")
     print(
         f"    generators {[str(x) for x in g.generators]}, "

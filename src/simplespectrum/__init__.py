@@ -45,7 +45,7 @@ from .spectrum import (
 from .structure import (
     StructureParams,
     StructureReport,
-    find_covering_gap,
+    covering_gap_with_indices,
     refine_structure,
     verify_report,
 )

@@ -197,9 +197,10 @@ def run(args) -> list[dict]:
             raise SimpleSpectrumError(f"--rmax must be >= 1, not {args.rmax}")
         V = smallball.WeightVector.exact(_load_vector(args.vector))
         caps = (args.volmax, args.volmax if args.rmax >= 2 else 0)
-        g = structure.find_covering_gap(V, args.m, vol_max=caps)
-        if g is None:
+        hit = structure.covering_gap_with_indices(V, args.m, vol_max=caps)
+        if hit is None:
             return [{"kind": "gap-cover", "found": False}]
+        g = hit[0]
         return [{"kind": "gap-cover", "found": True, "gap": g.to_json(),
                  "volume": gaps.volume(g)}]
     if args.command == "refine":

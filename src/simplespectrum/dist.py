@@ -41,11 +41,6 @@ class AtomicDistribution:
         if any(a >= b for a, b in zip(self.atoms, self.atoms[1:])):
             raise DistributionError("atoms must be strictly increasing")
 
-    @property
-    def is_trivial(self) -> bool:
-        """True iff the distribution is a single deterministic atom."""
-        return len(self.atoms) == 1
-
     def to_json(self) -> dict:
         return {
             "atoms": [format_rational(a) for a in self.atoms],
@@ -67,8 +62,6 @@ def make_distribution(atoms: Sequence, probs: Sequence) -> AtomicDistribution:
     """
     if len(atoms) != len(probs):
         raise DistributionError("atoms and probs must have equal length")
-    if not atoms:
-        raise DistributionError("distribution needs at least one atom")
     merged: dict[Fraction, Fraction] = {}
     for a, p in zip(atoms, probs):
         a = parse_rational(a)

@@ -28,9 +28,7 @@ squarefree.  Of the rest, a row with p(lam) = p'(lam) = 0 at an integer
 |lam| <= n - 1, where every eigenvalue of a graph on n vertices lies, is
 non-simple.  Only rows with neither proof, whose repeated roots are
 irrational, reach repeated_factor: 4 of the 151 distinct char polys at
-n = 6 and 13 of 988 at n = 7.  On one core n = 7 takes about 0.005 s and
-n = 8 about 0.5 s, four fifths of it the orbit table of the 7-vertex
-graphs.
+n = 6 and 13 of 988 at n = 7.  exhaustive_census gives the timings.
 """
 
 from __future__ import annotations
@@ -68,8 +66,9 @@ from .spectrum import (
 )
 
 
-# Slotted, as SimplicityVerdict is, and storing only what the rest follows
-# from: a run that keeps a result per call holds thousands of them.
+# The two results are slotted, as SimplicityVerdict is, and store only what
+# the rest follows from: a run that keeps a result per call holds thousands
+# of them.
 @dataclass(frozen=True, slots=True)
 class CensusResult:
     n: int
@@ -93,14 +92,20 @@ class CensusResult:
         return self.nonsimple_count / self.total
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExperimentSummary:
     trials: int
     successes: int
-    point_estimate: float
-    wilson_ci_95: tuple[float, float]
     seed: int
-    wall_time: float = field(compare=False, default=0.0)
+    wall_time: float = field(compare=False)
+
+    @property
+    def point_estimate(self) -> float:
+        return self.successes / self.trials
+
+    @property
+    def wilson_ci_95(self) -> tuple[float, float]:
+        return wilson_interval(self.successes, self.trials)
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054):
@@ -169,17 +174,6 @@ def _dispatch(chunk, head: tuple, total: int, workers: int) -> int:
     size = min(len(jobs), os.cpu_count() or 1)
     with concurrent.futures.ProcessPoolExecutor(max_workers=size) as ex:
         return sum(ex.map(chunk, jobs))
-
-
-def _summary(successes: int, trials: int, seed: int, t0: float) -> ExperimentSummary:
-    return ExperimentSummary(
-        trials=trials,
-        successes=successes,
-        point_estimate=successes / trials,
-        wilson_ci_95=wilson_interval(successes, trials),
-        seed=seed,
-        wall_time=time.perf_counter() - t0,
-    )
 
 
 # About this many char poly rows per stack: a stack holds
@@ -251,12 +245,12 @@ def exhaustive_census(n: int, workers: int = 1) -> CensusResult:
     vertices is one (minor, border) pair, and the pairs whose minor lies in
     an orbit of size s carry s times the char polys of the representative's
     borders, so the weighted count is exact; workers split the
-    representatives.  On one core of a 2-vCPU VM, n = 6 (32,768 graphs,
-    151 distinct char polys, 4 to repeated_factor) takes about 0.0008 s,
-    n = 7 (2,097,152 graphs, 988 distinct, 13 to repeated_factor) about
-    0.005 s, and n = 8 (268,435,456 graphs, 210,782,880 simple, 66 to
-    repeated_factor) about 0.5 s at a peak RSS of 110 MB, 0.4 s of it
-    building graph_orbits(7).
+    representatives.  On one core of a 2-vCPU VM, with graph_orbits(n - 1)
+    built, n = 6 (32,768 graphs, 151 distinct char polys, 4 to
+    repeated_factor) takes about 0.0008 s and n = 7 (2,097,152 graphs, 988
+    distinct, 13 to repeated_factor) about 0.006 s.  n = 8 (268,435,456
+    graphs, 210,782,880 simple, 66 to repeated_factor) takes about 0.5 s
+    at a peak RSS of 110 MB, 0.4 s of it building graph_orbits(7).
     """
     if not 2 <= n <= 8:
         raise PreconditionError("census supports 2 <= n <= 8")
@@ -282,7 +276,7 @@ def monte_carlo_simplicity(
         raise PreconditionError("trials must be >= 1")
     t0 = time.perf_counter()
     nonsimple = _dispatch(_mc_chunk, (spec, n, seed), trials, workers)
-    return _summary(nonsimple, trials, seed, t0)
+    return ExperimentSummary(trials, nonsimple, seed, time.perf_counter() - t0)
 
 
 def _rich_chunk(args) -> int:
@@ -320,4 +314,4 @@ def rich_eigenvector_frequency(
         raise PreconditionError("delta must be positive")
     t0 = time.perf_counter()
     hits = _dispatch(_rich_chunk, (spec, n, A, delta, seed), trials, workers)
-    return _summary(hits, trials, seed, t0)
+    return ExperimentSummary(trials, hits, seed, time.perf_counter() - t0)

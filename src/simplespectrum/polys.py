@@ -1,10 +1,9 @@
-"""Integer polynomial utilities: primitive-PRS gcd and modular squarefree screen.
+"""Integer polynomial utilities: primitive-PRS gcd, gcd mod p and primes.
 
 Polynomials are lists of Python ints, constant term first.  The primitive
 pseudo-remainder sequence keeps coefficient growth polynomial, which is all
-the desk scale here needs; the mod-p screen gives a cheap one-sided
-certificate of squarefreeness (constant gcd mod p implies constant gcd
-over Q whenever p divides neither leading coefficient).
+the desk scale here needs.  The modular squarefree screens,
+squarefree_screen and repeated_factor, live in spectrum.
 """
 
 from __future__ import annotations

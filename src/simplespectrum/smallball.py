@@ -23,7 +23,7 @@ import numpy as np
 from .dist import AtomicDistribution
 from .errors import CapExceededError, PreconditionError
 
-DEFAULT_SUM_CAP = 10**7
+_SUM_CAP = 10**7
 _EXHAUSTIVE_LIMIT = 1 << 20
 _MC_SAMPLES = 10**4
 
@@ -61,9 +61,7 @@ class SmallBallResult:
     trials: int = 0
 
 
-def small_ball_exact(
-    V: WeightVector, d: AtomicDistribution, cap: int = DEFAULT_SUM_CAP
-) -> SmallBallResult:
+def small_ball_exact(V: WeightVector, d: AtomicDistribution) -> SmallBallResult:
     """Exact maximal point mass of sum xi_i v_i by iterated convolution.
 
     Atoms scale by L_a and V by L_v (the lcms of their denominators), so a
@@ -73,7 +71,7 @@ def small_ball_exact(
     sums.  Sums are int64 when the scaled max|a| * sum|v| is below 2^63,
     masses when D^n is; either holds Python ints otherwise, so nothing
     wraps.  CapExceededError is raised as soon as the distinct-sum support
-    exceeds `cap`.  The result becomes a Fraction once, at the end.
+    exceeds _SUM_CAP = 10^7.  The result becomes a Fraction once, at the end.
 
     The empty vector gives the deterministic empty sum: p = 1 at 0.
     Ties on the maximal mass resolve to the smallest attaining sum.
@@ -96,9 +94,9 @@ def small_ball_exact(
         order = np.argsort(cand, kind="stable")
         cand = cand[order]
         starts = np.flatnonzero(np.concatenate(([True], cand[1:] != cand[:-1])))
-        if len(starts) > cap:
+        if len(starts) > _SUM_CAP:
             raise CapExceededError(
-                f"distinct-sum support {len(starts)} exceeds cap {cap}"
+                f"distinct-sum support {len(starts)} exceeds cap {_SUM_CAP}"
             )
         sums = cand[starts]
         masses = np.add.reduceat(mass[order], starts)
@@ -214,8 +212,8 @@ def is_rich(
 
     The threshold always uses the caller-supplied n (by convention the
     length of the vector under test).  Exact mode runs small_ball_exact
-    under its default support cap and compares rationals exactly when A is
-    an integer; numeric mode runs small_ball_windowed with window delta.
+    and compares rationals exactly when A is an integer; numeric mode runs
+    small_ball_windowed with window delta.
     """
     if A <= 0:
         raise PreconditionError("A must be positive")

@@ -40,7 +40,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
 from math import comb, isqrt
 from operator import mul
 from typing import Optional
@@ -56,21 +55,13 @@ from .matrices import SymmetricMatrix
 # n * (p // 2)^2 + p < 2^63.
 _PRIME_FLOOR = (1 << 27) - 100
 
-# Primes >= _PRIME_FLOOR found so far in this process, ascending, so that
-# Miller-Rabin runs once per prime.  Growth rebinds a whole new tuple, so
-# concurrent callers cannot interleave appends.
-_PRIMES: tuple[int, ...] = ()
 
-
+@lru_cache(maxsize=None)
 def _crt_prime(i: int) -> int:
-    """The i-th prime >= _PRIME_FLOOR, counting from 0."""
-    global _PRIMES
-    primes = _PRIMES
-    if i >= len(primes):
-        start = primes[-1] + 1 if primes else _PRIME_FLOOR
-        primes += tuple(islice(polys.primes_from(start), i + 1 - len(primes)))
-        _PRIMES = primes
-    return primes[i]
+    """The i-th prime >= _PRIME_FLOOR, counting from 0: the first prime past
+    the (i - 1)-th, so Miller-Rabin runs once per prime in this process.
+    Callers ask in ascending order, so each call recurses at most once."""
+    return next(polys.primes_from(_crt_prime(i - 1) + 1 if i else _PRIME_FLOOR))
 
 
 @dataclass(frozen=True)
@@ -78,10 +69,6 @@ class CharPoly:
     """Monic characteristic polynomial, coefficients constant term first."""
 
     coeffs: tuple[Fraction, ...]
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
 
     def __call__(self, x):
         acc = 0
@@ -212,7 +199,7 @@ def _charpoly_tridiagonal(alpha: list[int], coupling: list[int], p: int) -> list
     return cur
 
 
-def _charpoly_mod(A: np.ndarray, n: int, p: int) -> Optional[list[int]]:
+def _charpoly_mod(A: np.ndarray, p: int) -> Optional[list[int]]:
     """Char poly of A mod p, [c_0..c_n] in [0, p) with poly =
     sum c_k x^(n-k), from its Lanczos pass; None when the pass breaks down,
     which the pass over Q never does, so only finitely many p can."""
@@ -263,7 +250,7 @@ def _integer_charpoly(A: np.ndarray, T0: object = ...) -> list[int]:
         if i == 1 and T0 is not ...:
             residues = None if T0 is None else _charpoly_tridiagonal(*T0, p)
         else:
-            residues = _charpoly_mod(A, n, p)
+            residues = _charpoly_mod(A, p)
         if residues is None:
             continue
         inv = pow(modulus, -1, p)

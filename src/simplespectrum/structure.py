@@ -1,15 +1,16 @@
 """Desk-scale inverse Littlewood-Offord: covering GAPs and iterative refinement.
 
-find_covering_gap searches a candidate pool of generators (element values,
-pairwise differences, and their quotients by 1..6) for a proper symmetric
-GAP of rank 1 or 2 and bounded volume containing all but at most m
-elements of a vector.  The search runs on one integer lattice: the values
-are put over L = 60 * lcm(denominators), so every candidate is an exact
-integer, and one table lists, per candidate, the values it divides.  Both
-the best rank-1 cover and the order of the rank-2 pairs come from that
-table; a generator becomes the Fraction g / L only in the returned Gap.
-The search is heuristic but every result is re-verified by enumeration,
-so incompleteness can only produce None, never a wrong GAP.
+covering_gap_with_indices searches a candidate pool of generators
+(element values, pairwise differences, and their quotients by 1..6) for a
+proper symmetric GAP of rank 1 or 2 and bounded volume containing all but
+at most m elements of a vector, and returns it with the covered indices.
+The search runs on one integer lattice: the values are put over
+L = 60 * lcm(denominators), so every candidate is an exact integer, and
+one table lists, per candidate, the values it divides.  Both the best
+rank-1 cover and the order of the rank-2 pairs come from that table; a
+generator becomes the Fraction g / L only in the returned Gap.  The search
+is heuristic but every result is re-verified by enumeration, so
+incompleteness can only produce None, never a wrong GAP.
 
 refine_structure runs the iterative loop: cover the vector, look for a
 small stability subset whose concentration stays below n^(d0*eps) times
@@ -138,32 +139,21 @@ def _rank2_cover(
     return gap, tuple(covered_idx)
 
 
-def find_covering_gap(
-    V: WeightVector,
-    m: int,
-    vol_max: tuple[int, int] = (10**4, 10**4),
-    enum_cap: int = gaps.DEFAULT_ENUM_CAP,
-) -> Optional[Gap]:
-    """Search for a proper symmetric GAP of rank 1 or 2 containing all but
-    at most m elements of V (with multiplicity).  vol_max holds one volume
-    cap per rank: rank 1 is tried under vol_max[0], then rank 2 under
-    vol_max[1]; a cap below 1 skips its rank.
-
-    Returns None when the bounded candidate search exhausts.  Every result
-    is re-verified by enumeration before it is returned.
-    """
-    gap_idx = covering_gap_with_indices(V, m, vol_max, enum_cap)
-    return gap_idx[0] if gap_idx else None
-
-
 def covering_gap_with_indices(
     V: WeightVector,
     m: int,
     vol_max: tuple[int, int] = (10**4, 10**4),
     enum_cap: int = gaps.DEFAULT_ENUM_CAP,
 ) -> Optional[tuple[Gap, tuple[int, ...]]]:
-    """find_covering_gap plus the covered index set, under the same
-    per-rank caps vol_max = (cap for rank 1, cap for rank 2)."""
+    """Search for a proper symmetric GAP of rank 1 or 2 containing all but
+    at most m elements of V (with multiplicity); returns it with the sorted
+    indices of the elements it covers.  vol_max holds one volume cap per
+    rank: rank 1 is tried under vol_max[0], then rank 2 under vol_max[1]; a
+    cap below 1 skips its rank.
+
+    Returns None when the bounded candidate search exhausts.  Every result
+    is re-verified by enumeration before it is returned.
+    """
     if V.mode != "exact":
         raise PreconditionError("covering search needs an exact-mode vector")
     n = len(V)
@@ -341,12 +331,12 @@ def refine_structure(
 
 @dataclass(frozen=True)
 class VerificationResult:
-    ok: bool
     failed: tuple[str, ...]
     details: dict
 
-    def __bool__(self):
-        return self.ok
+    @property
+    def ok(self) -> bool:
+        return not self.failed
 
 
 def verify_report(
@@ -420,4 +410,4 @@ def verify_report(
         details["smallball_bound"] = {"ok": False}
 
     failed = tuple(name for name, cert in details.items() if not cert["ok"])
-    return VerificationResult(ok=not failed, failed=failed, details=details)
+    return VerificationResult(failed=failed, details=details)

@@ -250,3 +250,32 @@ def test_check_simple_and_montecarlo_records_pinned(capsys, tmp_path):
                                 "--trials", "20", "--seed", "5")
             out.append((code, re.sub(r'"wall_time": [^,}]*', '"wall_time"', rec)))
     assert hashlib.sha256(repr(out).encode()).hexdigest() == RECORDS_SHA256
+
+
+# sha256 of the records below with wall_time removed: the richness
+# estimates and the covering-search records, one GAP found at each rank and
+# one search that finds none.
+RICHNESS_GAP_COVER_SHA256 = "b6c5d461d0fe2ec3b44f7ee10bea55ee7214af80bc108b212a320074f8bfc3ce"
+
+
+def test_richness_and_gap_cover_records_pinned(capsys, tmp_path):
+    out = []
+    for ensemble, n, A, delta in (("sign", "4", "2", "1e-9"), ("gnp", "6", "1.5", "0.01"),
+                                  ("sign", "12", "1", "0.05")):
+        code, rec = run_cli(capsys, "richness", "--ensemble", ensemble, "--n", n, "--A", A,
+                            "--delta", delta, "--trials", "6", "--seed", "3")
+        out.append((code, re.sub(r'"wall_time": [^,}]*', '"wall_time"', rec)))
+    digits = [str(a + 100 * b) for a in (-2, -1, 0, 1, 2) for b in (-1, 0, 1)]
+    vectors = [
+        (["1", "2", "3", "4", "5", "100"], "1", "1", "10000"),  # rank 1
+        (["1/2", "3/2", "-5/6", "7/3", "0", "1000"], "1", "2", "10000"),
+        (digits, "0", "2", "100"),  # rank 2
+        (digits, "0", "1", "100"),  # none
+    ]
+    for k, (values, m, rmax, volmax) in enumerate(vectors):
+        v = _write(tmp_path, f"v{k}.json", json.dumps(values))
+        for fmt in ("json", "csv"):
+            out.append(run_cli(capsys, "--out", fmt, "gap-cover", "--vector", v, "--m", m,
+                               "--rmax", rmax, "--volmax", volmax))
+    assert [json.loads(rec)["found"] for _, rec in out[3::2]] == [True, True, True, False]
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == RICHNESS_GAP_COVER_SHA256

@@ -30,7 +30,6 @@ def test_duplicate_atoms_merge():
     assert d.atoms == (Fraction(3),)
     assert d.probs == (Fraction(1),)
     assert nontriviality_margin(d) == 0
-    assert d.is_trivial
 
 
 def test_atoms_sorted():
@@ -41,6 +40,13 @@ def test_atoms_sorted():
 def test_length_mismatch():
     with pytest.raises(DistributionError):
         make_distribution([1, 2], [1])
+
+
+def test_empty_distribution():
+    # make_distribution leaves the refusal to AtomicDistribution.
+    for build in (make_distribution, AtomicDistribution):
+        with pytest.raises(DistributionError, match="at least one atom"):
+            build((), ())
 
 
 def test_nonpositive_probability():

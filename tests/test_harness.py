@@ -1,3 +1,4 @@
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -157,6 +158,19 @@ def test_census_result_stores_only_n_and_the_simple_count():
     assert (c.total, c.nonsimple_count) == (1024, 274)
     assert (c.simple_fraction, c.nonsimple_fraction) == (750 / 1024, 274 / 1024)
     assert c == harness.CensusResult(n=5, simple_count=750)
+
+
+def test_experiment_summary_stores_only_counts():
+    # As CensusResult: the estimate and interval follow from the counts.
+    s = monte_carlo_simplicity(GNP, 3, trials=400, seed=9)
+    assert s.__slots__ == ("trials", "successes", "seed", "wall_time") and not hasattr(s, "__dict__")
+    assert tuple(f.name for f in fields(s)) == s.__slots__
+    assert (s.trials, s.seed) == (400, 9) and 0 < s.successes < 400
+    assert s.point_estimate == s.successes / s.trials
+    assert s.wilson_ci_95 == wilson_interval(s.successes, s.trials)
+    assert s == monte_carlo_simplicity(GNP, 3, trials=400, seed=9, workers=3)
+    r = rich_eigenvector_frequency(SIGN, 6, A=1.5, delta=0.01, trials=12, seed=3)
+    assert r == rich_eigenvector_frequency(SIGN, 6, A=1.5, delta=0.01, trials=12, seed=3, workers=3)
 
 
 def test_census_range_check():

@@ -1,5 +1,6 @@
-"""Lints: no module of the package imports a name it never uses, and no
-module-level private name goes unreferenced in the package."""
+"""Lints: no module of the package imports a name it never uses, no
+module-level private name goes unreferenced in the package, and no function
+leaves a parameter unread."""
 
 import ast
 from collections import defaultdict
@@ -80,3 +81,54 @@ def test_detects_unused_private_name():
 def test_no_unused_private_names():
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert unused_private_names(sources) == []
+
+
+def unread_parameters(source: str) -> list[str]:
+    """Parameters, apart from self and cls, that the body of their function
+    (nested functions included) never reads."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = node.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {
+            n.id
+            for stmt in body
+            for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        name = getattr(node, "name", "<lambda>")
+        found += [
+            f"{name}: {p.arg} (line {p.lineno})"
+            for p in params
+            if p.arg not in ("self", "cls") and p.arg not in read
+        ]
+    return found
+
+
+def test_detects_unread_parameter():
+    source = (
+        "def f(self, a, b=1, *args, c, **kw):\n"
+        "    b = 2\n"
+        "    def g(d):\n"
+        "        return a + c\n"
+        "    return g, lambda x, y: y\n"
+    )
+    assert unread_parameters(source) == [
+        "f: b (line 1)",
+        "f: args (line 1)",
+        "f: kw (line 1)",
+        "g: d (line 3)",
+        "<lambda>: x (line 5)",
+    ]
+
+
+def test_no_unread_parameters():
+    found = [
+        f"{path.name}: {unread}"
+        for path in sorted(SRC.glob("*.py"))
+        for unread in unread_parameters(path.read_text())
+    ]
+    assert found == []

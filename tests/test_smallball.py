@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from simplespectrum import smallball
 from simplespectrum.dist import bernoulli_half, make_distribution, rademacher
 from simplespectrum.errors import CapExceededError, PreconditionError
 from simplespectrum.smallball import (
@@ -55,17 +56,20 @@ def test_binary_weights():
     assert res.p == Fraction(1, 16)
 
 
-def test_cap_enforced():
+def test_cap_enforced(monkeypatch):
+    monkeypatch.setattr(smallball, "_SUM_CAP", 3)
     with pytest.raises(CapExceededError):
-        small_ball_exact(WeightVector.exact([1, 2, 4, 8]), RAD, cap=3)
+        small_ball_exact(WeightVector.exact([1, 2, 4, 8]), RAD)
 
 
-def test_cap_boundary():
+def test_cap_boundary(monkeypatch):
     # [1, 2, 4, 8] has 16 distinct signed sums.
     V = WeightVector.exact([1, 2, 4, 8])
-    assert small_ball_exact(V, RAD, cap=16).p == Fraction(1, 16)
+    monkeypatch.setattr(smallball, "_SUM_CAP", 16)
+    assert small_ball_exact(V, RAD).p == Fraction(1, 16)
+    monkeypatch.setattr(smallball, "_SUM_CAP", 15)
     with pytest.raises(CapExceededError, match="support 16 exceeds cap 15"):
-        small_ball_exact(V, RAD, cap=15)
+        small_ball_exact(V, RAD)
 
 
 def test_exact_rejects_numeric_mode():

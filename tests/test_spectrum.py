@@ -169,7 +169,7 @@ def test_charpoly_mod_refuses_int64_wrap():
     # The refusal must come before any product over the entries.
     A = np.zeros((n, n), dtype=np.int64).view(_Untouchable)
     with pytest.raises(PreconditionError):
-        spectrum._charpoly_mod(A, n, p)
+        spectrum._charpoly_mod(A, p)
 
 
 def _largest_safe_prime(n):
@@ -192,7 +192,7 @@ def test_charpoly_mod_exact_at_the_int64_limit(n):
     A = rng.integers(0, p, size=(n, n))
     A = np.triu(A) + np.triu(A, 1).T
     ref = [int(c) % p for c in reversed(char_poly(SymmetricMatrix(A)).coeffs)]
-    assert spectrum._charpoly_mod(A, n, p) == ref
+    assert spectrum._charpoly_mod(A, p) == ref
     alpha, coupling = spectrum._lanczos_mod(A, p)
     assert all(abs(s) <= p // 2 for s in alpha + coupling)
 
@@ -209,7 +209,7 @@ def test_charpoly_mod_small_primes_match_cofactor_oracle():
             M = SymmetricMatrix(np.triu(A) + np.triu(A, 1).T)
             ref = cofactor_char_poly(M)[::-1]
             for p in (2, 3, 5, 7, 11):
-                got = spectrum._charpoly_mod(np.asarray(M.num % p), n, p)
+                got = spectrum._charpoly_mod(np.asarray(M.num % p), p)
                 T = spectrum._lanczos_mod(M.num, p)
                 assert (got is None) == (T is None)
                 if got is not None:
@@ -493,7 +493,7 @@ SPARSE_50 = EnsembleSpec(
 def test_row_norm_bound_prime_count_n50(monkeypatch, spec, most):
     calls = []
     real = spectrum._charpoly_mod
-    monkeypatch.setattr(spectrum, "_charpoly_mod", lambda A, n, p: calls.append(p) or real(A, n, p))
+    monkeypatch.setattr(spectrum, "_charpoly_mod", lambda A, p: calls.append(p) or real(A, p))
     for t in range(3):
         calls.clear()
         char_poly(sample_matrix(spec, 50, trial_rng(0, t)))
@@ -560,7 +560,7 @@ def test_sparse_n50_needs_at_most_three_primes(monkeypatch):
     # the 60 of seed 1, where denser draws still need four.
     calls = []
     real = spectrum._charpoly_mod
-    monkeypatch.setattr(spectrum, "_charpoly_mod", lambda A, n, p: calls.append(p) or real(A, n, p))
+    monkeypatch.setattr(spectrum, "_charpoly_mod", lambda A, p: calls.append(p) or real(A, p))
     for t in range(6):
         A = sample_matrix(SPARSE_50, 50, trial_rng(0, t)).num
         calls.clear()
@@ -1053,3 +1053,10 @@ def test_crt_primes_found_once(monkeypatch):
     monkeypatch.setattr(polys, "primes_from", lambda s: calls.append(s) or real(s))
     assert simplicity_exact(M) == verdict
     assert calls == []
+    # Rebuilt from empty, each prime is searched for once, from the one
+    # before it.
+    primes = [spectrum._crt_prime(i) for i in range(3)]
+    spectrum._crt_prime.cache_clear()
+    assert [spectrum._crt_prime(i) for i in range(3)] == primes
+    assert [spectrum._crt_prime(i) for i in range(3)] == primes
+    assert calls == [spectrum._PRIME_FLOOR, primes[0] + 1, primes[1] + 1]

@@ -5,7 +5,7 @@ import os
 import random
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -25,7 +25,6 @@ from simplespectrum.structure import (
     _vol_bound_ok,
     _vol_cap,
     covering_gap_with_indices,
-    find_covering_gap,
     refine_structure,
     verify_report,
 )
@@ -37,14 +36,14 @@ PARAMS = StructureParams(A=1.0, eps=0.2, d0=3, C0=F(10))
 
 
 def test_cover_constant_vector():
-    g = find_covering_gap(WeightVector.exact([1, 1, 1, 1, 1]), m=0)
-    assert g == Gap((F(1),), (F(1),))
+    g, idx = covering_gap_with_indices(WeightVector.exact([1, 1, 1, 1, 1]), m=0)
+    assert g == Gap((F(1),), (F(1),)) and idx == (0, 1, 2, 3, 4)
     assert volume(g) == 3
 
 
 def test_cover_outlier():
-    g = find_covering_gap(WeightVector.exact([1, 2, 3, 4, 5, 100]), m=1)
-    assert g == Gap((F(1),), (F(5),))
+    g, idx = covering_gap_with_indices(WeightVector.exact([1, 2, 3, 4, 5, 100]), m=1)
+    assert g == Gap((F(1),), (F(5),)) and idx == (0, 1, 2, 3, 4)
 
 
 def test_cover_enumerates_each_verified_box_once(monkeypatch):
@@ -57,21 +56,22 @@ def test_cover_enumerates_each_verified_box_once(monkeypatch):
         return real_box(P)
 
     monkeypatch.setattr(gaps, "_box", counting)
-    g = find_covering_gap(WeightVector.exact([1, 2, 3, 4, 5, 100]), m=1)
+    g, _ = covering_gap_with_indices(WeightVector.exact([1, 2, 3, 4, 5, 100]), m=1)
     assert boxes == [g]
 
 
 def test_cover_incommensurable_returns_none():
     V = WeightVector.exact([F(1), F(10**6 + 1), F(7, 3)])
-    assert find_covering_gap(V, m=0, vol_max=(10, 0)) is None
+    assert covering_gap_with_indices(V, m=0, vol_max=(10, 0)) is None
 
 
 def test_cover_rank2():
     # Base-100 digits need two generators at small volume.
     values = [a + 100 * b for a in (-2, -1, 0, 1, 2) for b in (-1, 0, 1)]
-    g = find_covering_gap(WeightVector.exact(values), m=0, vol_max=(100, 100))
-    assert g is not None
-    assert g.rank <= 2
+    hit = covering_gap_with_indices(WeightVector.exact(values), m=0, vol_max=(100, 100))
+    assert hit is not None
+    g, idx = hit
+    assert g.rank <= 2 and idx == tuple(range(len(values)))
     from simplespectrum.gaps import member_set
 
     members = member_set(g)
@@ -97,8 +97,8 @@ def test_cover_results_verified():
 def test_cover_quotient_generator():
     # 5/6 occurs only as a sixth of the value 5: the lattice must make
     # every quotient by 1..6 an integer.
-    g = find_covering_gap(WeightVector.exact([0, 5]), m=1)
-    assert g == Gap((F(5, 6),), (F(0),))
+    g, idx = covering_gap_with_indices(WeightVector.exact([0, 5]), m=1)
+    assert g == Gap((F(5, 6),), (F(0),)) and idx == (0,)
 
 
 # Oracle: the covering search as it was first written, in Fraction
@@ -357,9 +357,9 @@ def test_refine_small_ball_once_per_value_multiset(monkeypatch):
     calls, visited = [], []
     real_ball, real_subsets = smallball.small_ball_exact, structure._stability_subsets
 
-    def recording(V, d, cap=smallball.DEFAULT_SUM_CAP):
+    def recording(V, d):
         calls.append(tuple(sorted(V.entries)))
-        return real_ball(V, d, cap)
+        return real_ball(V, d)
 
     def counting(n_i, k_i):
         for subset in real_subsets(n_i, k_i):
@@ -484,6 +484,17 @@ def test_verify_p_halved_still_ok(ones_report):
     # slack is tested in both directions.
     V = WeightVector.exact([1] * 16)
     assert verify_report(V, RAD, PARAMS, _mutate(ones_report, p=ones_report.p / 2)).ok
+
+
+def test_verification_result_stores_failed_and_details(ones_report):
+    # ok is not stored: it is read off the failed certificates.
+    V = WeightVector.exact([1] * 16)
+    assert [f.name for f in fields(structure.VerificationResult)] == ["failed", "details"]
+    bad = _mutate(ones_report, w_indices=(0,), wprime_indices=(0,))
+    for report, ok in ((ones_report, True), (bad, False)):
+        res = verify_report(V, RAD, PARAMS, report)
+        assert res.ok == (not res.failed) == ok
+        assert res.failed == tuple(k for k, cert in res.details.items() if not cert["ok"])
 
 
 def test_verify_rejects_bound_tamper(ones_report):
