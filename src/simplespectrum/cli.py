@@ -69,7 +69,7 @@ def _load_vector(path: str) -> list[Fraction]:
 
 def _load_dist(path: str) -> dist.AtomicDistribution:
     with _reading("distribution", path):
-        return dist.AtomicDistribution.from_json(Path(path).read_text())
+        return dist.AtomicDistribution.from_json(json.loads(Path(path).read_text()))
 
 
 def _ensemble(name: str) -> matrices.EnsembleSpec:

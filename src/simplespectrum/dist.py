@@ -8,7 +8,6 @@ mu > 0.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -49,8 +48,6 @@ class AtomicDistribution:
 
     @classmethod
     def from_json(cls, obj) -> "AtomicDistribution":
-        if isinstance(obj, str):
-            obj = json.loads(obj)
         return make_distribution(obj["atoms"], obj["probs"])
 
 

@@ -11,7 +11,6 @@ directions never land inside a reference GAP.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -53,8 +52,6 @@ class Gap:
 
     @classmethod
     def from_json(cls, obj) -> "Gap":
-        if isinstance(obj, str):
-            obj = json.loads(obj)
         return cls(
             tuple(parse_rational(g) for g in obj["generators"]),
             tuple(parse_rational(m) for m in obj["dims"]),

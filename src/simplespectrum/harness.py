@@ -28,7 +28,7 @@ squarefree.  Of the rest, a row with p(lam) = p'(lam) = 0 at an integer
 |lam| <= n - 1, where every eigenvalue of a graph on n vertices lies, is
 non-simple.  Only rows with neither proof, whose repeated roots are
 irrational, reach repeated_factor: 4 of the 151 distinct char polys at
-n = 6 and 13 of 988 at n = 7.  exhaustive_census gives the timings.
+n = 6 and 13 of 988 at n = 7.
 """
 
 from __future__ import annotations
@@ -245,12 +245,10 @@ def exhaustive_census(n: int, workers: int = 1) -> CensusResult:
     vertices is one (minor, border) pair, and the pairs whose minor lies in
     an orbit of size s carry s times the char polys of the representative's
     borders, so the weighted count is exact; workers split the
-    representatives.  On one core of a 2-vCPU VM, with graph_orbits(n - 1)
-    built, n = 6 (32,768 graphs, 151 distinct char polys, 4 to
-    repeated_factor) takes about 0.0008 s and n = 7 (2,097,152 graphs, 988
-    distinct, 13 to repeated_factor) about 0.006 s.  n = 8 (268,435,456
-    graphs, 210,782,880 simple, 66 to repeated_factor) takes about 0.5 s
-    at a peak RSS of 110 MB, 0.4 s of it building graph_orbits(7).
+    representatives.  n = 6 has 32,768 graphs, 151 distinct char polys and
+    4 that reach repeated_factor; n = 7 has 2,097,152, 988 and 13; n = 8
+    has 268,435,456 graphs, 210,782,880 of them simple, and 66 that reach
+    repeated_factor.  README gives the timings.
     """
     if not 2 <= n <= 8:
         raise PreconditionError("census supports 2 <= n <= 8")

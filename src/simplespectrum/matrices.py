@@ -19,7 +19,6 @@ j from (s, t, 1 + j).
 
 from __future__ import annotations
 
-import json
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -115,8 +114,6 @@ class SymmetricMatrix:
 
     @classmethod
     def from_json(cls, obj) -> "SymmetricMatrix":
-        if isinstance(obj, str):
-            obj = json.loads(obj)
         M = cls.from_rows(obj["rows"])
         if M.n != obj["n"]:
             raise PreconditionError("dimension mismatch")

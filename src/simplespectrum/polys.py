@@ -61,9 +61,7 @@ def pseudo_rem(a: list[int], b: list[int]) -> list[int]:
 def gcd_int(a: list[int], b: list[int]) -> list[int]:
     """Primitive-PRS polynomial gcd over Z (result primitive, lc > 0)."""
     a, b = primitive(a), primitive(b)
-    if degree(a) < degree(b):
-        a, b = b, a
-    while b:
+    while b:  # when deg a < deg b, the first pseudo-remainder is a: a swap
         r = primitive(pseudo_rem(a, b))
         a, b = b, r
     return primitive(a)

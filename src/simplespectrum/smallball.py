@@ -57,8 +57,6 @@ class SmallBallResult:
     p: Union[Fraction, float]
     attaining_atom: Union[Fraction, float]
     mode: str  # "exact" | "windowed" | "windowed-mc"
-    window: float = 0.0
-    trials: int = 0
 
 
 def small_ball_exact(V: WeightVector, d: AtomicDistribution) -> SmallBallResult:
@@ -159,8 +157,8 @@ def small_ball_windowed(
 
     Exhaustive over all |atoms|^n assignments when that fits in 2^20,
     else Monte Carlo over a fixed 10^4 samples drawn from rng (seed 0 by
-    default) with the window maximized over sampled sums; the result's
-    `trials` field records that sample count.
+    default) with the window maximized over sampled sums, reported as mode
+    "windowed-mc".  The empty vector gives the empty sum: p = 1 at 0.
     """
     if delta <= 0:
         raise PreconditionError("delta must be positive")
@@ -169,8 +167,6 @@ def small_ball_windowed(
     probs = np.array([float(p) for p in d.probs])
     n = len(entries)
     k = len(atoms)
-    if not entries:
-        return SmallBallResult(p=1.0, attaining_atom=0.0, mode="windowed", window=delta)
     if k**n <= _EXHAUSTIVE_LIMIT:
         sums = np.zeros(1)
         weights = np.ones(1)
@@ -186,18 +182,14 @@ def small_ball_windowed(
         ordered = np.take(sums, order, out=weights, mode="clip")
         del order, sums
         p, center = _windowed_from_sorted(ordered, cum, delta)
-        return SmallBallResult(
-            p=p, attaining_atom=center, mode="windowed", window=delta
-        )
+        return SmallBallResult(p=p, attaining_atom=center, mode="windowed")
     if rng is None:
         rng = np.random.default_rng(0)
     draws = rng.choice(k, size=(_MC_SAMPLES, n), p=probs / probs.sum())
     sums = np.sort(atoms[draws] @ np.array(entries))
     cum = np.concatenate([[0.0], np.cumsum(np.full(_MC_SAMPLES, 1.0 / _MC_SAMPLES))])
     p, center = _windowed_from_sorted(sums, cum, delta)
-    return SmallBallResult(
-        p=p, attaining_atom=center, mode="windowed-mc", window=delta, trials=_MC_SAMPLES
-    )
+    return SmallBallResult(p=p, attaining_atom=center, mode="windowed-mc")
 
 
 def is_rich(

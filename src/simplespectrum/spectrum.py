@@ -199,14 +199,6 @@ def _charpoly_tridiagonal(alpha: list[int], coupling: list[int], p: int) -> list
     return cur
 
 
-def _charpoly_mod(A: np.ndarray, p: int) -> Optional[list[int]]:
-    """Char poly of A mod p, [c_0..c_n] in [0, p) with poly =
-    sum c_k x^(n-k), from its Lanczos pass; None when the pass breaks down,
-    which the pass over Q never does, so only finitely many p can."""
-    T = _lanczos_mod(A, p)
-    return None if T is None else _charpoly_tridiagonal(*T, p)
-
-
 def _coeff_bound(A: np.ndarray) -> int:
     """CRT range 2*min(H, F) + 1 for the char poly coefficients of the
     integer symmetric A: H and F each bound every |c_k|.
@@ -233,26 +225,25 @@ def _coeff_bound(A: np.ndarray) -> int:
     return 2 * min(hadamard, spectral) + 1
 
 
-def _integer_charpoly(A: np.ndarray, T0: object = ...) -> list[int]:
+def _integer_charpoly(A: np.ndarray, T: Optional[tuple[list[int], list[int]]]) -> list[int]:
     """Exact char poly of an integer symmetric matrix via CRT over primes;
-    T0, when given, is the first prime's Lanczos pass of A, None if it
-    broke down, and spares that pass.
+    T is the first prime's Lanczos pass of A, None if it broke down.
 
-    A prime whose pass breaks down is skipped, the first one included.
-    Garner's mixed-radix combination: one inverse of the running modulus
-    per prime lifts all n + 1 coefficients at once."""
+    A prime whose pass breaks down is skipped, the first one included: the
+    pass over Q never breaks down, so only finitely many p can.  Garner's
+    mixed-radix combination: one inverse of the running modulus per prime
+    lifts all n + 1 coefficients at once."""
     n = A.shape[0]
     bound, modulus, i = _coeff_bound(A), 1, 0
     coeffs = [0] * (n + 1)
     while modulus < bound:
         p = _crt_prime(i)
+        if i:
+            T = _lanczos_mod(A, p)
         i += 1
-        if i == 1 and T0 is not ...:
-            residues = None if T0 is None else _charpoly_tridiagonal(*T0, p)
-        else:
-            residues = _charpoly_mod(A, p)
-        if residues is None:
+        if T is None:
             continue
+        residues = _charpoly_tridiagonal(*T, p)
         inv = pow(modulus, -1, p)
         coeffs = [c + modulus * ((r - c) * inv % p) for c, r in zip(coeffs, residues)]
         modulus *= p
@@ -262,7 +253,8 @@ def _integer_charpoly(A: np.ndarray, T0: object = ...) -> list[int]:
 
 def char_poly(M: SymmetricMatrix) -> CharPoly:
     """Exact monic characteristic polynomial det(xI - M)."""
-    c = _integer_charpoly(M.num)  # char poly q of num = den*M, in y
+    # char poly q of num = den*M, in y
+    c = _integer_charpoly(M.num, _lanczos_mod(M.num, _crt_prime(0)))
     # p(x) = q(den*x)/den^n  =>  coefficient of x^(n-k) is c_k / den^k
     return CharPoly(tuple(Fraction(c[k], M.den**k) for k in reversed(range(M.n + 1))))
 

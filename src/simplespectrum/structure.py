@@ -25,7 +25,6 @@ subset.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -90,8 +89,6 @@ class StructureReport:
 
     @classmethod
     def from_json(cls, obj) -> "StructureReport":
-        if isinstance(obj, str):
-            obj = json.loads(obj)
         return cls(
             w_indices=tuple(obj["w_indices"]),
             wprime_indices=tuple(obj["wprime_indices"]),
@@ -211,14 +208,9 @@ def _verify_cover(gap, values, idx, m, enum_cap) -> bool:
     return len(members) == gaps.volume(gap) and all(values[i] in members for i in idx)
 
 
-def _vol_bound_ok(vol: int, c0: Fraction, p: Fraction, n: int, rank: int) -> bool:
-    """vol <= c0 * p^-1 * n^(-rank/2), compared exactly via squares."""
-    rhs = c0 / p
-    return vol * vol * (n**rank) <= rhs * rhs
-
-
 def _vol_cap(c0: Fraction, p: Fraction, n: int, rank: int) -> int:
-    """The largest vol with _vol_bound_ok(vol, c0, p, n, rank)."""
+    """The largest integer vol <= c0 * p^-1 * n^(-rank/2), exact: for
+    integer vol, vol^2 n^rank <= (c0 / p)^2 iff vol^2 <= floor((c0 / p)^2 / n^rank)."""
     return math.isqrt((c0 / p) ** 2 // n**rank)
 
 
@@ -392,7 +384,7 @@ def verify_report(
     except OverflowError:  # c0 / p past the float range, for a tiny p
         bound = math.inf
     details["volume_bound"] = {
-        "ok": _vol_bound_ok(vol, 2 * params.C0, report.p, n, report.gap.rank),
+        "ok": vol <= _vol_cap(2 * params.C0, report.p, n, report.gap.rank),
         "volume": vol,
         "bound": bound,
     }

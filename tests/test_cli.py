@@ -279,3 +279,28 @@ def test_richness_and_gap_cover_records_pinned(capsys, tmp_path):
                                "--rmax", rmax, "--volmax", volmax))
     assert [json.loads(rec)["found"] for _, rec in out[3::2]] == [True, True, True, False]
     assert hashlib.sha256(repr(out).encode()).hexdigest() == RICHNESS_GAP_COVER_SHA256
+
+
+# sha256 of the conc-prob and refine records below, JSON and CSV, which read
+# their --dist files through _load_dist; refine has no wall_time.
+CONC_PROB_REFINE_SHA256 = "1545d9c5f7408dfe3abea682ad809ec5712bf6b7b390a49a37263daf69a719a7"
+
+
+def test_conc_prob_and_refine_records_pinned(capsys, tmp_path):
+    three = json.dumps({"atoms": ["2", "-1/3", "0"], "probs": ["3/10", "1/5", "1/2"]})
+    bern = json.dumps({"atoms": ["0", "1"], "probs": ["1/2", "1/2"]})
+    runs = [
+        ("conc-prob", ["1", "1", "1", "1"], DIST, []),
+        ("conc-prob", ["1/2", "3/2", "-5/6", "7/3", "0"], three, []),
+        ("conc-prob", [], bern, []),
+        ("refine", ["1"] * 16, DIST, ["--A", "1", "--eps", "0.2"]),
+        ("refine", ["1", "2"] * 12, bern, ["--A", "1", "--eps", "0.2", "--C0", "20"]),
+    ]
+    out = []
+    for k, (cmd, values, law, extra) in enumerate(runs):
+        v = _write(tmp_path, f"v{k}.json", json.dumps(values))
+        d = _write(tmp_path, f"d{k}.json", law)
+        for fmt in ("json", "csv"):
+            out.append(run_cli(capsys, "--out", fmt, cmd, "--vector", v, "--dist", d, *extra))
+    assert [code for code, _ in out] == [0] * len(out)
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == CONC_PROB_REFINE_SHA256

@@ -68,7 +68,7 @@ def test_idempotent():
 def test_json_roundtrip():
     d = rademacher()
     blob = json.dumps(d.to_json())
-    assert AtomicDistribution.from_json(blob) == d
+    assert AtomicDistribution.from_json(json.loads(blob)) == d
     assert d.to_json() == {"atoms": ["-1", "1"], "probs": ["1/2", "1/2"]}
 
 
@@ -92,3 +92,19 @@ def test_margin_range(pairs):
     assert 0 <= mu <= 1 - Fraction(1, k)
     assert (mu == 0) == (k == 1)
     assert sum(d.probs) == 1
+
+
+@pytest.mark.parametrize(
+    "atoms, probs",
+    [
+        ((Fraction(0), Fraction(1)), (Fraction(1),)),
+        ((Fraction(0), Fraction(1)), (Fraction(3, 2), Fraction(-1, 2))),
+        ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0))),
+        ((Fraction(1), Fraction(0)), (Fraction(1, 2), Fraction(1, 2))),
+        ((Fraction(1), Fraction(1)), (Fraction(1, 2), Fraction(1, 2))),
+    ],
+    ids=["unequal-lengths", "negative-mass", "zero-mass", "unsorted", "repeated-atom"],
+)
+def test_contract_edges_raise(atoms, probs):
+    with pytest.raises(DistributionError):
+        AtomicDistribution(atoms, probs)

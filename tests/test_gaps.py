@@ -141,3 +141,16 @@ def test_reduce_never_increases_rank_or_volume():
         lhs = member_set(reduced, 10**5) & member_set(P, 10**5)
         rhs = member_set(P_I, 10**5) & member_set(P, 10**5)
         assert lhs == rhs
+
+
+@pytest.mark.parametrize(
+    "generators, dims",
+    [
+        ((Fraction(1), Fraction(2)), (Fraction(1),)),
+        ((Fraction(1),), (Fraction(-1, 2),)),
+    ],
+    ids=["unequal-lengths", "negative-dim"],
+)
+def test_contract_edges_raise(generators, dims):
+    with pytest.raises(ValueError):
+        Gap(generators, dims)

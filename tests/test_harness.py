@@ -393,3 +393,18 @@ def test_richness_smallball_streams_are_fresh(monkeypatch):
     assert len({repr(s) for s in states}) == len(states)
     for i, state in enumerate(states):
         assert state != trial_rng(seed, i // n).bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: monte_carlo_simplicity(SIGN, 3, 0, seed=0),
+        lambda: rich_eigenvector_frequency(SIGN, 3, 1.0, 0.1, 0, seed=0),
+        lambda: rich_eigenvector_frequency(SIGN, 3, 1.0, 0.0, 1, seed=0),
+        lambda: rich_eigenvector_frequency(SIGN, 3, 1.0, -0.1, 1, seed=0),
+    ],
+    ids=["mc-trials-0", "rich-trials-0", "rich-delta-0", "rich-delta-negative"],
+)
+def test_contract_edges_raise(call):
+    with pytest.raises(PreconditionError):
+        call()

@@ -1,6 +1,7 @@
 """Lints: no module of the package imports a name it never uses, no
-module-level private name goes unreferenced in the package, and no function
-leaves a parameter unread."""
+module-level private name goes unreferenced in the package, no function
+leaves a parameter unread, and no dataclass field goes unread outside the
+tests."""
 
 import ast
 from collections import defaultdict
@@ -132,3 +133,54 @@ def test_no_unread_parameters():
         for unread in unread_parameters(path.read_text())
     ]
     assert found == []
+
+
+def unread_dataclass_fields(defining: dict[str, str], readers: list[str]) -> list[str]:
+    """Fields of @dataclass classes in `defining` (file names to source)
+    whose name no attribute load in `readers` (sources) reads."""
+    read = {
+        node.attr
+        for source in readers
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    found = []
+    for fname, source in defining.items():
+        for cls in ast.walk(ast.parse(source)):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            decorators = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list]
+            if not any(getattr(d, "id", getattr(d, "attr", None)) == "dataclass" for d in decorators):
+                continue
+            found += [
+                f"{fname}: {cls.name}.{stmt.target.id} (line {stmt.lineno})"
+                for stmt in cls.body
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                and stmt.target.id not in read
+            ]
+    return found
+
+
+def test_detects_unread_dataclass_field():
+    defining = {
+        "a.py": (
+            "@dataclass(frozen=True)\nclass R:\n    p: float\n    window: float = 0.0\n"
+            "@dataclasses.dataclass\nclass S:\n    q: int\n"
+            "class Plain:\n    x: int\n"
+            "def f(r, s):\n    s.q = r.window\n"
+        ),
+    }
+    readers = [defining["a.py"], "print(R(1).p)\n"]
+    assert unread_dataclass_fields(defining, readers) == ["a.py: S.q (line 7)"]
+
+
+def test_no_unread_dataclass_fields():
+    # Reads in tests do not count: a field only a test reads is dead weight.
+    root = SRC.parents[1]
+    readers = [
+        p.read_text()
+        for p in sorted([*SRC.glob("*.py"), *root.glob("bench/*.py"), *root.glob("demos/*.py")])
+        if not p.name.startswith("test_")
+    ]
+    defining = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert unread_dataclass_fields(defining, readers) == []

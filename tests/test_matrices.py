@@ -288,3 +288,18 @@ def test_graph_orbits_built_once_and_read_only():
     for m in (-1, 8):
         with pytest.raises(PreconditionError):
             matrices.graph_orbits(m)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: SymmetricMatrix(np.zeros((2, 3), dtype=np.int64)),
+        lambda: SymmetricMatrix(np.zeros(3, dtype=np.int64)),
+        lambda: SymmetricMatrix.from_json({"n": 3, "rows": [["0", "1"], ["1", "0"]]}),
+        lambda: graph_from_index(0, 0),
+    ],
+    ids=["non-square", "one-dimensional", "json-n-disagrees", "graph-n-0"],
+)
+def test_contract_edges_raise(call):
+    with pytest.raises(PreconditionError):
+        call()

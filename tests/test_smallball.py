@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 from itertools import product
@@ -228,6 +229,14 @@ def test_is_rich_examples():
     assert rich and p == 1
 
 
+def test_is_rich_exact_non_integer_A():
+    # A non-integer A compares float(p) with n^-A.
+    ones = WeightVector.exact([1, 1, 1, 1])
+    assert is_rich(ones, RAD, A=1.5, n=4) == (True, Fraction(3, 8))  # 3/8 >= 1/8
+    assert is_rich(ones, RAD, A=0.5, n=4) == (False, Fraction(3, 8))  # 3/8 < 1/2
+    assert is_rich(WeightVector.exact([1, 1]), RAD, A=0.5, n=4) == (True, Fraction(1, 2))
+
+
 def test_is_rich_windowed_mode():
     rich, p = is_rich(
         WeightVector.numeric([1.0, 1.0, 1.0, 1.0]), RAD, A=1.0, n=4, delta=1e-9
@@ -327,6 +336,42 @@ def test_windowed_exhaustive_matches_reference_pipeline(d):
                 )
 
 
+def test_windowed_empty_vector_is_the_empty_sum():
+    for d in (RAD, THREE):
+        res = small_ball_windowed(WeightVector.numeric([]), d, delta=0.1)
+        assert (res.p, res.attaining_atom, res.mode) == (1.0, 0.0, "windowed")
+
+
+def test_windowed_mc_default_rng_is_seed_0():
+    V = WeightVector.numeric(np.random.default_rng(4).standard_normal(21))
+    assert 2**21 > smallball._EXHAUSTIVE_LIMIT
+    default = small_ball_windowed(V, RAD, delta=0.05)
+    assert default.mode == "windowed-mc"
+    assert default == small_ball_windowed(V, RAD, delta=0.05, rng=np.random.default_rng(0))
+
+
+# sha256 of (p, attaining_atom, mode) from small_ball_windowed on the cases
+# below: the empty vector, lengths on both sides of the 2^20 exhaustive
+# limit, and the Monte Carlo branch with and without an rng.
+WINDOWED_SHA256 = "9b14e8ca0febdf357e1ef516f252ce47985262188a548015bb7e720e96c4fd67"
+
+
+def test_windowed_results_pinned():
+    rng = np.random.default_rng(23)
+    cases = [(WeightVector.numeric([]), RAD, 0.1, None)]
+    for d, n in ((RAD, 20), (RAD, 21), (THREE, 12), (THREE, 13)):
+        V = WeightVector.numeric(rng.standard_normal(n))
+        cases += [(V, d, 0.05, None), (V, d, 0.05, np.random.default_rng(9))]
+    cases.append((WeightVector.numeric(0.25 * rng.integers(-3, 4, 21)), RAD, 1e-9, None))
+    out = [
+        (res.p, res.attaining_atom, res.mode)
+        for res in (small_ball_windowed(V, d, delta, rng=r) for V, d, delta, r in cases)
+    ]
+    modes = ["windowed"] * 3 + ["windowed-mc"] * 2 + ["windowed"] * 2 + ["windowed-mc"] * 3
+    assert [mode for _, _, mode in out] == modes
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == WINDOWED_SHA256
+
+
 def test_windowed_exhaustive_memory():
     import tracemalloc
 
@@ -339,3 +384,19 @@ def test_windowed_exhaustive_memory():
         tracemalloc.stop()
     # 2^18 sums take 2 MiB per float64 array; the scan keeps at most five.
     assert peak <= 10 * 10**6
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: small_ball_windowed(WeightVector.numeric([1.0]), RAD, delta=0.0),
+        lambda: small_ball_windowed(WeightVector.numeric([1.0]), RAD, delta=-1.0),
+        lambda: is_rich(WeightVector.exact([1]), RAD, A=0.0, n=1),
+        lambda: is_rich(WeightVector.numeric([1.0]), RAD, A=-1.0, n=1, delta=0.1),
+        lambda: is_rich(WeightVector.exact([1]), RAD, A=1.0, n=0),
+    ],
+    ids=["delta-0", "delta-negative", "A-0", "A-negative", "n-0"],
+)
+def test_contract_edges_raise(call):
+    with pytest.raises(PreconditionError):
+        call()

@@ -2,7 +2,7 @@ import hashlib
 from collections import Counter
 from fractions import Fraction
 from itertools import chain, islice
-from math import isqrt
+from math import isqrt, lcm
 
 import numpy as np
 import pytest
@@ -155,6 +155,12 @@ class _Untouchable(np.ndarray):
         pytest.fail("reached the products")
 
 
+def _integer_charpoly(A):
+    """The CRT char poly of A from the first prime's pass, as char_poly
+    starts it; the prime and the pass are looked up at call time."""
+    return spectrum._integer_charpoly(A, spectrum._lanczos_mod(A, spectrum._crt_prime(0)))
+
+
 def _smallest_wrapping_n(p):
     """The smallest n whose sums of n balanced products mod p can wrap."""
     half = p // 2
@@ -169,7 +175,7 @@ def test_charpoly_mod_refuses_int64_wrap():
     # The refusal must come before any product over the entries.
     A = np.zeros((n, n), dtype=np.int64).view(_Untouchable)
     with pytest.raises(PreconditionError):
-        spectrum._charpoly_mod(A, p)
+        spectrum._charpoly_tridiagonal(*spectrum._lanczos_mod(A, p), p)
 
 
 def _largest_safe_prime(n):
@@ -192,8 +198,8 @@ def test_charpoly_mod_exact_at_the_int64_limit(n):
     A = rng.integers(0, p, size=(n, n))
     A = np.triu(A) + np.triu(A, 1).T
     ref = [int(c) % p for c in reversed(char_poly(SymmetricMatrix(A)).coeffs)]
-    assert spectrum._charpoly_mod(A, p) == ref
     alpha, coupling = spectrum._lanczos_mod(A, p)
+    assert spectrum._charpoly_tridiagonal(alpha, coupling, p) == ref
     assert all(abs(s) <= p // 2 for s in alpha + coupling)
 
 
@@ -209,11 +215,11 @@ def test_charpoly_mod_small_primes_match_cofactor_oracle():
             M = SymmetricMatrix(np.triu(A) + np.triu(A, 1).T)
             ref = cofactor_char_poly(M)[::-1]
             for p in (2, 3, 5, 7, 11):
-                got = spectrum._charpoly_mod(np.asarray(M.num % p), p)
+                Tp = spectrum._lanczos_mod(np.asarray(M.num % p), p)
                 T = spectrum._lanczos_mod(M.num, p)
-                assert (got is None) == (T is None)
-                if got is not None:
-                    assert got == [int(c) % p for c in ref], (n, p)
+                assert (Tp is None) == (T is None)
+                if Tp is not None:
+                    assert spectrum._charpoly_tridiagonal(*Tp, p) == [int(c) % p for c in ref], (n, p)
                 seen["none" if T is None else "restart" if not all(T[1]) else "one block"] += 1
     assert len(seen) == 3, seen
 
@@ -259,7 +265,7 @@ def test_char_polys_stack_matches_per_matrix_kernel(n):
 def test_char_polys_stack_matches_lanczos_on_every_graph_n_le_6():
     for n in range(1, 7):
         A = graph_stack(n, range(1 << n * (n - 1) // 2))
-        assert spectrum.char_polys_stack(A).tolist() == [spectrum._integer_charpoly(a) for a in A], n
+        assert spectrum.char_polys_stack(A).tolist() == [_integer_charpoly(a) for a in A], n
 
 
 def _largest_safe_entry(n):
@@ -460,7 +466,7 @@ def test_char_polys_stack_exact_or_refused():
     rng = np.random.default_rng(3)
     A = np.concatenate([_mixed_stack(5, rng)[[0, 1, 2]], graph_stack(5, range(1020, 1024))])
     got = spectrum.char_polys_stack(A)
-    assert got.tolist() == [spectrum._integer_charpoly(a) for a in A]
+    assert got.tolist() == [_integer_charpoly(a) for a in A]
     # One entry of 10^6 at n = 5 may overflow int64.
     A[0, 0, 0] = 10**6
     with pytest.raises(PreconditionError):
@@ -492,8 +498,8 @@ SPARSE_50 = EnsembleSpec(
 @pytest.mark.parametrize("spec, most", [(SIGN, 6), (SPARSE_50, 4)], ids=["sign", "gnp-2/25"])
 def test_row_norm_bound_prime_count_n50(monkeypatch, spec, most):
     calls = []
-    real = spectrum._charpoly_mod
-    monkeypatch.setattr(spectrum, "_charpoly_mod", lambda A, p: calls.append(p) or real(A, p))
+    real = spectrum._lanczos_mod
+    monkeypatch.setattr(spectrum, "_lanczos_mod", lambda A, p: calls.append(p) or real(A, p))
     for t in range(3):
         calls.clear()
         char_poly(sample_matrix(spec, 50, trial_rng(0, t)))
@@ -559,12 +565,12 @@ def test_sparse_n50_needs_at_most_three_primes(monkeypatch):
     # spectral bound needs three on all 60 draws of seed 0, and on 58 of
     # the 60 of seed 1, where denser draws still need four.
     calls = []
-    real = spectrum._charpoly_mod
-    monkeypatch.setattr(spectrum, "_charpoly_mod", lambda A, p: calls.append(p) or real(A, p))
+    real = spectrum._lanczos_mod
+    monkeypatch.setattr(spectrum, "_lanczos_mod", lambda A, p: calls.append(p) or real(A, p))
     for t in range(6):
         A = sample_matrix(SPARSE_50, 50, trial_rng(0, t)).num
         calls.clear()
-        spectrum._integer_charpoly(A)
+        _integer_charpoly(A)
         assert 0 < len(calls) <= 3
         assert _hadamard_bound(A) > spectrum._crt_prime(0) * spectrum._crt_prime(1) * spectrum._crt_prime(2)
 
@@ -614,8 +620,30 @@ def test_pseudo_rem_is_scaled_remainder(monic):
         assert polys.pseudo_rem(a, b) == [scale * c for c in _remainder_over_q(a, b)]
 
 
+def _gcd_over_q(a, b):
+    """The primitive gcd with a positive leading coefficient, by Euclid over Q."""
+    a, b = polys.normalize(list(a)), polys.normalize(list(b))
+    while b:
+        a, b = b, _remainder_over_q(a, b)
+    den = lcm(*(Fraction(c).denominator for c in a))
+    return polys.primitive([int(c * den) for c in a])
+
+
+def test_gcd_int_either_order():
+    # deg a < deg b, equal degrees, a shared factor, and zero arguments.
+    rng = np.random.default_rng(29)
+    pairs = [([], []), ([], [2, 4]), ([0, 3], []), ([1, 1], [1, 2, 1]), ([2], [0, 0, 6])]
+    for _ in range(300):
+        f = rng.integers(-4, 5, int(rng.integers(1, 4))).tolist()
+        a, b = (rng.integers(-5, 6, int(rng.integers(1, 6))).tolist() for _ in range(2))
+        pairs.append(tuple(polys.normalize([int(c) for c in np.convolve(x, f)]) for x in (a, b)))
+    assert sum(polys.degree(a) < polys.degree(b) for a, b in pairs) > 50
+    for a, b in pairs:
+        assert polys.gcd_int(a, b) == polys.gcd_int(b, a) == _gcd_over_q(a, b), (a, b)
+
+
 def _squarefree(M):
-    ip = spectrum._integer_charpoly(M.num)[::-1]
+    ip = _integer_charpoly(M.num)[::-1]
     return polys.degree(polys.gcd_int(ip, polys.derivative(ip))) == 0
 
 
@@ -700,7 +728,7 @@ def test_small_crt_primes_skip_breakdowns(monkeypatch):
     monkeypatch.setattr(spectrum, "_crt_prime", crt_prime)
     monkeypatch.setattr(spectrum, "_lanczos_mod", lanczos)
     for M, verdict in zip(graphs, verdicts):
-        assert spectrum._integer_charpoly(M.num) == [int(c) for c in reversed(cofactor_char_poly(M))]
+        assert _integer_charpoly(M.num) == [int(c) for c in reversed(cofactor_char_poly(M))]
         v = simplicity_exact(M)
         assert (v.tag, v.certificate) == verdict, M.to_json()
     assert 2 in skipped and len(set(skipped)) > 1, Counter(skipped)
@@ -828,7 +856,7 @@ def test_repeated_factor_strips_root_zero(monkeypatch, graph_char_polys):
         spectrum.repeated_factor(list(ip))
     assert not calls
     ips |= {
-        tuple(spectrum._integer_charpoly(sample_matrix(SPARSE_50, n, trial_rng(5, n)).num)[::-1])
+        tuple(_integer_charpoly(sample_matrix(SPARSE_50, n, trial_rng(5, n)).num)[::-1])
         for n in range(10, 51, 4)
     }
     reached = Counter()
@@ -1060,3 +1088,9 @@ def test_crt_primes_found_once(monkeypatch):
     assert [spectrum._crt_prime(i) for i in range(3)] == primes
     assert [spectrum._crt_prime(i) for i in range(3)] == primes
     assert calls == [spectrum._PRIME_FLOOR, primes[0] + 1, primes[1] + 1]
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-12])
+def test_contract_edges_raise(tol):
+    with pytest.raises(PreconditionError, match="tol"):
+        eigen_decompose(K3, tol=tol)

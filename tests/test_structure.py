@@ -22,7 +22,6 @@ from simplespectrum.structure import (
     StructureParams,
     StructureReport,
     _rank2_cover,
-    _vol_bound_ok,
     _vol_cap,
     covering_gap_with_indices,
     refine_structure,
@@ -264,8 +263,7 @@ def test_vol_cap_is_exact():
         for rank in (1, 2):
             for c0_over_p in ratios:
                 cap = _vol_cap(c0_over_p, F(1), n, rank)
-                assert _vol_bound_ok(cap, c0_over_p, F(1), n, rank)
-                assert not _vol_bound_ok(cap + 1, c0_over_p, F(1), n, rank)
+                assert cap**2 * n**rank <= c0_over_p**2 < (cap + 1) ** 2 * n**rank
     # floor(float(c0/p) * n**(-r/2)) gives k - 1 for k = 1, 2, 3, 4, 6, ...
     assert all(_vol_cap(F(49 * k), F(1), 49, 2) == k for k in range(1, 40))
 
@@ -504,6 +502,19 @@ def test_verify_rejects_bound_tamper(ones_report):
     assert not res.ok and "w_size_bound" in res.failed
 
 
+def test_verify_volume_bound_at_the_cap(ones_report):
+    # 2 C0 = 20, n = 16, rank 1: the bound is 20 / (4 p).  At p = 1 it is
+    # exactly 5, the volume of dims (2,); just above p = 1 the cap is 4, and
+    # the same volume is cap + 1.
+    V = WeightVector.exact([1] * 16)
+    gap = Gap((F(1),), (F(2),))
+    for p, cap, ok in ((F(1), 5, True), (F(10**9 + 1, 10**9), 4, False)):
+        assert _vol_cap(2 * PARAMS.C0, p, 16, 1) == cap
+        res = verify_report(V, RAD, PARAMS, _mutate(ones_report, p=p, gap=gap))
+        cert = res.details["volume_bound"]
+        assert (cert["volume"], cert["ok"]) == (5, ok)
+
+
 def test_report_json_roundtrip(ones_report):
     blob = ones_report.to_json()
     again = StructureReport.from_json(blob)
@@ -515,3 +526,19 @@ def test_params_validation():
         StructureParams(eps=0.3)
     with pytest.raises(PreconditionError):
         StructureParams(d0=0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: StructureParams(C0=F(0)),
+        lambda: StructureParams(C0=F(-1)),
+        lambda: covering_gap_with_indices(WeightVector.numeric([1.0, 2.0]), m=0),
+        lambda: covering_gap_with_indices(WeightVector.exact([1, 2]), m=-1),
+        lambda: covering_gap_with_indices(WeightVector.exact([1, 2]), m=3),
+    ],
+    ids=["C0-0", "C0-negative", "numeric-vector", "m-below-0", "m-above-len"],
+)
+def test_contract_edges_raise(call):
+    with pytest.raises(PreconditionError):
+        call()
