@@ -25,7 +25,6 @@ from functools import lru_cache
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
-from typing import Sequence
 
 import numpy as np
 
@@ -96,15 +95,8 @@ class SymmetricMatrix:
     def trace(self) -> Fraction:
         return Fraction(sum(self.num.diagonal().tolist()), self.den)
 
-    def max_abs_entry(self) -> Fraction:
-        return Fraction(max(-int(self.num.min()), int(self.num.max())), self.den)
-
     def to_float_array(self) -> np.ndarray:
         return np.asarray(self.num / self.den, dtype=float)
-
-    def permuted(self, perm: Sequence[int]) -> "SymmetricMatrix":
-        """Simultaneous row/column permutation (similarity transform)."""
-        return SymmetricMatrix(self.num[np.ix_(perm, perm)], self.den)
 
     def to_json(self) -> dict:
         return {
@@ -179,17 +171,6 @@ def _upper_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     return iu
 
 
-def _symmetric_fill(n: int, upper, diag, den: int = 1) -> SymmetricMatrix:
-    """The matrix with `upper` row-major above the diagonal, mirrored below
-    it, and `diag` on it, all over `den`."""
-    num = np.zeros((n, n), dtype=np.result_type(upper, diag))
-    iu = _upper_indices(n)
-    num[iu] = upper
-    num[iu[1], iu[0]] = upper
-    num[np.diag_indices(n)] = diag
-    return SymmetricMatrix(num, den)
-
-
 def sample_matrix(
     spec: EnsembleSpec, n: int, rng: np.random.Generator
 ) -> SymmetricMatrix:
@@ -201,40 +182,39 @@ def sample_matrix(
     # output a pure function of the stream state.
     upper = _sample_atoms(spec.offdiag, n * (n - 1) // 2, rng, den)
     diag = _sample_atoms(spec.diag, n, rng, den)
-    return _symmetric_fill(n, upper, diag, den)
+    num = np.zeros((n, n), dtype=np.result_type(upper, diag))
+    iu = _upper_indices(n)
+    num[iu] = num[iu[1], iu[0]] = upper
+    num[np.diag_indices(n)] = diag
+    return SymmetricMatrix(num, den)
 
 
 def graph_from_index(n: int, index: int) -> SymmetricMatrix:
-    """Adjacency matrix whose upper-triangular bits are the binary digits
-    of `index`, row-major; zero diagonal.  Bijective onto simple graphs."""
-    if n < 1:
-        raise PreconditionError("n must be >= 1")
-    nbits = n * (n - 1) // 2
-    if not 0 <= index < (1 << nbits):
-        raise PreconditionError(f"index {index} out of range for n={n}")
-    # Bits of the Python int itself: index may exceed int64.
-    raw = operator.index(index).to_bytes((nbits + 7) // 8, "little")
-    bits = np.unpackbits(np.frombuffer(raw, np.uint8), count=nbits, bitorder="little")
-    return _symmetric_fill(n, bits.astype(np.int64), np.zeros(n, dtype=np.int64))
+    """Graph `index` on n vertices, in graph_stack's layout."""
+    return SymmetricMatrix(graph_stack(n, [operator.index(index)])[0])
 
 
 def graph_stack(n: int, indices) -> np.ndarray:
-    """int64 (len(indices), n, n) stack of graph_from_index(n, i).num for
-    i in `indices`, in their order, repeats kept (a run is range(a, b)),
-    built without a SymmetricMatrix per graph."""
+    """(len(indices), n, n) stack of the graphs `indices` on n vertices, in
+    their order, repeats kept.  Graph i has edge (r, c), r < c, iff bit k of
+    i is set, k counting the pairs row-major, and a zero diagonal: a
+    bijection from [0, 2^(n(n-1)/2)) onto the simple graphs.  int64 for
+    n <= 11, else integer objects (dtype=object), as indices pass int64."""
+    if n < 1:
+        raise PreconditionError("n must be >= 1")
     nbits = n * (n - 1) // 2
-    if n < 1 or nbits > 62:
-        raise PreconditionError("graph_stack needs 1 <= n <= 11")
-    idx = np.asarray(indices, dtype=np.int64)
+    try:
+        idx = np.asarray(indices, dtype=np.int64 if nbits <= 62 else object)
+    except OverflowError:  # past int64, so past 2^nbits <= 2^62 too
+        raise PreconditionError(f"indices out of range [0, 2^{nbits}) for n={n}") from None
     if idx.ndim != 1:
         raise PreconditionError("graph_stack needs a 1-D sequence of indices")
     if len(idx) and not (0 <= idx.min() and idx.max() < 1 << nbits):
         raise PreconditionError(f"indices out of range [0, 2^{nbits}) for n={n}")
     bits = (idx[:, None] >> np.arange(nbits)) & 1
-    A = np.zeros((len(idx), n, n), dtype=np.int64)
+    A = np.zeros((len(idx), n, n), dtype=idx.dtype)
     iu = _upper_indices(n)
-    A[:, iu[0], iu[1]] = bits
-    A[:, iu[1], iu[0]] = bits
+    A[:, iu[0], iu[1]] = A[:, iu[1], iu[0]] = bits
     return A
 
 

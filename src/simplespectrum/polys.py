@@ -3,7 +3,8 @@
 Polynomials are lists of Python ints, constant term first.  The primitive
 pseudo-remainder sequence keeps coefficient growth polynomial, which is all
 the desk scale here needs.  The modular squarefree screens,
-squarefree_screen and repeated_factor, live in spectrum.
+squarefree_screen and repeated_factor, live in spectrum, with _balanced,
+the one balanced residue, which the CRT and the lifted gcd mod p share.
 """
 
 from __future__ import annotations
@@ -120,8 +121,3 @@ def primes_from(start: int):
         if _is_probable_prime(n):
             yield n
         n += 2 if n > 2 else 1
-
-
-def symmetric_residue(r: int, m: int) -> int:
-    r %= m
-    return r - m if r > m // 2 else r

@@ -114,7 +114,8 @@ _SIMPLE_EXACT = SimplicityVerdict(tag="SimpleExact")
 def _balanced(X: np.ndarray, p: int) -> np.ndarray:
     """X mod p in [-(p // 2), p // 2], as (X + p//2) % p - p//2 but by floor
     division, which numpy runs several times faster than % on int64.  Exact
-    while |X| + p < 2^63."""
+    on int64 while |X| + p < 2^63 and on Python ints of any size; for odd p,
+    as every modulus here is, it is the centred residue."""
     return X - (X + p // 2) // p * p
 
 
@@ -248,7 +249,7 @@ def _integer_charpoly(A: np.ndarray, T: Optional[tuple[list[int], list[int]]]) -
         coeffs = [c + modulus * ((r - c) * inv % p) for c, r in zip(coeffs, residues)]
         modulus *= p
     # c_0 .. c_n, poly = sum c_k x^(n-k), c_0 = 1
-    return [polys.symmetric_residue(c, modulus) for c in coeffs]
+    return [_balanced(c, modulus) for c in coeffs]
 
 
 def char_poly(M: SymmetricMatrix) -> CharPoly:
@@ -427,7 +428,7 @@ def repeated_factor(ip: list[int]) -> Optional[list[int]]:
     if not dr:
         G = [1]
     elif r[-1] % q and dr[-1] % q:
-        G = [polys.symmetric_residue(c, q) for c in polys.poly_gcd_mod(r, dr, q)]
+        G = [_balanced(c, q) for c in polys.poly_gcd_mod(r, dr, q)]
         if polys.degree(G) and (polys.pseudo_rem(r, G) or polys.pseudo_rem(dr, G)):
             G = polys.gcd_int(r, dr)
     else:

@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -54,7 +54,7 @@ class StructureParams:
     eps: float = 0.2
     d0: int = 3
     C0: Fraction = Fraction(10)
-    enum_cap: int = gaps.DEFAULT_ENUM_CAP
+    enum_cap: ClassVar[int] = gaps.DEFAULT_ENUM_CAP  # not a field: one cap for all
 
     def __post_init__(self):
         if not (0 < self.eps < 0.25):
@@ -137,10 +137,7 @@ def _rank2_cover(
 
 
 def covering_gap_with_indices(
-    V: WeightVector,
-    m: int,
-    vol_max: tuple[int, int] = (10**4, 10**4),
-    enum_cap: int = gaps.DEFAULT_ENUM_CAP,
+    V: WeightVector, m: int, vol_max: tuple[int, int] = (10**4, 10**4)
 ) -> Optional[tuple[Gap, tuple[int, ...]]]:
     """Search for a proper symmetric GAP of rank 1 or 2 containing all but
     at most m elements of V (with multiplicity); returns it with the sorted
@@ -183,7 +180,7 @@ def covering_gap_with_indices(
         _, dim, g = min(rank1)
         gap = Gap((Fraction(g, L),), (Fraction(dim),))
         idx = tuple(sorted(i for k, i in table[g] if k <= dim))
-        if _verify_cover(gap, values, idx, m, enum_cap):
+        if _verify_cover(gap, values, idx, m):
             return gap, idx
     if cap2 < 1:
         return None
@@ -194,17 +191,17 @@ def covering_gap_with_indices(
         hit = _rank2_cover(g1, g2, ints, L, m, cap2)
         if hit is not None:
             gap, idx = hit
-            if _verify_cover(gap, values, idx, m, enum_cap):
+            if _verify_cover(gap, values, idx, m):
                 return gap, idx
     return None
 
 
-def _verify_cover(gap, values, idx, m, enum_cap) -> bool:
+def _verify_cover(gap, values, idx, m) -> bool:
     """At most m values are left out, and one enumeration of the GAP shows
     it proper (one member per box point) and holding every covered value."""
     if len(values) - len(idx) > m:
         return False
-    members = gaps.member_set(gap, enum_cap)
+    members = gaps.member_set(gap)
     return len(members) == gaps.volume(gap) and all(values[i] in members for i in idx)
 
 
@@ -258,7 +255,7 @@ def refine_structure(
             return None
         cap2 = _vol_cap(c0, p, n, 2) if d0 >= 2 else 0
         sub = WeightVector.exact([V.entries[i] for i in idx_pool])
-        hit = covering_gap_with_indices(sub, m, (cap1, cap2), params.enum_cap)
+        hit = covering_gap_with_indices(sub, m, (cap1, cap2))
         if hit is None:
             return None
         gap, local_idx = hit
@@ -372,19 +369,20 @@ def verify_report(
     mem_ok = False
     if idx_ok:
         try:
-            members = gaps.member_set(report.gap, params.enum_cap)
+            members = gaps.member_set(report.gap)
             mem_ok = all(V.entries[i] in members for i in report.w_indices)
         except CapExceededError:
             pass
     details["membership"] = {"ok": mem_ok}
 
-    vol = gaps.volume(report.gap)
+    vol, rank, p = gaps.volume(report.gap), report.gap.rank, report.p
     try:
-        bound = float(2 * params.C0 / report.p) * n ** (-report.gap.rank / 2)
-    except OverflowError:  # c0 / p past the float range, for a tiny p
+        bound = float(2 * params.C0 / p) * n ** (-rank / 2)
+    except (OverflowError, ZeroDivisionError):  # a tiny or zero p, or n = 0 < rank
         bound = math.inf
     details["volume_bound"] = {
-        "ok": vol <= _vol_cap(2 * params.C0, report.p, n, report.gap.rank),
+        # A level p <= 0 bounds nothing; n = 0 < rank makes the bound infinite.
+        "ok": p > 0 and (n == 0 < rank or vol <= _vol_cap(2 * params.C0, p, n, rank)),
         "volume": vol,
         "bound": bound,
     }

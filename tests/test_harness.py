@@ -1,3 +1,4 @@
+import random
 from dataclasses import fields
 from fractions import Fraction
 
@@ -264,12 +265,32 @@ def test_graph_stack_matches_graph_from_index(n):
     assert graph_stack(n, []).shape == (0, n, n)
 
 
+def _per_bit_graph(n, i):
+    """Graph i on n vertices, one edge bit at a time, row-major."""
+    A = np.zeros((n, n), dtype=object)
+    pairs = [(r, c) for r in range(n) for c in range(r + 1, n)]
+    for k, (r, c) in enumerate(pairs):
+        A[r, c] = A[c, r] = i >> k & 1
+    return A
+
+
+@pytest.mark.parametrize("n", [12, 13])
+def test_graph_stack_past_int64_matches_per_bit_build(n):
+    rng, top = random.Random(n), 1 << n * (n - 1) // 2
+    indices = [0, 5, 2**63, top - 1, *(rng.randrange(2**63, top) for _ in range(20))]
+    A = graph_stack(n, indices)
+    assert A.dtype == object and A.shape == (len(indices), n, n)
+    assert A.tolist() == [_per_bit_graph(n, i).tolist() for i in indices]
+    assert graph_stack(n, []).shape == (0, n, n)
+
+
 def test_graph_stack_rejects_bad_indices():
-    for indices in ([-1], [64], [[0, 1]]):
+    for n, indices in [(4, [-1]), (4, [64]), (4, [[0, 1]]), (5, [0, 2**70]), (5, [-(2**70)]),
+                       (12, [2**66]), (12, [3, -1])]:
         with pytest.raises(PreconditionError):
-            graph_stack(4, indices)
+            graph_stack(n, indices)
     with pytest.raises(PreconditionError):
-        graph_stack(12, [0])
+        graph_stack(0, [0])
 
 
 @pytest.mark.parametrize("batch", [1, 7])

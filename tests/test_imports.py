@@ -1,7 +1,7 @@
 """Lints: no module of the package imports a name it never uses, no
 module-level private name goes unreferenced in the package, no function
-leaves a parameter unread, and no dataclass field goes unread outside the
-tests."""
+leaves a parameter unread, no dataclass field goes unread outside the
+tests, and no public method or property is read only by the unit tests."""
 
 import ast
 from collections import defaultdict
@@ -135,15 +135,20 @@ def test_no_unread_parameters():
     assert found == []
 
 
-def unread_dataclass_fields(defining: dict[str, str], readers: list[str]) -> list[str]:
-    """Fields of @dataclass classes in `defining` (file names to source)
-    whose name no attribute load in `readers` (sources) reads."""
-    read = {
+def attribute_loads(sources: list[str]) -> set[str]:
+    """The attribute names that some attribute load in `sources` reads."""
+    return {
         node.attr
-        for source in readers
+        for source in sources
         for node in ast.walk(ast.parse(source))
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
     }
+
+
+def unread_dataclass_fields(defining: dict[str, str], readers: list[str]) -> list[str]:
+    """Fields of @dataclass classes in `defining` (file names to source)
+    whose name no attribute load in `readers` (sources) reads."""
+    read = attribute_loads(readers)
     found = []
     for fname, source in defining.items():
         for cls in ast.walk(ast.parse(source)):
@@ -184,3 +189,52 @@ def test_no_unread_dataclass_fields():
     ]
     defining = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert unread_dataclass_fields(defining, readers) == []
+
+
+def unread_public_methods(defining: dict[str, str], readers: list[str]) -> list[str]:
+    """Public methods and properties of the classes in `defining` (file
+    names to source) whose name no attribute load in `readers` (sources)
+    reads."""
+    read = attribute_loads(readers)
+    return [
+        f"{fname}: {cls.name}.{stmt.name} (line {stmt.lineno})"
+        for fname, source in defining.items()
+        for cls in ast.walk(ast.parse(source))
+        if isinstance(cls, ast.ClassDef)
+        for stmt in cls.body
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not stmt.name.startswith("_")
+        and stmt.name not in read
+    ]
+
+
+def test_detects_unread_public_method():
+    defining = {
+        "a.py": (
+            "class M:\n"
+            "    def __eq__(self, o):\n        return self.n == o.n\n"
+            "    @property\n    def n(self):\n        return 1\n"
+            "    @property\n    def size(self):\n        return 2\n"
+            "    def permuted(self, p):\n        return self\n"
+            "    @classmethod\n    def from_rows(cls, rows):\n        return cls()\n"
+            "    def _helper(self):\n        pass\n"
+            "def free():\n    pass\n"
+        ),
+    }
+    readers = [defining["a.py"], "M.from_rows([]).permuted\nM().size = 1\n"]
+    assert unread_public_methods(defining, readers) == ["a.py: M.size (line 8)"]
+
+
+def test_no_test_only_public_methods():
+    # A method only the unit tests call is dead weight; the acceptance
+    # criteria, the benchmark and the demos are the package's users.
+    root = SRC.parents[1]
+    readers = [
+        p.read_text()
+        for p in sorted(
+            [*SRC.glob("*.py"), *root.glob("bench/*.py"), *root.glob("demos/*.py"),
+             root / "tests" / "test_acceptance.py"]
+        )
+    ]
+    defining = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert unread_public_methods(defining, readers) == []

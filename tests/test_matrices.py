@@ -1,12 +1,14 @@
+import hashlib
 import itertools
 import json
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from simplespectrum import matrices
+from simplespectrum import matrices, spectrum
 from simplespectrum.dist import bernoulli_half, make_distribution, rademacher, zero_atom
 from simplespectrum.errors import PreconditionError
 from simplespectrum.matrices import (
@@ -59,10 +61,11 @@ def test_graph_from_index_examples():
 
 
 def test_graph_from_index_out_of_range():
-    with pytest.raises(PreconditionError):
-        graph_from_index(2, 2)
-    with pytest.raises(PreconditionError):
-        graph_from_index(3, -1)
+    for n, index in [(2, 2), (3, -1), (5, 2**70), (5, -(2**70)), (12, 2**66), (12, -1)]:
+        with pytest.raises(PreconditionError):
+            graph_from_index(n, index)
+    with pytest.raises(TypeError):
+        graph_from_index(3, 1.5)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -146,7 +149,7 @@ def test_int64_overflow_falls_back_to_python_ints():
     assert M.num.dtype == object and M.den == 3
     assert M.entries[0][1] == 2**63 and M[1, 1] == -(2**70)
     assert M[1, 2] == Fraction(1, 3)
-    assert M.max_abs_entry() == 2**70
+    assert Fraction(spectrum._max_abs(M.num), M.den) == 2**70
     again = SymmetricMatrix.from_json(json.loads(json.dumps(M.to_json())))
     assert again == M and again.entries == M.entries
     M = SymmetricMatrix([[1, 2**63], [2**63, 0]])  # numpy alone picks float64
@@ -221,7 +224,53 @@ def test_cached_sampler_keeps_seeded_matrices():
             M = sample_matrix(spec, n, rng)
             upper = _uncached_sample_atoms(spec.offdiag, n * (n - 1) // 2, ref, den)
             diag = _uncached_sample_atoms(spec.diag, n, ref, den)
-            assert M == matrices._symmetric_fill(n, upper, diag, den)
+            num = np.zeros((n, n), dtype=np.int64)
+            iu = np.triu_indices(n, 1)
+            num[iu] = num[iu[::-1]] = upper
+            np.fill_diagonal(num, diag)
+            assert M == SymmetricMatrix(num, den)
+
+
+def _digest(Ms):
+    h = hashlib.sha256()
+    for M in Ms:
+        h.update(repr((M.num.dtype.str, M.num.tolist(), M.den)).encode())
+    return h.hexdigest()
+
+
+# sha256 of (dtype, num, den) over every graph with n <= 6 and 20 seeded
+# indices past 2^63 at each of n = 12 and n = 13, as graph_from_index gave
+# them when it decoded the index bytes itself.
+GRAPHS_SHA256 = "270bc90dbb8b843e2787a8f7729aec627c314fe0c29db4715006953de2d1442d"
+
+
+def test_graph_from_index_pinned():
+    def graphs():
+        for n in range(1, 7):
+            for i in range(1 << n * (n - 1) // 2):
+                yield graph_from_index(n, i)
+        for n in (12, 13):
+            rng = random.Random(n)
+            for _ in range(20):
+                yield graph_from_index(n, rng.randrange(1 << 63, 1 << n * (n - 1) // 2))
+
+    assert _digest(graphs()) == GRAPHS_SHA256
+
+
+# sha256 of (dtype, num, den) over 25 seeded draws of each of SIGN, GNP and
+# RATIONAL at n = 1, 2, 10 and 50, as sample_matrix gave them when it
+# filled the matrix through a helper it shared with graph_from_index.
+DRAWS_SHA256 = "a6c510756e4c91cbc7948bbdac9588cf039d98bbbbcaa5087fff0e91ea7c9408"
+
+
+def test_sample_matrix_pinned():
+    draws = (
+        sample_matrix(spec, n, trial_rng(n, t))
+        for spec in (SIGN, GNP, RATIONAL)
+        for n in (1, 2, 10, 50)
+        for t in range(25)
+    )
+    assert _digest(draws) == DRAWS_SHA256
 
 
 # Graphs on m vertices up to isomorphism (OEIS A000088), m = 0..7.
@@ -271,7 +320,10 @@ def test_graph_orbits_match_brute_force(m):
         if i in seen:
             continue
         G = graph_from_index(m, i)
-        orbit = {_graph_index(G.permuted(p)) for p in itertools.permutations(range(m))}
+        orbit = {
+            _graph_index(SymmetricMatrix(G.num[np.ix_(p, p)]))
+            for p in itertools.permutations(range(m))
+        }
         assert min(orbit) == i
         seen |= orbit
         reps.append(i)

@@ -274,7 +274,7 @@ def test_refine_searches_once_per_cover(monkeypatch, d0):
     # carries both exact per-rank caps.
     calls = []
 
-    def failing(sub, m, vol_max, enum_cap):
+    def failing(sub, m, vol_max):
         calls.append(vol_max)
 
     monkeypatch.setattr(structure, "covering_gap_with_indices", failing)
@@ -444,14 +444,14 @@ def test_verify_rejects_membership_tamper(ones_report):
 def test_verify_membership_cap_fails_but_bug_propagates(ones_report, monkeypatch):
     V = WeightVector.exact([1] * 16)
 
-    def over_cap(P, cap):
+    def over_cap(P):
         raise CapExceededError("over cap")
 
     monkeypatch.setattr(gaps, "member_set", over_cap)
     res = verify_report(V, RAD, PARAMS, ones_report)
     assert not res.ok and "membership" in res.failed
 
-    def broken(P, cap):
+    def broken(P):
         raise RuntimeError("bug")
 
     monkeypatch.setattr(gaps, "member_set", broken)
@@ -475,6 +475,34 @@ def test_verify_p_below_float_range_fails_not_raises(ones_report):
     res = verify_report(V, RAD, PARAMS, _mutate(ones_report, p=F(1, 10**400)))
     assert not res.ok and res.failed == ("smallball_bound",)
     assert res.details["volume_bound"] == {"ok": True, "volume": 3, "bound": math.inf}
+
+
+def test_verify_zero_p_fails_not_raises(ones_report):
+    # A report read back with from_json can carry p = 0: no level, so the
+    # volume bound fails, and its display bound is inf.
+    V = WeightVector.exact([1] * 16)
+    res = verify_report(V, RAD, PARAMS, _mutate(ones_report, p=F(0)))
+    assert not res.ok and "volume_bound" in res.failed
+    assert res.details["volume_bound"] == {"ok": False, "volume": 3, "bound": math.inf}
+
+
+def test_verify_negative_p_fails_volume_bound():
+    # p = -1/2 once passed against the negative bound 2 C0 / p / 4 = -10.
+    V = WeightVector.exact([1] * 16)
+    report = StructureReport(tuple(range(16)), (0,), F(-1, 2), Gap((F(1),), (F(4),)))
+    res = verify_report(V, RAD, PARAMS, StructureReport.from_json(report.to_json()))
+    assert res.details["volume_bound"] == {"ok": False, "volume": 9, "bound": -10.0}
+
+
+def test_verify_empty_vector_with_rank1_gap_fails_not_raises():
+    # n = 0 < rank makes n^(-rank/2), so the volume bound, infinite; the
+    # small-ball bound, 0^(d0 eps) p = 0 below p(empty) = 1, still fails.
+    report = StructureReport((), (), F(1, 2), Gap((F(1),), (F(1),)))
+    res = verify_report(WeightVector.exact([]), RAD, PARAMS, report)
+    assert res.failed == ("smallball_bound",)
+    assert res.details["volume_bound"] == {"ok": True, "volume": 3, "bound": math.inf}
+    res = verify_report(WeightVector.exact([]), RAD, PARAMS, _mutate(report, p=F(0)))
+    assert res.failed == ("volume_bound", "smallball_bound")
 
 
 def test_verify_p_halved_still_ok(ones_report):
