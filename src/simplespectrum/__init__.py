@@ -39,6 +39,7 @@ from .spectrum import (
     SimplicityVerdict,
     char_poly,
     eigen_decompose,
+    repeated_by_twins,
     simplicity_exact,
     simplicity_numeric,
 )

@@ -39,6 +39,11 @@ class AtomicDistribution:
             raise DistributionError("probabilities must sum exactly to 1")
         if any(a >= b for a, b in zip(self.atoms, self.atoms[1:])):
             raise DistributionError("atoms must be strictly increasing")
+        # Hashed once: every draw looks its atom table up by this instance.
+        object.__setattr__(self, "_hash", hash((self.atoms, self.probs)))
+
+    def __hash__(self):
+        return self._hash
 
     def to_json(self) -> dict:
         return {

@@ -199,16 +199,22 @@ def graph_stack(n: int, indices) -> np.ndarray:
     their order, repeats kept.  Graph i has edge (r, c), r < c, iff bit k of
     i is set, k counting the pairs row-major, and a zero diagonal: a
     bijection from [0, 2^(n(n-1)/2)) onto the simple graphs.  int64 for
-    n <= 11, else integer objects (dtype=object), as indices pass int64."""
+    n <= 11, else integer objects (dtype=object), as indices pass int64.
+    A non-integer index raises TypeError, as in graph_from_index."""
     if n < 1:
         raise PreconditionError("n must be >= 1")
     nbits = n * (n - 1) // 2
-    try:
-        idx = np.asarray(indices, dtype=np.int64 if nbits <= 62 else object)
-    except OverflowError:  # past int64, so past 2^nbits <= 2^62 too
-        raise PreconditionError(f"indices out of range [0, 2^{nbits}) for n={n}") from None
+    idx = np.asarray(indices)
     if idx.ndim != 1:
         raise PreconditionError("graph_stack needs a 1-D sequence of indices")
+    if idx.dtype == object:  # Python ints past int64, or not ints at all
+        idx = np.frompyfunc(operator.index, 1, 1)(idx)
+    elif idx.size and idx.dtype.kind not in "biu":  # a float would truncate
+        raise TypeError(f"graph indices must be integers, not {idx.dtype}")
+    try:
+        idx = idx.astype(np.int64 if nbits <= 62 else object, copy=False)
+    except OverflowError:  # past int64, so past 2^nbits <= 2^62 too
+        raise PreconditionError(f"indices out of range [0, 2^{nbits}) for n={n}") from None
     if len(idx) and not (0 <= idx.min() and idx.max() < 1 << nbits):
         raise PreconditionError(f"indices out of range [0, 2^{nbits}) for n={n}")
     bits = (idx[:, None] >> np.arange(nbits)) & 1

@@ -31,6 +31,12 @@ and only the rest reach that gcd.  For a real symmetric matrix algebraic
 multiplicity equals geometric multiplicity, so squarefree <=> simple
 spectrum.
 
+Twin witness: repeated_by_twins proves some M non-simple in O(n^2), with
+no prime.  Zero rows and classes of equal rows of num, or of num + den*I,
+that give two independent kernel vectors make 0, or -1, a repeated
+eigenvalue.  Most non-simple sparse graphs of Luh and Vu's regime are of
+this kind.
+
 Numeric route: LAPACK's symmetric eigensolver (np.linalg.eigh), followed
 by gap clustering.  Where the two disagree the exact verdict is ground truth.
 """
@@ -457,6 +463,51 @@ def simplicity_exact(M: SymmetricMatrix) -> SimplicityVerdict:
     scale = g[-1] * M.den**d
     cert = tuple(Fraction(c * M.den**i, scale) for i, c in enumerate(g))
     return SimplicityVerdict(tag="NotSimpleExact", certificate=cert)
+
+
+def repeated_by_twins(M: SymmetricMatrix) -> bool:
+    """True when the rows of num, or those of num + den*I, prove that M
+    repeats the eigenvalue 0, or -1: False says nothing.
+
+    For B either matrix, e_i is in ker B for each zero row i of B and, B
+    being symmetric, e_i - e_j for rows i and j equal.  A class of s equal
+    nonzero rows gives s - 1 independent ones, and the classes and the z
+    zero rows have disjoint supports.  So z + sum (s - 1) >= 2 proves
+    dim ker B >= 2: 0 repeats as an eigenvalue of num, lam = 0 of
+    M = num / den, or of num + den*I, lam = -1.  In a graph these are the
+    isolated vertices and the non-adjacent twins, or the adjacent twins.
+
+    O(n^2): one int64 matvec h = num v, v = _start_vector(n), hashes the
+    rows of num, and h + den v those of num + den*I.  Equal rows have equal
+    hashes, so only the rows that share a hash are compared, exactly, as
+    tuples of Python ints.  A zero row hashes to 0 and is confirmed exactly
+    too.  Each |h_i + den v_i| is at most (n max |a_ij| + den) 65536;
+    returns False, before any product, when that may reach 2^63, or when
+    num holds integer objects."""
+    num, den, n = M.num, M.den, M.n
+    if num.dtype == object or (n * _max_abs(num) + den) * 65537 >= 1 << 63:
+        return False
+
+    def rows(idx, shift):  # rows idx of num + shift*I
+        R = num[idx]
+        R[np.arange(len(idx)), idx] += shift
+        return R
+
+    v = _start_vector(n)
+    h = num @ v
+    for shift, key in ((0, h), (den, h + den * v)):
+        order = key.argsort()
+        s = key[order]
+        pair = s[1:] == s[:-1]
+        if not pair.any():  # distinct rows, of which at most one is zero
+            continue
+        pair = np.flatnonzero(pair)
+        idx = sorted({*order[pair].tolist(), *order[pair + 1].tolist()})
+        twins = len(idx) - len(set(map(tuple, rows(idx, shift).tolist())))
+        zero = rows(np.flatnonzero(key == 0), shift)
+        if twins + (~zero.any(axis=1)).any() >= 2:
+            return True
+    return False
 
 
 def eigen_decompose(M: SymmetricMatrix, tol: float = 1e-12) -> NumericSpectrum:

@@ -1,4 +1,5 @@
 import json
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -108,3 +109,16 @@ def test_margin_range(pairs):
 def test_contract_edges_raise(atoms, probs):
     with pytest.raises(DistributionError):
         AtomicDistribution(atoms, probs)
+
+
+def test_hash_is_kept_across_pickle(monkeypatch):
+    # Workers get their distributions by pickle, and _atom_table's cache
+    # looks each draw up by the hash, computed once per instance: no later
+    # lookup rehashes the Fractions.
+    d = make_distribution([0, 1], ["23/25", "2/25"])
+    e = make_distribution(["1", 0], [Fraction(2, 25), Fraction(23, 25)])
+    expected = hash((d.atoms, d.probs))
+    monkeypatch.setattr(Fraction, "__hash__", lambda self: pytest.fail("Fraction rehashed"))
+    for x in (d, e, pickle.loads(pickle.dumps(d)), pickle.loads(pickle.dumps(e))):
+        assert x == d and hash(x) == expected
+    assert {d: 1}[pickle.loads(pickle.dumps(e))] == 1

@@ -1,11 +1,12 @@
 import random
 from dataclasses import fields
 from fractions import Fraction
+from math import log
 
 import numpy as np
 import pytest
 
-from simplespectrum import harness
+from simplespectrum import harness, spectrum
 from simplespectrum.dist import bernoulli_half, make_distribution, rademacher, zero_atom
 from simplespectrum.errors import PreconditionError
 from simplespectrum.harness import (
@@ -20,9 +21,16 @@ from simplespectrum.matrices import (
     SymmetricMatrix,
     graph_from_index,
     graph_stack,
+    sample_matrix,
     trial_rng,
 )
-from simplespectrum.spectrum import CharPoly, char_poly, char_polys_stack, simplicity_exact
+from simplespectrum.spectrum import (
+    CharPoly,
+    char_poly,
+    char_polys_stack,
+    repeated_by_twins,
+    simplicity_exact,
+)
 
 GNP = EnsembleSpec(offdiag=bernoulli_half(), diag=zero_atom())
 SIGN = EnsembleSpec(offdiag=rademacher(), diag=rademacher())
@@ -293,6 +301,19 @@ def test_graph_stack_rejects_bad_indices():
         graph_stack(0, [0])
 
 
+@pytest.mark.parametrize("n", [3, 12])
+def test_graph_stack_refuses_float_indices(n):
+    # A float index would truncate on the int64 path (n <= 11), as
+    # graph_from_index, through operator.index, never lets it.
+    for indices in ([1.5, 2.9], [1, 2.0], np.array([1.0]), [Fraction(1)]):
+        with pytest.raises(TypeError):
+            graph_stack(n, indices)
+    with pytest.raises(TypeError):
+        graph_from_index(n, 1.5)
+    for indices in ([1, 2], np.array([1, 2], dtype=np.uint8), [True]):
+        assert np.array_equal(graph_stack(n, indices), graph_stack(n, np.asarray(indices, dtype=int)))
+
+
 @pytest.mark.parametrize("batch", [1, 7])
 def test_census_chunk_boundaries(monkeypatch, batch):
     monkeypatch.setattr(harness, "_CENSUS_BATCH", batch)
@@ -363,6 +384,38 @@ def test_monte_carlo_n50_counts_pinned(spec, nonsimple):
     # prime count; the exact route must keep them at the size it is tuned for.
     s = monte_carlo_simplicity(spec, 50, trials=10, seed=0)
     assert (s.trials, s.successes) == (10, nonsimple)
+
+
+def _sparse_gnp(n):
+    """G(n, p) with p = ln n / n rounded to 1/1000: Luh and Vu's regime."""
+    p = Fraction(round(1000 * log(n) / n), 1000)
+    return EnsembleSpec(make_distribution([0, 1], [1 - p, p]), zero_atom())
+
+
+@pytest.mark.parametrize("n, trials", [(20, 60), (50, 30), (100, 12)])
+def test_monte_carlo_sparse_counts_match_exact_recount(n, trials):
+    # The twin witness settles most non-simple draws first; the count must
+    # be simplicity_exact's on every draw, and not depend on the workers.
+    spec = _sparse_gnp(n)
+    draws = [sample_matrix(spec, n, trial_rng(4, t)) for t in range(trials)]
+    exact = sum(not simplicity_exact(M).is_simple for M in draws)
+    twins = sum(map(repeated_by_twins, draws))
+    assert 0 < twins <= exact < trials
+    s1 = monte_carlo_simplicity(spec, n, trials=trials, seed=4, workers=1)
+    s3 = monte_carlo_simplicity(spec, n, trials=trials, seed=4, workers=3)
+    assert s1 == s3 and s1.successes == exact
+
+
+def test_monte_carlo_witness_spares_the_lanczos_pass(monkeypatch):
+    # A draw the witness proves non-simple runs no Lanczos pass; every
+    # other draw runs simplicity_exact, which starts with one.
+    spec = _sparse_gnp(50)
+    covered = [repeated_by_twins(sample_matrix(spec, 50, trial_rng(4, t))) for t in range(30)]
+    passes = []
+    real = spectrum._lanczos_mod
+    monkeypatch.setattr(spectrum, "_lanczos_mod", lambda A, p: passes.append(p) or real(A, p))
+    monte_carlo_simplicity(spec, 50, trials=30, seed=4)
+    assert passes.count(spectrum._crt_prime(0)) == covered.count(False) < 30
 
 
 def test_monte_carlo_degenerate_spec():

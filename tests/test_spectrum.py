@@ -4,8 +4,12 @@ from fractions import Fraction
 from itertools import chain, islice
 from math import isqrt, lcm
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simplespectrum import polys, spectrum
 from simplespectrum.dist import make_distribution, rademacher, zero_atom
@@ -19,8 +23,10 @@ from simplespectrum.matrices import (
     trial_rng,
 )
 from simplespectrum.spectrum import (
+    CharPoly,
     char_poly,
     eigen_decompose,
+    repeated_by_twins,
     simplicity_exact,
     simplicity_numeric,
 )
@@ -1111,3 +1117,123 @@ def test_crt_primes_found_once(monkeypatch):
 def test_contract_edges_raise(tol):
     with pytest.raises(PreconditionError, match="tol"):
         eigen_decompose(K3, tol=tol)
+
+
+# Graphs on n vertices whose isolated vertices and twins give two
+# independent kernel vectors of A or A + I, n = 2..6: at n = 5, 262 of the
+# 274 non-simple graphs, and at n = 6, 6,884 of 12,428 (55.4%).
+TWIN_GRAPHS = {2: 1, 3: 2, 4: 34, 5: 262, 6: 6884}
+
+
+@pytest.mark.parametrize("n", sorted(TWIN_GRAPHS))
+def test_twin_witness_on_every_graph_n_le_6(n):
+    A = graph_stack(n, range(1 << n * (n - 1) // 2))
+    fired = np.array([repeated_by_twins(SymmetricMatrix(a)) for a in A])
+    # Independent recount: distinct eigenvalues of a graph on n <= 6
+    # vertices are algebraic integers far further apart than 1e-6.
+    lam = np.linalg.eigvalsh(A.astype(float))
+    nonsimple = (np.diff(lam, axis=1) < 1e-6).any(axis=1)
+    assert not (fired & ~nonsimple).any()
+    assert int(fired.sum()) == TWIN_GRAPHS[n]
+
+
+@st.composite
+def planted_rows(draw):
+    """(num, den, shift, plants): a small symmetric integer num with zero or
+    equal rows of num + shift*I planted on disjoint index sets, shift 0 or
+    den.  Plants on disjoint indices keep each other, so two of them at one
+    shift always give two kernel vectors."""
+    n = draw(st.integers(2, 6))
+    den = draw(st.sampled_from([1, 2, 3]))
+    entries = draw(st.lists(st.integers(-3, 3), min_size=n * n, max_size=n * n))
+    A = np.triu(np.array(entries, dtype=np.int64).reshape(n, n))
+    A = A + np.triu(A, 1).T
+    shift = draw(st.sampled_from([0, den]))
+    free, plants = list(draw(st.permutations(range(n)))), []
+    for _ in range(draw(st.integers(1, 3))):
+        if free and draw(st.booleans()):  # row i of num + shift*I is zero
+            i = free.pop()
+            A[i, :] = A[:, i] = 0
+            A[i, i] = -shift
+            plants.append((i,))
+        elif len(free) >= 2:  # rows i and j of num + shift*I are equal
+            i, j = free.pop(), free.pop()
+            A[j, :], A[:, j] = A[i, :], A[:, i]
+            A[i, j] = A[j, i] = A[i, i] + shift
+            A[j, j] = A[i, i]
+            plants.append((i, j))
+    return A, den, shift, plants
+
+
+@settings(max_examples=300, deadline=None)
+@given(planted_rows())
+def test_twin_witness_implies_a_certified_repeat_at_0_or_minus_1(case):
+    A, den, shift, plants = case
+    M = SymmetricMatrix(A, den)
+    B = A + shift * np.eye(len(A), dtype=np.int64)
+    for plant in plants:  # the planting itself
+        assert not B[plant[0]].any() if len(plant) == 1 else (B[plant[0]] == B[plant[1]]).all()
+    fired = repeated_by_twins(M)
+    assert fired or len(plants) < 2
+    if fired:
+        verdict = simplicity_exact(M)
+        assert verdict.tag == "NotSimpleExact"
+        g = CharPoly(verdict.certificate)
+        assert g(Fraction(0)) == 0 or g(Fraction(-1)) == 0
+
+
+def _with_edges(n, edges):
+    A = np.zeros((n, n), dtype=np.int64)
+    for i, j in edges:
+        A[i, j] = A[j, i] = 1
+    return SymmetricMatrix(A)
+
+
+def test_twin_witness_crafted_cases():
+    # One isolated vertex (4) on a path: one kernel vector, and the path
+    # P_4 is simple, so nothing is proved.
+    lone = _with_edges(5, [(0, 1), (1, 2), (2, 3)])
+    assert not repeated_by_twins(lone) and simplicity_exact(lone).is_simple
+    # The same plus a pendant twin pair at 0 (5 and 6, both adjacent to
+    # 0 only): e_4 and e_5 - e_6 lie in ker A.
+    pair = _with_edges(7, [(0, 1), (1, 2), (2, 3), (0, 5), (0, 6)])
+    assert repeated_by_twins(pair)
+    assert CharPoly(simplicity_exact(pair).certificate)(0) == 0
+    # K_n: every row of A + I is all ones, so -1 repeats n - 1 times.
+    for n in (3, 6, 50):
+        K = SymmetricMatrix(np.ones((n, n), dtype=np.int64) - np.eye(n, dtype=np.int64))
+        assert repeated_by_twins(K)
+        assert CharPoly(simplicity_exact(K).certificate)(-1) == 0  # g = (x + 1)^(n - 2)
+    # Row 0 hashes to 3 (-12) + 9 + 27 = 0 but is not zero, and rows 1 and
+    # 2 are equal: one kernel vector, and the matrix is simple.
+    hashed_zero = SymmetricMatrix([[-12, 1, 1], [1, 1, 1], [1, 1, 1]])
+    assert int(hashed_zero.num[0] @ spectrum._start_vector(3)) == 0
+    assert not repeated_by_twins(hashed_zero) and simplicity_exact(hashed_zero).is_simple
+    # (J - 2I) / 2: num + den*I = J, so -1 repeats; K_3 / 2 repeats -1/2,
+    # which no row of num or num + den*I shows.
+    J = np.ones((3, 3), dtype=np.int64)
+    assert repeated_by_twins(SymmetricMatrix(J - 2 * np.eye(3, dtype=np.int64), 2))
+    assert not repeated_by_twins(SymmetricMatrix(J - np.eye(3, dtype=np.int64), 2))
+
+
+def _diag(top, dtype=np.int64):
+    """diag(top, 0, 0): two zero rows, so 0 repeats."""
+    A = np.zeros((3, 3), dtype=dtype)
+    A[0, 0] = top
+    return A
+
+
+@pytest.mark.parametrize("num, den", [
+    (_diag(2**64, dtype=object), 1),  # integer objects: not hashed
+    (_diag(2**62), 1),  # n max |a_ij| 65537 past int64
+    (_diag(1), 2**47 - 1),  # den 65537 past int64
+    (_diag(1), 2**64 + 1),  # den itself past int64
+])
+def test_twin_witness_declines_past_int64(num, den):
+    M = SymmetricMatrix(num, den)
+    assert M.den == den and M.num.dtype == num.dtype
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert repeated_by_twins(M) is False
+    # Each is non-simple at 0, so only the guard declines.
+    assert CharPoly(simplicity_exact(M).certificate)(0) == 0
