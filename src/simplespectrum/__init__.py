@@ -5,7 +5,6 @@ from .dist import (
     AtomicDistribution,
     bernoulli_half,
     make_distribution,
-    nontriviality_margin,
     rademacher,
     zero_atom,
 )

@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: census, montecarlo, richness, check-simple, conc-prob,
-gap-cover, refine.  Records are emitted as newline-delimited JSON or CSV
-with a header row; exit code 0 on success, 2 on contract errors.
+gap-cover, refine.  Each emits one record, as one JSON line or as a CSV
+header and one row; exit code 0 on success, 2 on contract errors.
 """
 
 from __future__ import annotations
@@ -21,21 +21,16 @@ from .errors import SimpleSpectrumError
 from .rationals import format_rational, parse_rational
 
 
-def _emit(records: list[dict], out_format: str):
+def _emit(record: dict, out_format: str):
     if out_format == "csv":
-        if not records:
-            return
-        keys = list(records[0].keys())
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=keys)
+        writer = csv.DictWriter(buf, fieldnames=list(record))
         writer.writeheader()
-        for rec in records:
-            writer.writerow({k: json.dumps(v) if isinstance(v, (dict, list)) else v
-                             for k, v in rec.items()})
+        writer.writerow({k: json.dumps(v) if isinstance(v, (dict, list)) else v
+                         for k, v in record.items()})
         sys.stdout.write(buf.getvalue())
     else:
-        for rec in records:
-            sys.stdout.write(json.dumps(rec) + "\n")
+        sys.stdout.write(json.dumps(record) + "\n")
 
 
 @contextmanager
@@ -149,32 +144,32 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def run(args) -> list[dict]:
+def run(args) -> dict:
     if args.threads < 1:
         raise SimpleSpectrumError(f"--threads must be >= 1, not {args.threads}")
     if args.command == "census":
         c = harness.exhaustive_census(args.n, workers=args.threads)
-        return [{
+        return {
             "kind": "census",
             "n": c.n,
             "total": c.total,
             "simple": c.simple_count,
             "nonsimple": c.nonsimple_count,
             "simple_fraction": c.simple_fraction,
-        }]
+        }
     if args.command == "montecarlo":
         s = harness.monte_carlo_simplicity(
             _ensemble(args.ensemble), args.n, args.trials, args.seed,
             workers=args.threads,
         )
-        return [_summary_record("montecarlo", s, n=args.n, ensemble=args.ensemble)]
+        return _summary_record("montecarlo", s, n=args.n, ensemble=args.ensemble)
     if args.command == "richness":
         s = harness.rich_eigenvector_frequency(
             _ensemble(args.ensemble), args.n, args.A, args.delta,
             args.trials, args.seed, workers=args.threads,
         )
-        return [_summary_record("richness", s, n=args.n, A=args.A,
-                                delta=args.delta)]
+        return _summary_record("richness", s, n=args.n, A=args.A,
+                               delta=args.delta)
     if args.command == "check-simple":
         M = _load_matrix(args.matrix)
         v = spectrum.simplicity_exact(M)
@@ -182,16 +177,16 @@ def run(args) -> list[dict]:
                "simple": v.is_simple}
         if v.certificate is not None:
             rec["certificate"] = [format_rational(c) for c in v.certificate]
-        return [rec]
+        return rec
     if args.command == "conc-prob":
         V = smallball.WeightVector.exact(_load_vector(args.vector))
         d = _load_dist(args.dist)
         res = smallball.small_ball_exact(V, d)
-        return [{
+        return {
             "p": format_rational(res.p),
             "atom": format_rational(res.attaining_atom),
             "mode": res.mode,
-        }]
+        }
     if args.command == "gap-cover":
         if args.rmax < 1:
             raise SimpleSpectrumError(f"--rmax must be >= 1, not {args.rmax}")
@@ -199,10 +194,10 @@ def run(args) -> list[dict]:
         caps = (args.volmax, args.volmax if args.rmax >= 2 else 0)
         hit = structure.covering_gap_with_indices(V, args.m, vol_max=caps)
         if hit is None:
-            return [{"kind": "gap-cover", "found": False}]
+            return {"kind": "gap-cover", "found": False}
         g = hit[0]
-        return [{"kind": "gap-cover", "found": True, "gap": g.to_json(),
-                 "volume": gaps.volume(g)}]
+        return {"kind": "gap-cover", "found": True, "gap": g.to_json(),
+                "volume": gaps.volume(g)}
     if args.command == "refine":
         V = smallball.WeightVector.exact(_load_vector(args.vector))
         d = _load_dist(args.dist)
@@ -212,7 +207,7 @@ def run(args) -> list[dict]:
         report = structure.refine_structure(V, d, params)
         rec = report.to_json()
         rec["kind"] = "refine"
-        return [rec]
+        return rec
     raise SimpleSpectrumError(f"unknown command {args.command!r}")
 
 
@@ -220,11 +215,11 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        records = run(args)
+        record = run(args)
     except SimpleSpectrumError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(records, args.out)
+    _emit(record, args.out)
     return 0
 
 

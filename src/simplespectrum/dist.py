@@ -1,9 +1,7 @@
 """Exact finite discrete distributions for random matrix entries.
 
 A distribution is a finite list of rational atoms with rational point
-masses.  The non-triviality margin mu = 1 - max(probs) controls whether
-the entry law is degenerate; every concentration bound downstream needs
-mu > 0.
+masses.
 """
 
 from __future__ import annotations
@@ -75,11 +73,6 @@ def make_distribution(atoms: Sequence, probs: Sequence) -> AtomicDistribution:
     return AtomicDistribution(
         atoms=tuple(keys), probs=tuple(merged[k] for k in keys)
     )
-
-
-def nontriviality_margin(d: AtomicDistribution) -> Fraction:
-    """The margin mu = 1 - max(probs); positive iff d is non-degenerate."""
-    return 1 - max(d.probs)
 
 
 def rademacher() -> AtomicDistribution:

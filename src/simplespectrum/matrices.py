@@ -68,6 +68,8 @@ class SymmetricMatrix:
         if not np.array_equal(num, num.T):
             raise PreconditionError("matrix not symmetric")
         if den > 1 and (g := gcd(den, *num.ravel().tolist())) > 1:
+            if g >> 63:  # past int64, so num holds only 0 and -2^63
+                num = num.astype(object)
             num, den = _int_array(num // g), den // g
         num.flags.writeable = False
         object.__setattr__(self, "num", num)
@@ -199,8 +201,9 @@ def graph_stack(n: int, indices) -> np.ndarray:
     their order, repeats kept.  Graph i has edge (r, c), r < c, iff bit k of
     i is set, k counting the pairs row-major, and a zero diagonal: a
     bijection from [0, 2^(n(n-1)/2)) onto the simple graphs.  int64 for
-    n <= 11, else integer objects (dtype=object), as indices pass int64.
-    A non-integer index raises TypeError, as in graph_from_index."""
+    every n, as the entries are 0 or 1; from n = 12 on, where indices pass
+    int64, they are decoded as Python ints.  A non-integer index raises
+    TypeError, as in graph_from_index."""
     if n < 1:
         raise PreconditionError("n must be >= 1")
     nbits = n * (n - 1) // 2
@@ -218,7 +221,7 @@ def graph_stack(n: int, indices) -> np.ndarray:
     if len(idx) and not (0 <= idx.min() and idx.max() < 1 << nbits):
         raise PreconditionError(f"indices out of range [0, 2^{nbits}) for n={n}")
     bits = (idx[:, None] >> np.arange(nbits)) & 1
-    A = np.zeros((len(idx), n, n), dtype=idx.dtype)
+    A = np.zeros((len(idx), n, n), dtype=np.int64)
     iu = _upper_indices(n)
     A[:, iu[0], iu[1]] = A[:, iu[1], iu[0]] = bits
     return A

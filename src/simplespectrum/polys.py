@@ -1,4 +1,4 @@
-"""Integer polynomial utilities: primitive-PRS gcd, gcd mod p and primes.
+"""Integer polynomial utilities: primitive-PRS gcd and gcd mod p.
 
 Polynomials are lists of Python ints, constant term first.  The primitive
 pseudo-remainder sequence keeps coefficient growth polynomial, which is all
@@ -87,37 +87,3 @@ def poly_gcd_mod(a: list[int], b: list[int], p: int) -> list[int]:
         a = [c * inv % p for c in a]
     return a
 
-
-def _is_probable_prime(n: int) -> bool:
-    # Deterministic Miller-Rabin for n < 3.3e24 with this witness set.
-    if n < 2:
-        return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % q == 0:
-            return n == q
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def primes_from(start: int):
-    """Yield primes >= start, ascending."""
-    n = max(start, 2)
-    if n % 2 == 0 and n > 2:
-        n += 1
-    while True:
-        if _is_probable_prime(n):
-            yield n
-        n += 2 if n > 2 else 1

@@ -22,14 +22,13 @@ through one Faddeev-LeVerrier pass over the whole stack in int64 with no
 prime; its intermediates are the coefficients of the adjugate, so the
 same pass over the (n - 1)-vertex graphs of a census, plus one quadratic
 form per border, gives the char polys of all their n-vertex borderings.
-Simplicity is then squarefreeness: the root 0 split off, gcd(p, p')
-constant, settled by the gcd mod q, lifted and checked by trial division
-when it is not constant, or else by the PRS gcd.  A stack of char polys
-is screened at once by the remainder sequence of p and p' mod q, run on
-all rows in lockstep; a double integer root refutes most rows it leaves,
-and only the rest reach that gcd.  For a real symmetric matrix algebraic
-multiplicity equals geometric multiplicity, so squarefree <=> simple
-spectrum.
+Simplicity is then squarefreeness: gcd(p, p') constant, settled by the
+gcd mod q, lifted and checked by trial division when it is not constant,
+or else by the PRS gcd.  A stack of char polys is screened at once by the
+remainder sequence of p and p' mod q, run on all rows in lockstep; a
+double integer root refutes most rows it leaves, and only the rest reach
+that gcd.  For a real symmetric matrix algebraic multiplicity equals
+geometric multiplicity, so squarefree <=> simple spectrum.
 
 Twin witness: repeated_by_twins proves some M non-simple in O(n^2), with
 no prime.  Zero rows and classes of equal rows of num, or of num + den*I,
@@ -64,10 +63,14 @@ _PRIME_FLOOR = (1 << 27) - 100
 
 @lru_cache(maxsize=None)
 def _crt_prime(i: int) -> int:
-    """The i-th prime >= _PRIME_FLOOR, counting from 0: the first prime past
-    the (i - 1)-th, so Miller-Rabin runs once per prime in this process.
-    Callers ask in ascending order, so each call recurses at most once."""
-    return next(polys.primes_from(_crt_prime(i - 1) + 1 if i else _PRIME_FLOOR))
+    """The i-th prime >= _PRIME_FLOOR, counting from 0: the first odd number
+    past the (i - 1)-th with no odd divisor d <= sqrt(p), so the trial
+    division runs once per prime in this process.  Callers ask in ascending
+    order, so each call recurses at most once."""
+    p = _crt_prime(i - 1) + 2 if i else _PRIME_FLOOR | 1
+    while any(p % d == 0 for d in range(3, isqrt(p) + 1, 2)):
+        p += 2
+    return p
 
 
 @dataclass(frozen=True)
@@ -412,35 +415,27 @@ def double_integer_root(rows: np.ndarray, r: int) -> np.ndarray:
 
 
 def repeated_factor(ip: list[int]) -> Optional[list[int]]:
-    """None when the nonzero integer polynomial ip (constant term first) is
-    squarefree, else the primitive gcd(ip, ip') of positive degree.
-
-    With ip = x^k r, r(0) != 0 and k >= 1, ip' = x^(k-1) (k r + x r') and x
-    divides neither r nor k r + x r', so gcd(ip, ip') = x^(k-1) gcd(r, r'):
-    only r goes through the gcd.
+    """None when the integer polynomial ip (constant term first) of positive
+    degree is squarefree, else the primitive gcd(ip, ip') of positive degree.
 
     When q = _crt_prime(0) divides neither leading coefficient, the monic
-    gcd h of r and r' mod q has degree at least that of G = gcd(r, r') over
-    Q, which divides it mod q.  A constant h proves r squarefree.  Otherwise
-    h, lifted to balanced residues, is G when it divides r and r' exactly:
-    then it divides G, its degree is no smaller, and both are primitive
-    with a positive leading coefficient.  This is the modular gcd with a
-    trial division (Brown 1971); the primitive-PRS gcd decides the rest.
+    gcd h of ip and ip' mod q has degree at least that of G = gcd(ip, ip')
+    over Q, which divides it mod q.  A constant h proves ip squarefree.
+    Otherwise h, lifted to balanced residues, is G when it divides ip and
+    ip' exactly: then it divides G, its degree is no smaller, and both are
+    primitive with a positive leading coefficient.  This is the modular gcd
+    with a trial division (Brown 1971); the primitive-PRS gcd decides the
+    rest.
     """
-    k = next(i for i, c in enumerate(ip) if c)
-    r = ip[k:]
-    dr = polys.derivative(r)
+    dp = polys.derivative(ip)
     q = _crt_prime(0)
-    if not dr:
-        G = [1]
-    elif r[-1] % q and dr[-1] % q:
-        G = [_balanced(c, q) for c in polys.poly_gcd_mod(r, dr, q)]
-        if polys.degree(G) and (polys.pseudo_rem(r, G) or polys.pseudo_rem(dr, G)):
-            G = polys.gcd_int(r, dr)
+    if ip[-1] % q and dp[-1] % q:
+        G = [_balanced(c, q) for c in polys.poly_gcd_mod(ip, dp, q)]
+        if polys.degree(G) and (polys.pseudo_rem(ip, G) or polys.pseudo_rem(dp, G)):
+            G = polys.gcd_int(ip, dp)
     else:
-        G = polys.gcd_int(r, dr)
-    g = [0] * (k - 1) + G  # x^(k-1) G; G alone when k = 0
-    return g if polys.degree(g) else None
+        G = polys.gcd_int(ip, dp)
+    return G if polys.degree(G) else None
 
 
 def simplicity_exact(M: SymmetricMatrix) -> SimplicityVerdict:

@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 
 from simplespectrum.dist import (
     AtomicDistribution,
-    bernoulli_half,
     make_distribution,
-    nontriviality_margin,
     rademacher,
 )
 from simplespectrum.errors import DistributionError
@@ -19,18 +17,12 @@ from simplespectrum.errors import DistributionError
 def test_rademacher():
     d = make_distribution([-1, 1], [Fraction(1, 2), Fraction(1, 2)])
     assert d.atoms == (Fraction(-1), Fraction(1))
-    assert nontriviality_margin(d) == Fraction(1, 2)
-
-
-def test_bernoulli_half_margin():
-    assert nontriviality_margin(bernoulli_half()) == Fraction(1, 2)
 
 
 def test_duplicate_atoms_merge():
     d = make_distribution([3, 3], [Fraction(1, 2), Fraction(1, 2)])
     assert d.atoms == (Fraction(3),)
     assert d.probs == (Fraction(1),)
-    assert nontriviality_margin(d) == 0
 
 
 def test_atoms_sorted():
@@ -88,7 +80,7 @@ def test_margin_range(pairs):
     weights = [w for _, w in pairs]
     total = sum(weights)
     d = make_distribution(atoms, [Fraction(w, total) for w in weights])
-    mu = nontriviality_margin(d)
+    mu = 1 - max(d.probs)
     k = len(d.atoms)
     assert 0 <= mu <= 1 - Fraction(1, k)
     assert (mu == 0) == (k == 1)

@@ -287,7 +287,7 @@ def test_graph_stack_past_int64_matches_per_bit_build(n):
     rng, top = random.Random(n), 1 << n * (n - 1) // 2
     indices = [0, 5, 2**63, top - 1, *(rng.randrange(2**63, top) for _ in range(20))]
     A = graph_stack(n, indices)
-    assert A.dtype == object and A.shape == (len(indices), n, n)
+    assert A.dtype == np.int64 and A.shape == (len(indices), n, n)
     assert A.tolist() == [_per_bit_graph(n, i).tolist() for i in indices]
     assert graph_stack(n, []).shape == (0, n, n)
 

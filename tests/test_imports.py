@@ -1,7 +1,8 @@
 """Lints: no module of the package imports a name it never uses, no
 module-level private name goes unreferenced in the package, no function
 leaves a parameter unread, no dataclass field goes unread outside the
-tests, and no public method or property is read only by the unit tests."""
+tests, and no public method, property, module-level function or class is
+read only by the unit tests."""
 
 import ast
 from collections import defaultdict
@@ -225,16 +226,66 @@ def test_detects_unread_public_method():
     assert unread_public_methods(defining, readers) == ["a.py: M.size (line 8)"]
 
 
-def test_no_test_only_public_methods():
-    # A method only the unit tests call is dead weight; the acceptance
-    # criteria, the benchmark and the demos are the package's users.
+def _users() -> list[Path]:
+    """The package's users: the package itself, the benchmark, the demos
+    and the acceptance criteria."""
     root = SRC.parents[1]
-    readers = [
-        p.read_text()
-        for p in sorted(
-            [*SRC.glob("*.py"), *root.glob("bench/*.py"), *root.glob("demos/*.py"),
-             root / "tests" / "test_acceptance.py"]
-        )
-    ]
+    return sorted(
+        [*SRC.glob("*.py"), *root.glob("bench/*.py"), *root.glob("demos/*.py"),
+         root / "tests" / "test_acceptance.py"]
+    )
+
+
+def test_no_test_only_public_methods():
+    # A method only the unit tests call is dead weight.
+    readers = [p.read_text() for p in _users()]
     defining = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert unread_public_methods(defining, readers) == []
+
+
+def unread_public_names(defining: dict[str, str], readers: dict[str, str]) -> list[str]:
+    """Public module-level functions and classes of `defining` that no
+    statement of `readers` reads, by name or as an attribute, apart from
+    the statement that defines them; both map file names to source."""
+    users = defaultdict(set)
+    for fname, source in readers.items():
+        for i, stmt in enumerate(ast.parse(source).body):
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    users[node.id].add((fname, i))
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    users[node.attr].add((fname, i))
+    return [
+        f"{fname}: {stmt.name} (line {stmt.lineno})"
+        for fname, source in defining.items()
+        for i, stmt in enumerate(ast.parse(source).body)
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not stmt.name.startswith("_")
+        and not users[stmt.name] - {(fname, i)}
+    ]
+
+
+def test_detects_unread_public_name():
+    defining = {
+        "a.py": (
+            "def f():\n    return f()\n"
+            "def g():\n    pass\n"
+            "class C:\n    pass\n"
+            "class D:\n    pass\n"
+            "def _h():\n    pass\n"
+            "x = 1\n"
+        ),
+    }
+    readers = {**defining, "b.py": "import a\nprint(a.g(), C)\nD = None\n"}
+    assert unread_public_names(defining, readers) == ["a.py: f (line 1)", "a.py: D (line 7)"]
+
+
+def test_no_test_only_public_functions():
+    # A function or class only the unit tests read is dead weight; the
+    # re-exports of __init__ read nothing.
+    root = SRC.parents[1]
+    readers = {
+        str(p.relative_to(root)): p.read_text() for p in _users() if p.name != "__init__.py"
+    }
+    defining = {str(p.relative_to(root)): p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert unread_public_names(defining, readers) == []

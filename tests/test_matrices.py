@@ -159,6 +159,17 @@ def test_int64_overflow_falls_back_to_python_ints():
     assert M.num.dtype == np.int64 and M.num.tolist() == [[2**62]] and M.den == 1
 
 
+def test_common_factor_past_int64_on_int64_num():
+    # A zero num takes the whole den as its common factor, past int64; so
+    # does -2^63 over a multiple of 2^63.
+    for num in (np.zeros((3, 3), dtype=np.int64), [[0, 0], [0, 0]]):
+        M = SymmetricMatrix(num, 2**64 + 1)
+        assert M.num.dtype == np.int64 and not M.num.any() and M.den == 1
+        assert M == SymmetricMatrix(np.zeros_like(M.num))
+    M = SymmetricMatrix([[-(2**63)]], 3 * 2**63)
+    assert M.num.dtype == np.int64 and M.num.tolist() == [[-1]] and M.den == 3
+
+
 def test_non_integer_num_rejected():
     with pytest.raises(PreconditionError):
         SymmetricMatrix([[0.5]])

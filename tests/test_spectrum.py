@@ -1,7 +1,7 @@
 import hashlib
 from collections import Counter
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain, count, islice
 from math import isqrt, lcm
 
 import warnings
@@ -200,10 +200,20 @@ def test_balanced_is_the_centred_residue_on_python_ints(k):
         assert type(r) is int and (r - x) % m == 0 and 2 * abs(r) < m, (x, m)
 
 
+def _is_prime(p):
+    """Trial division by every d <= sqrt(p)."""
+    return p > 1 and all(p % d for d in range(2, isqrt(p) + 1))
+
+
+def _small_primes(k):
+    """The first k primes."""
+    return list(islice(filter(_is_prime, count(2)), k))
+
+
 def _largest_safe_prime(n):
     """The largest prime p with n*(p // 2)^2 + p < 2^63."""
     p = 2 * isqrt(((1 << 63) // n)) + 1
-    while n * (p // 2) ** 2 + p >= 1 << 63 or not polys._is_probable_prime(p):
+    while n * (p // 2) ** 2 + p >= 1 << 63 or not _is_prime(p):
         p -= 1
     return p
 
@@ -728,7 +738,7 @@ def test_small_crt_primes_skip_breakdowns(monkeypatch):
     # char polys and verdicts stay those of the word-sized primes.
     graphs = [M for M in _graphs() if M.n <= 4]
     verdicts = [(v.tag, v.certificate) for v in map(simplicity_exact, graphs)]
-    small = list(islice(polys.primes_from(2), 1000))
+    small = _small_primes(1000)
     calls = 0
 
     def crt_prime(i):
@@ -759,7 +769,7 @@ def test_small_crt_primes_skip_breakdowns(monkeypatch):
 def test_first_prime_pass_runs_once_per_matrix(monkeypatch):
     # With the primes from 2 upward the first prime's pass breaks down on
     # most graphs; the CRT must skip that prime, not run its pass again.
-    small = list(islice(polys.primes_from(2), 1000))
+    small = _small_primes(1000)
     monkeypatch.setattr(spectrum, "_crt_prime", small.__getitem__)
     calls = []
     real = spectrum._lanczos_mod
@@ -867,11 +877,12 @@ def _counting(monkeypatch, module, name):
     return calls
 
 
-def test_repeated_factor_strips_root_zero(monkeypatch, graph_char_polys):
-    # x^k r with r(0) != 0 gives x^(k-1) gcd(r, r'): equal to the PRS gcd of
-    # the whole polynomial on every graph char poly for n <= 7 and on seeded
-    # G(n, 2/25) draws.  On the graphs the lifted mod-q gcd always passes
-    # its trial division, so the PRS never runs.
+def test_repeated_factor_lifts_root_zero(monkeypatch, graph_char_polys):
+    # For x^k r with r(0) != 0 the lifted mod-q gcd gives x^(k-1) gcd(r, r')
+    # like any other factor: equal to the PRS gcd of the whole polynomial on
+    # every graph char poly for n <= 7 and on seeded G(n, 2/25) draws.  On
+    # the graphs the lift always passes its trial division, so the PRS never
+    # runs.
     ips = {tuple(row[::-1]) for rows in graph_char_polys.values() for row in rows.tolist()}
     calls = _counting(monkeypatch, polys, "gcd_int")
     for ip in ips:
@@ -1093,24 +1104,34 @@ def test_char_poly_small_at_numeric_eigenvalues():
             assert abs(p(float(lam))) / scale <= 1e-6
 
 
-def test_crt_primes_found_once(monkeypatch):
+def test_crt_primes_are_the_first_primes_past_the_floor():
+    # The first 30 CRT primes are pinned, and they are the consecutive
+    # primes from _PRIME_FLOOR on, by an independent trial division.
+    primes = [spectrum._crt_prime(i) for i in range(30)]
+    assert primes == [
+        134217649, 134217689, 134217757, 134217773, 134217779, 134217781,
+        134217799, 134217803, 134217823, 134217827, 134217869, 134217877,
+        134217893, 134217917, 134217929, 134217931, 134217943, 134217973,
+        134217977, 134217989, 134218031, 134218037, 134218039, 134218057,
+        134218069, 134218081, 134218103, 134218153, 134218159, 134218169,
+    ]
+    assert primes == list(filter(_is_prime, range(spectrum._PRIME_FLOOR, primes[-1] + 1)))
+
+
+def test_crt_primes_found_once():
     M = sample_matrix(SIGN, 5, trial_rng(3, 0))
     verdict = simplicity_exact(M)
-    real = polys.primes_from
-    assert [spectrum._crt_prime(i) for i in range(3)] == list(
-        islice(real(spectrum._PRIME_FLOOR), 3)
-    )
-    calls = []
-    monkeypatch.setattr(polys, "primes_from", lambda s: calls.append(s) or real(s))
+    misses = spectrum._crt_prime.cache_info().misses
     assert simplicity_exact(M) == verdict
-    assert calls == []
+    assert spectrum._crt_prime.cache_info().misses == misses
     # Rebuilt from empty, each prime is searched for once, from the one
-    # before it.
+    # before it: prime i misses once and reads prime i - 1 from the cache.
     primes = [spectrum._crt_prime(i) for i in range(3)]
     spectrum._crt_prime.cache_clear()
     assert [spectrum._crt_prime(i) for i in range(3)] == primes
+    assert spectrum._crt_prime.cache_info()[:2] == (2, 3)  # hits, misses
     assert [spectrum._crt_prime(i) for i in range(3)] == primes
-    assert calls == [spectrum._PRIME_FLOOR, primes[0] + 1, primes[1] + 1]
+    assert spectrum._crt_prime.cache_info()[:2] == (5, 3)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-12])

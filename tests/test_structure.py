@@ -286,6 +286,68 @@ def test_refine_searches_once_per_cover(monkeypatch, d0):
     assert calls == [(_vol_cap(F(100), p, 16, 1), cap2)]
 
 
+def _counting_covers(monkeypatch):
+    """Record the vector length, m and caps of each covering search."""
+    calls, real = [], structure.covering_gap_with_indices
+
+    def counting(sub, m, vol_max):
+        calls.append((len(sub), m, vol_max))
+        return real(sub, m, vol_max)
+
+    monkeypatch.setattr(structure, "covering_gap_with_indices", counting)
+    return calls
+
+
+def test_refine_first_cap_below_one_searches_nothing(monkeypatch):
+    # C0 / p < sqrt(n) leaves no volume for the first cover, so it fails
+    # before any covering search.
+    calls = _counting_covers(monkeypatch)
+    V = WeightVector.exact([1] * 16)
+    with pytest.raises(SearchBudgetError, match="initial"):
+        refine_structure(V, RAD, replace(PARAMS, C0=F(1, 100)))
+    assert _vol_cap(F(1, 100), small_ball_exact(V, RAD).p, 16, 1) == 0
+    assert calls == []
+
+
+# Eight ones and eight dissociated outliers: the first cover keeps the
+# ones, and p = C(8, 4) / 2^16 is far below p(W') = 1/2 for each single
+# coordinate W', so no stability subset exists while the level is low.
+ONES_AND_OUTLIERS = WeightVector.exact([1] * 8 + [2 ** (20 + k) for k in range(8)])
+
+
+def test_refine_level_below_richness_raises():
+    # Rich at A = 3 over all 16 coordinates, p = 35/32768 >= 16^-3, but
+    # below 8^-3 over the 8 that the cover keeps.
+    with pytest.raises(SearchBudgetError, match="level fell below") as err:
+        refine_structure(ONES_AND_OUTLIERS, RAD, replace(PARAMS, A=3.0))
+    assert err.value.partial == {"iteration": 0, "p": F(35, 32768)}
+    assert F(1, 16**3) <= F(35, 32768) < F(1, 8**3)
+
+
+def test_refine_cover_failing_in_a_round_raises(monkeypatch):
+    # At A = 4 the level stays rich, but each round raises p and so shrinks
+    # the cap, until no GAP of volume 3, the ones' cover, fits it.
+    calls = _counting_covers(monkeypatch)
+    with pytest.raises(SearchBudgetError, match="during refinement") as err:
+        refine_structure(ONES_AND_OUTLIERS, RAD, replace(PARAMS, A=4.0, C0=F(3, 200)))
+    assert err.value.partial["iteration"] == 4
+    assert calls == [(16, 13, (3, 0))] + [(8, 6, caps) for caps in
+                                          [(5, 1), (4, 1), (3, 0), (3, 0), (2, 0)]]
+
+
+def test_refine_iteration_cap_raises(monkeypatch):
+    # With no stability subset offered, every round re-covers, p rises by
+    # 16^(eps/2) each time and stays rich, and the loop ends after
+    # ceil(2 A / eps) + 2 = 12 rounds.  No cover that keeps the same n_i
+    # coordinates in every round gets there: by the last round p has grown
+    # past 1, and so has the threshold n_i^(d0 eps) p that each p(W') meets.
+    calls = _counting_covers(monkeypatch)
+    monkeypatch.setattr(structure, "_stability_subsets", lambda n_i, k_i: iter(()))
+    with pytest.raises(SearchBudgetError, match="exceeded 12 iterations"):
+        refine_structure(WeightVector.exact([1] * 16), RAD, replace(PARAMS, C0=F(10**4)))
+    assert len(calls) == 1 + 12
+
+
 def test_refine_excludes_outlier():
     V = WeightVector.exact([1] * 15 + [10**6])
     report = refine_structure(V, RAD, PARAMS)
