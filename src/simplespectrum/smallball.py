@@ -8,7 +8,13 @@ the supremum is a max over it.  Windowed mode is the float surrogate
 (eigenvectors of integer matrices have irrational entries, so exact
 equality is unattainable there): it reports the largest mass a sliding
 window of width delta can capture, an upper bound on the exact
-concentration for any point inside the window.
+concentration for any point inside the window.  Its exhaustive path sorts
+all |atoms|^n sums and sweeps the window over their cumulative weights.
+Tied sums need the stable order only when the atoms' float probabilities
+differ; when they are all equal, every assignment weighs the same float
+and the values are sorted alone.  The sweep goes in blocks of window
+ends, so beyond the sums and their cumulative weights it holds only
+block-sized buffers.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from .errors import CapExceededError, PreconditionError
 _SUM_CAP = 10**7
 _EXHAUSTIVE_LIMIT = 1 << 20
 _MC_SAMPLES = 10**4
+_SCAN_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -106,25 +113,20 @@ def small_ball_exact(V: WeightVector, d: AtomicDistribution) -> SmallBallResult:
     )
 
 
-def _windowed_from_sorted(sums: np.ndarray, cum: np.ndarray, delta: float):
-    """Max weight captured by a window of width delta over sorted sums.
-
-    `cum` holds the cumulative weights with a leading 0, so the window
-    [j, i] weighs cum[i + 1] - cum[j].  For each i, j is the first index
-    with sums[i] - sums[j] <= delta.  `searchsorted` finds it up to float
-    rounding, since it compares sums[j] with sums[i] - delta instead; j
-    then moves one distinct sum at a time until that very test holds at j
-    and fails at j - 1.  The first maximum wins, as in a scan that keeps a
-    window only when it is strictly heavier.  Work buffers are reused, so
-    the transient memory is two arrays the size of `sums` and a mask.
-    """
-    buf = np.subtract(sums, delta)
+def _window_starts(sums: np.ndarray, ends: np.ndarray, delta: float) -> np.ndarray:
+    """For each end e = sums[i] in `ends`, the first index j with
+    e - sums[j] <= delta.  `searchsorted` finds it up to float rounding,
+    since it compares sums[j] with e - delta instead; j then moves one
+    distinct sum at a time until that very test holds at j and fails at
+    j - 1.  The work buffers are reused, so the transient memory is two
+    arrays the size of `ends` and a mask."""
+    buf = np.subtract(ends, delta)
     j = np.searchsorted(sums, buf)
-    mask = np.empty(len(sums), dtype=bool)
+    mask = np.empty(len(ends), dtype=bool)
 
     def too_wide():
         np.take(sums, j, out=buf, mode="clip")
-        np.subtract(sums, buf, out=buf)
+        np.subtract(ends, buf, out=buf)
         return np.greater(buf, delta, out=mask)
 
     while too_wide().any():
@@ -136,15 +138,31 @@ def _windowed_from_sorted(sums: np.ndarray, cum: np.ndarray, delta: float):
         mask &= j >= 0
         j += 1
         if not mask.any():
-            break
+            return j
         down = np.flatnonzero(mask)
         j[down] = np.searchsorted(sums, sums[j[down] - 1], side="left")
-    np.take(cum, j, out=buf, mode="clip")
-    np.subtract(cum[1:], buf, out=buf)
-    i = int(np.argmax(buf))
-    if not buf[i] > 0.0:
-        return 0.0, float(sums[0])
-    return float(buf[i]), float((sums[i] + sums[j[i]]) / 2.0)
+
+
+def _windowed_from_sorted(sums: np.ndarray, cum: np.ndarray, delta: float):
+    """Max weight captured by a window of width delta over sorted sums.
+
+    `cum` holds the cumulative weights with a leading 0, so the window
+    [j, i] weighs cum[i + 1] - cum[j], j = _window_starts(...)[i].  Each j
+    depends on sums and i alone, so the ends i go in blocks of
+    _SCAN_BLOCK, and the transient memory is that of one block.  The first
+    maximum wins, as in a scan that keeps a window only when it is
+    strictly heavier: a block's heaviest window replaces the best so far
+    only when it is heavier.
+    """
+    best, center = 0.0, float(sums[0])
+    for lo in range(0, len(sums), _SCAN_BLOCK):
+        ends = sums[lo : lo + _SCAN_BLOCK]
+        j = _window_starts(sums, ends, delta)
+        weight = cum[lo + 1 : lo + 1 + len(ends)] - cum[j]
+        i = int(np.argmax(weight))
+        if weight[i] > best:
+            best, center = float(weight[i]), float((ends[i] + sums[j[i]]) / 2.0)
+    return best, center
 
 
 def small_ball_windowed(
@@ -159,6 +177,14 @@ def small_ball_windowed(
     else Monte Carlo over a fixed 10^4 samples drawn from rng (seed 0 by
     default) with the window maximized over sampled sums, reported as mode
     "windowed-mc".  The empty vector gives the empty sum: p = 1 at 0.
+
+    The exhaustive path orders tied sums by assignment index (a stable
+    argsort) only when the float probabilities differ, since only then
+    does that order change the cumulative weights.  With equal ones it
+    sorts the sums in place and fills the weights with their one value, so
+    the result is the same to the bit and the call holds two arrays of
+    |atoms|^n floats, the sums and their cumulative weights, plus the
+    window scan's per-block buffers.
     """
     if delta <= 0:
         raise PreconditionError("delta must be positive")
@@ -169,19 +195,29 @@ def small_ball_windowed(
     k = len(atoms)
     if k**n <= _EXHAUSTIVE_LIMIT:
         sums = np.zeros(1)
-        weights = np.ones(1)
         for v in entries:
             sums = (sums[:, None] + atoms[None, :] * v).ravel()
-            weights = (weights[:, None] * probs[None, :]).ravel()
-        order = np.argsort(sums, kind="stable")
-        # mode="clip" writes straight into `out`; "raise" would buffer it.
         cum = np.empty(len(sums) + 1)
         cum[0] = 0.0
-        np.take(weights, order, out=cum[1:], mode="clip")
+        if (probs == probs[0]).all():
+            # Every weight is the same float fl(...fl(1 * p) * p...), so the
+            # order of tied sums cannot change cum: the sums are sorted alone.
+            weight = 1.0
+            for _ in entries:
+                weight *= probs[0]
+            sums.sort()
+            cum[1:] = weight
+        else:
+            weights = np.ones(1)
+            for _ in entries:
+                weights = (weights[:, None] * probs[None, :]).ravel()
+            order = np.argsort(sums, kind="stable")
+            # mode="clip" writes straight into `out`; "raise" would buffer it.
+            np.take(weights, order, out=cum[1:], mode="clip")
+            sums = np.take(sums, order, out=weights, mode="clip")
+            del order
         np.cumsum(cum[1:], out=cum[1:])
-        ordered = np.take(sums, order, out=weights, mode="clip")
-        del order, sums
-        p, center = _windowed_from_sorted(ordered, cum, delta)
+        p, center = _windowed_from_sorted(sums, cum, delta)
         return SmallBallResult(p=p, attaining_atom=center, mode="windowed")
     if rng is None:
         rng = np.random.default_rng(0)

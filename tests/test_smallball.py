@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simplespectrum import smallball
+from simplespectrum import eigen_decompose, graph_from_index, smallball
 from simplespectrum.dist import bernoulli_half, make_distribution, rademacher
 from simplespectrum.errors import CapExceededError, PreconditionError
+from simplespectrum.matrices import SymmetricMatrix
 from simplespectrum.smallball import (
     WeightVector,
     _windowed_from_sorted,
@@ -270,7 +271,7 @@ def window(sums, weights, delta):
     return _windowed_from_sorted(sums, cum, delta)
 
 
-def test_window_matches_pointer_scan_on_random_sums():
+def test_window_matches_pointer_scan_on_random_sums(monkeypatch):
     rng = np.random.default_rng(11)
     for size in (1, 2, 3, 10, 100, 1000):
         for scale in (1e-3, 1.0, 1e6):
@@ -278,9 +279,10 @@ def test_window_matches_pointer_scan_on_random_sums():
             sums = np.sort(np.concatenate([sums, sums[: size // 3]]))
             weights = rng.random(len(sums))
             for delta in (1e-9, 1e-3, 0.1, 1.0, 10.0):
-                assert window(sums, weights, delta) == reference_window(
-                    sums, weights, delta
-                )
+                expected = reference_window(sums, weights, delta)
+                for block in (1, 3, 64, 1 << 15):
+                    monkeypatch.setattr(smallball, "_SCAN_BLOCK", block)
+                    assert window(sums, weights, delta) == expected
 
 
 def scan_starts(sums, delta):
@@ -316,24 +318,87 @@ def test_window_rounding_goes_both_ways():
     assert (np.searchsorted(sums, sums - 0.7) > scan_starts(sums, 0.7)).any()
 
 
-@pytest.mark.parametrize("d", [RAD, THREE], ids=["rad", "three"])
-def test_windowed_exhaustive_matches_reference_pipeline(d):
-    rng = np.random.default_rng(5)
+def reference_pipeline(values, d, delta):
+    """The exhaustive windowed path with every assignment's weight, a
+    stable argsort and the pointer scan, for any law."""
     atoms = np.array([float(a) for a in d.atoms])
     probs = np.array([float(p) for p in d.probs])
+    sums, weights = np.zeros(1), np.ones(1)
+    for v in values:
+        sums = (sums[:, None] + atoms[None, :] * v).ravel()
+        weights = (weights[:, None] * probs[None, :]).ravel()
+    order = np.argsort(sums, kind="stable")
+    return reference_window(sums[order], weights[order], delta)
+
+
+U3 = make_distribution(["-1", "0", "2"], ["1/3", "1/3", "1/3"])
+
+
+def pipeline_vectors():
+    """Gaussian and tie-heavy vectors (zeros, repeated entries, multiples
+    of 0.1 and 0.25), and the eigenvectors of two small graphs as
+    rich_eigenvector_frequency takes them."""
+    rng = np.random.default_rng(5)
+    vectors = []
     for n in (1, 4, 9):
-        for values in (rng.standard_normal(n), 0.1 * rng.integers(-3, 4, n)):
-            sums, weights = np.zeros(1), np.ones(1)
-            for v in values:
-                sums = (sums[:, None] + atoms[None, :] * v).ravel()
-                weights = (weights[:, None] * probs[None, :]).ravel()
-            order = np.argsort(sums, kind="stable")
-            for delta in (1e-9, 0.1, 0.3):
-                res = small_ball_windowed(WeightVector.numeric(values), d, delta)
-                assert res.mode == "windowed"
-                assert (res.p, res.attaining_atom) == reference_window(
-                    sums[order], weights[order], delta
-                )
+        tied = 0.5 * rng.integers(-4, 5, n)
+        tied[: n // 3] = 0.0
+        repeated = np.repeat(rng.standard_normal((n + 2) // 3), 3)[:n]
+        vectors += [
+            rng.standard_normal(n),
+            0.1 * rng.integers(-3, 4, n),
+            0.25 * rng.integers(-3, 4, n),
+            tied,
+            repeated,
+        ]
+    cycle = np.roll(np.eye(8, dtype=np.int64), 1, axis=1)
+    for M in (graph_from_index(6, 684), SymmetricMatrix(cycle + cycle.T)):
+        vectors += list(eigen_decompose(M, tol=1e-13).eigenvectors.T)
+    return vectors
+
+
+@pytest.mark.parametrize("d", [RAD, BER, U3, THREE], ids=["rad", "ber", "u3", "three"])
+def test_windowed_exhaustive_matches_reference_pipeline(d):
+    # RAD, BER and U3 take the equal-weight path, THREE the stable one.
+    for values in pipeline_vectors():
+        for delta in (1e-9, 1e-3, 0.1, 0.3):
+            res = small_ball_windowed(WeightVector.numeric(values), d, delta)
+            assert res.mode == "windowed"
+            assert repr((res.p, res.attaining_atom)) == repr(
+                reference_pipeline(values, d, delta)
+            )
+
+
+def test_equal_weights_skip_the_argsort(monkeypatch):
+    values = 0.5 * np.arange(-4, 5)
+    expected = reference_pipeline(values, RAD, 1e-3)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("argsort called")
+
+    monkeypatch.setattr(np, "argsort", refuse)
+    res = small_ball_windowed(WeightVector.numeric(values), RAD, 1e-3)
+    assert (res.p, res.attaining_atom) == expected
+    with pytest.raises(AssertionError, match="argsort called"):
+        small_ball_windowed(WeightVector.numeric(values), THREE, 1e-3)
+
+
+def test_blocked_scan_finds_the_heaviest_window_in_a_later_block(monkeypatch):
+    monkeypatch.setattr(smallball, "_SCAN_BLOCK", 4)
+    sums = np.concatenate([0.5 * np.arange(30), [40.0, 40.25, 40.5]])
+    weights = np.ones(len(sums))
+    assert window(sums, weights, 0.5) == reference_window(sums, weights, 0.5)
+    assert window(sums, weights, 0.5) == (3.0, 40.25)
+
+
+def test_blocked_scan_keeps_the_first_of_equal_maxima_across_a_boundary(monkeypatch):
+    # Windows [2, 2.5] (ending at i = 3, block 0) and [2.5, 3] (ending at
+    # i = 4, block 1) both weigh 2; the first must win.
+    monkeypatch.setattr(smallball, "_SCAN_BLOCK", 4)
+    sums = np.array([0.0, 1.0, 2.0, 2.5, 3.0, 10.0, 11.0, 12.0])
+    weights = np.ones(len(sums))
+    assert window(sums, weights, 0.5) == reference_window(sums, weights, 0.5)
+    assert window(sums, weights, 0.5) == (2.0, 2.25)
 
 
 def test_windowed_empty_vector_is_the_empty_sum():
@@ -384,6 +449,21 @@ def test_windowed_exhaustive_memory():
         tracemalloc.stop()
     # 2^18 sums take 2 MiB per float64 array; the scan keeps at most five.
     assert peak <= 10 * 10**6
+
+
+def test_windowed_exhaustive_memory_per_block():
+    import tracemalloc
+
+    V = WeightVector.numeric(np.random.default_rng(18).standard_normal(18))
+    tracemalloc.start()
+    try:
+        small_ball_windowed(V, RAD, delta=1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Equal weights: the 2^18 sums and their cumulative weights, 2 MiB
+    # each, and the scan's buffers of one block.
+    assert peak <= 6 * 10**6
 
 
 @pytest.mark.parametrize(
