@@ -14,7 +14,11 @@ Tied sums need the stable order only when the atoms' float probabilities
 differ; when they are all equal, every assignment weighs the same float
 and the values are sorted alone.  The sweep goes in blocks of window
 ends, so beyond the sums and their cumulative weights it holds only
-block-sized buffers.
+block-sized buffers.  Past 2^20 assignments it samples 10^4 of them in
+blocks of rows.  A block's uniforms are the next doubles of the stream
+that `Generator.choice` would have drawn, and each picks its atom by
+comparison with the cdf that `choice` builds, so the sums are the same to
+the bit and the generator ends in the same state.
 """
 
 from __future__ import annotations
@@ -32,7 +36,11 @@ from .errors import CapExceededError, PreconditionError
 _SUM_CAP = 10**7
 _EXHAUSTIVE_LIMIT = 1 << 20
 _MC_SAMPLES = 10**4
+_MC_BLOCK = 1000  # divides _MC_SAMPLES, a multiple of 4: see small_ball_windowed
 _SCAN_BLOCK = 1 << 15
+# Cumulative weights of the _MC_SAMPLES sampled sums, each 1/_MC_SAMPLES.
+_MC_CUM = np.concatenate([[0.0], np.cumsum(np.full(_MC_SAMPLES, 1.0 / _MC_SAMPLES))])
+_MC_CUM.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -185,6 +193,20 @@ def small_ball_windowed(
     the result is the same to the bit and the call holds two arrays of
     |atoms|^n floats, the sums and their cumulative weights, plus the
     window scan's per-block buffers.
+
+    The sampled path is `rng.choice(k, size=(10^4, n), p=...)` taken apart
+    and run on blocks of _MC_BLOCK rows, with the same stream and the same
+    result.  `rng.random(out=u)` draws a block's uniforms in the order
+    `choice` draws them.  The cdf is built as `choice` builds it and ends
+    at 1 > u, so `choice`'s index `searchsorted(cdf, u, side="right")` is
+    the number of j < k - 1 with u >= cdf[j], which is what the block
+    counts before it gathers the atoms.  The law's probabilities are
+    positive and sum to 1, so the checks `choice` makes on them never
+    fail.  Each block's sums come from one matmul.  OpenBLAS's gemv dots
+    rows in groups of 4 and may sum a leftover row in another order, so
+    the block size is a multiple of 4 and every row gets the same dot as
+    in one matmul over all 10^4 rows.  The call holds two block-sized
+    buffers and the 10^4 sums; the cumulative weights are a constant.
     """
     if delta <= 0:
         raise PreconditionError("delta must be positive")
@@ -221,10 +243,23 @@ def small_ball_windowed(
         return SmallBallResult(p=p, attaining_atom=center, mode="windowed")
     if rng is None:
         rng = np.random.default_rng(0)
-    draws = rng.choice(k, size=(_MC_SAMPLES, n), p=probs / probs.sum())
-    sums = np.sort(atoms[draws] @ np.array(entries))
-    cum = np.concatenate([[0.0], np.cumsum(np.full(_MC_SAMPLES, 1.0 / _MC_SAMPLES))])
-    p, center = _windowed_from_sorted(sums, cum, delta)
+    cdf = np.cumsum(probs / probs.sum())
+    cdf /= cdf[-1]
+    x = np.array(entries)
+    u = np.empty((_MC_BLOCK, n))
+    idx = np.empty((_MC_BLOCK, n), dtype=np.intp)
+    sums = np.empty(_MC_SAMPLES)
+    for lo in range(0, _MC_SAMPLES, _MC_BLOCK):
+        rng.random(out=u)
+        # idx = #{j < k - 1 : u >= cdf[j]}, choice's searchsorted index.
+        np.greater_equal(u, cdf[0], out=idx, casting="unsafe")
+        for c in cdf[1:-1]:
+            idx += u >= c
+        # The atoms overwrite the uniforms, which are spent.
+        np.take(atoms, idx, out=u, mode="clip")
+        np.matmul(u, x, out=sums[lo : lo + _MC_BLOCK])
+    sums.sort()
+    p, center = _windowed_from_sorted(sums, _MC_CUM, delta)
     return SmallBallResult(p=p, attaining_atom=center, mode="windowed-mc")
 
 

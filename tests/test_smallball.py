@@ -447,7 +447,8 @@ def test_windowed_exhaustive_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # 2^18 sums take 2 MiB per float64 array; the scan keeps at most five.
+    # 2^18 sums take 2 MiB per float64 array.  The call holds the sums and
+    # their cumulative weights, and the scan holds buffers of one block.
     assert peak <= 10 * 10**6
 
 
@@ -464,6 +465,125 @@ def test_windowed_exhaustive_memory_per_block():
     # Equal weights: the 2^18 sums and their cumulative weights, 2 MiB
     # each, and the scan's buffers of one block.
     assert peak <= 6 * 10**6
+
+
+FOUR = make_distribution(["-2", "-1/2", "1", "3"], ["1/10", "2/5", "1/4", "1/4"])
+LOPSIDED = make_distribution([-1, 1], ["1/3", "2/3"])
+
+
+class NoChoice(np.random.Generator):
+    """A generator on the same stream whose `choice` must not be reached."""
+
+    def choice(self, *args, **kwargs):
+        raise AssertionError("the sampled path called Generator.choice")
+
+
+def choice_reference(values, d, rng):
+    """The sampled sums as `Generator.choice` draws them, sorted."""
+    atoms = np.array([float(a) for a in d.atoms])
+    probs = np.array([float(p) for p in d.probs])
+    size = (smallball._MC_SAMPLES, len(values))
+    draws = rng.choice(len(atoms), size=size, p=probs / probs.sum())
+    return np.sort(atoms[draws] @ np.array(values, dtype=float))
+
+
+@pytest.fixture
+def seen(monkeypatch):
+    """The (sorted sums, cumulative weights) each windowed call scans."""
+    calls = []
+
+    def capture(sums, cum, delta):
+        calls.append((sums.copy(), cum))
+        return _windowed_from_sorted(sums, cum, delta)
+
+    monkeypatch.setattr(smallball, "_windowed_from_sorted", capture)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "d, lengths",
+    [(RAD, (21, 24, 40)), (BER, (21, 30)), (LOPSIDED, (21, 27)), (U3, (13, 17)),
+     (THREE, (13, 16)), (FOUR, (11, 14))],
+    ids=["rad", "ber", "lopsided", "u3", "three", "four"],
+)
+def test_windowed_mc_matches_generator_choice(monkeypatch, seen, d, lengths):
+    # rng=None must seed the same stream as default_rng(0) without choice.
+    monkeypatch.setattr(np.random, "default_rng", lambda s: NoChoice(np.random.PCG64(s)))
+    cum = np.concatenate([[0.0], np.cumsum(np.full(smallball._MC_SAMPLES, 1e-4))])
+    for n in lengths:
+        assert len(d.atoms) ** n > smallball._EXHAUSTIVE_LIMIT
+        g = np.random.Generator(np.random.PCG64(n))
+        for values in (g.standard_normal(n), 0.25 * g.integers(-3, 4, n)):
+            for seed in (None, 7, n):
+                rng = None if seed is None else NoChoice(np.random.PCG64(seed))
+                ref_rng = np.random.Generator(np.random.PCG64(seed or 0))
+                ref = choice_reference(values, d, ref_rng)
+                res = small_ball_windowed(WeightVector.numeric(values), d, 1e-3, rng=rng)
+                assert res.mode == "windowed-mc"
+                sums, used_cum = seen.pop()
+                assert sums.tobytes() == ref.tobytes()
+                assert used_cum.tobytes() == cum.tobytes()
+                if rng is not None:
+                    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+SEVEN = make_distribution(list(range(-3, 4)), ["1/7"] * 7)
+
+
+class ScriptedUniforms(np.random.Generator):
+    """A generator whose uniforms cycle through a fixed script, in order.
+    `choice` draws its uniforms through `self.random`, so it reads them
+    too."""
+
+    def __init__(self, script):
+        super().__init__(np.random.PCG64(0))
+        self.script = np.asarray(script, dtype=float)
+        self.drawn = 0
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        shape = size if out is None else out.shape
+        m = math.prod(shape)
+        vals = self.script[(self.drawn + np.arange(m)) % len(self.script)]
+        self.drawn += m
+        if out is None:
+            return vals.reshape(shape)
+        out[...] = vals.reshape(shape)
+        return out
+
+
+@pytest.mark.parametrize(
+    "d, n", [(RAD, 21), (FOUR, 11), (SEVEN, 8)], ids=["rad", "four", "seven"]
+)
+def test_windowed_mc_uniforms_on_the_cdf_pick_as_choice(seen, d, n):
+    # Uniforms on, just below and just above each cdf value, normalized as
+    # choice normalizes it and not (for SEVEN, the float cumsum ends past 1).
+    probs = np.array([float(p) for p in d.probs])
+    raw = np.cumsum(probs / probs.sum())
+    script = [0.0, np.nextafter(1.0, 0.0)]
+    for c in (*raw[:-1], *(raw / raw[-1])[:-1]):
+        script += [c, np.nextafter(c, 0.0), np.nextafter(c, 1.0)]
+    assert len(probs) ** n > smallball._EXHAUSTIVE_LIMIT
+    values = np.random.default_rng(n).standard_normal(n)
+    rng, ref_rng = ScriptedUniforms(script), ScriptedUniforms(script)
+    ref = choice_reference(values, d, ref_rng)
+    small_ball_windowed(WeightVector.numeric(values), d, 1e-3, rng=rng)
+    assert seen.pop()[0].tobytes() == ref.tobytes()
+    assert rng.drawn == ref_rng.drawn == smallball._MC_SAMPLES * n
+
+
+def test_windowed_mc_memory():
+    import tracemalloc
+
+    V = WeightVector.numeric(np.random.default_rng(40).standard_normal(40))
+    tracemalloc.start()
+    try:
+        small_ball_windowed(V, RAD, delta=1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Two blocks of 1000 x 40 (uniforms, then atoms; and their indices),
+    # 320 kB each, the 10^4 sums and the scan's buffers for them.
+    assert peak <= 1.5 * 10**6
 
 
 @pytest.mark.parametrize(
