@@ -1,15 +1,17 @@
-"""Integer polynomial utilities: primitive-PRS gcd and gcd mod p.
+"""Integer polynomial utilities: the modular gcd over Z and the gcd mod p.
 
-Polynomials are lists of Python ints, constant term first.  The primitive
-pseudo-remainder sequence keeps coefficient growth polynomial, which is all
-the desk scale here needs.  The modular squarefree screens,
-squarefree_screen and repeated_factor, live in spectrum, with _balanced,
-the one balanced residue, which the CRT and the lifted gcd mod p share.
+Polynomials are lists of Python ints, constant term first.  gcd_int is
+Brown's modular gcd for a monic first argument: monic gcds mod a sequence
+of primes, combined by Garner's CRT and lifted to balanced residues, until
+the lift divides both arguments exactly.  _balanced is the one balanced
+residue, which the CRT and the Lanczos pass in spectrum share too.  The
+modular squarefree screens, squarefree_screen and repeated_factor, live in
+spectrum.
 """
 
 from __future__ import annotations
 
-from math import gcd
+from .errors import PreconditionError
 
 
 def normalize(p: list[int]) -> list[int]:
@@ -26,46 +28,64 @@ def derivative(p: list[int]) -> list[int]:
     return normalize([i * c for i, c in enumerate(p)][1:])
 
 
-def content(p: list[int]) -> int:
-    g = 0
-    for c in p:
-        g = gcd(g, c)
-    return g or 1
-
-
-def primitive(p: list[int]) -> list[int]:
-    p = normalize(list(p))
-    if not p:
-        return p
-    g = content(p)
-    if p[-1] < 0:
-        g = -g
-    return [c // g for c in p]
+def _balanced(X, p: int):
+    """X mod p in [-(p // 2), p // 2], as (X + p//2) % p - p//2 but by floor
+    division, which numpy runs several times faster than % on int64.  Exact
+    on int64 while |X| + p < 2^63 and on Python ints of any size; for odd p,
+    as every modulus here is, it is the centred residue."""
+    return X - (X + p // 2) // p * p
 
 
 def pseudo_rem(a: list[int], b: list[int]) -> list[int]:
-    """Pseudo-remainder of a by b: rem(lc(b)^(da-db+1) * a, b)."""
+    """Remainder of a by the monic b, exact over the coefficients of a and
+    b, Python ints or Fractions.  Raises PreconditionError when b is not
+    monic."""
+    if not b or b[-1] != 1:
+        raise PreconditionError(f"pseudo_rem divides by a monic b, not {b}")
     a = list(a)
-    da, db = degree(a), degree(b)
-    lb = b[-1]
-    for k in range(da - db, -1, -1):
+    db = degree(b)
+    for k in range(degree(a) - db, -1, -1):
         coef = a[db + k]
-        if lb != 1:  # a monic divisor leaves a as it is
-            for i in range(len(a)):
-                a[i] *= lb
         for i in range(db):
             a[i + k] -= coef * b[i]
-        a[db + k] = 0  # lb * coef - coef * lb
+        a[db + k] = 0  # coef - coef * 1
     return normalize(a)
 
 
-def gcd_int(a: list[int], b: list[int]) -> list[int]:
-    """Primitive-PRS polynomial gcd over Z (result primitive, lc > 0)."""
-    a, b = primitive(a), primitive(b)
-    while b:  # when deg a < deg b, the first pseudo-remainder is a: a swap
-        r = primitive(pseudo_rem(a, b))
-        a, b = b, r
-    return primitive(a)
+def gcd_int(a: list[int], b: list[int], primes) -> list[int]:
+    """The monic gcd over Z of the monic a and b, by Brown's modular gcd
+    over the primes of the iterable primes, in turn (Brown 1971).
+
+    G = gcd(a, b) over Q is monic in Z[x], as a is, and divides a and b in
+    Z[x]; so G mod p divides the monic gcd g mod p for every prime p, even
+    one dividing lc(b), and deg g >= deg G.  A g of degree 0 proves G = 1.
+    Otherwise the residues of the lowest degree seen so far are combined by
+    Garner's CRT (a lower degree restarts it, a higher one skips the
+    prime), and the balanced lift H, with its leading 1 kept rather than
+    lifted, which mod 2 would give -1, is G when it divides a and b
+    exactly: then H divides G, and its degree is no smaller.  Only finitely
+    many primes give too high a degree, so the loop ends once the product
+    of the combined primes passes twice the largest |coefficient| of G.
+    Raises PreconditionError, before any prime, when a is not monic.
+    """
+    if not a or a[-1] != 1:
+        raise PreconditionError(f"gcd_int needs a monic a, not {a}")
+    G = None
+    for p in primes:
+        g = poly_gcd_mod(a, b, p)
+        if not degree(g):
+            return [1]
+        if G is None or degree(g) < degree(G):
+            G, modulus = g, p
+        elif degree(g) == degree(G):
+            inv = pow(modulus, -1, p)
+            G = [c + modulus * ((r - c) * inv % p) for c, r in zip(G, g)]
+            modulus *= p
+        else:
+            continue
+        H = [_balanced(c, modulus) for c in G[:-1]] + [1]
+        if not pseudo_rem(a, H) and not pseudo_rem(b, H):
+            return H
 
 
 def poly_gcd_mod(a: list[int], b: list[int], p: int) -> list[int]:
@@ -86,4 +106,3 @@ def poly_gcd_mod(a: list[int], b: list[int], p: int) -> list[int]:
         inv = pow(a[-1], -1, p)
         a = [c * inv % p for c in a]
     return a
-

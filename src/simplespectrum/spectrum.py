@@ -22,13 +22,14 @@ through one Faddeev-LeVerrier pass over the whole stack in int64 with no
 prime; its intermediates are the coefficients of the adjugate, so the
 same pass over the (n - 1)-vertex graphs of a census, plus one quadratic
 form per border, gives the char polys of all their n-vertex borderings.
-Simplicity is then squarefreeness: gcd(p, p') constant, settled by the
-gcd mod q, lifted and checked by trial division when it is not constant,
-or else by the PRS gcd.  A stack of char polys is screened at once by the
-remainder sequence of p and p' mod q, run on all rows in lockstep; a
-double integer root refutes most rows it leaves, and only the rest reach
-that gcd.  For a real symmetric matrix algebraic multiplicity equals
-geometric multiplicity, so squarefree <=> simple spectrum.
+Simplicity is then squarefreeness: gcd(p, p') constant, settled by
+Brown's modular gcd, whose monic gcds mod the CRT primes are lifted and
+checked by trial division; mostly the first prime q settles it.  A stack
+of char polys is screened at once by the remainder sequence of p and p'
+mod q, run on all rows in lockstep; a double integer root refutes most
+rows it leaves, and only the rest reach that gcd.  For a real symmetric
+matrix algebraic multiplicity equals geometric multiplicity, so
+squarefree <=> simple spectrum.
 
 Twin witness: repeated_by_twins proves some M non-simple in O(n^2), with
 no prime.  Zero rows and classes of equal rows of num, or of num + den*I,
@@ -45,6 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
 from math import comb, isqrt
 from operator import mul
 from typing import Optional
@@ -54,6 +56,7 @@ import numpy as np
 from . import polys
 from .errors import ConvergenceError, PreconditionError
 from .matrices import SymmetricMatrix
+from .polys import _balanced
 
 # Primes start just below 2^27 so that the balanced int64 products and dot
 # products of the Lanczos pass cannot overflow for n up to 2048:
@@ -78,12 +81,6 @@ class CharPoly:
     """Monic characteristic polynomial, coefficients constant term first."""
 
     coeffs: tuple[Fraction, ...]
-
-    def __call__(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + (float(c) if isinstance(x, float) else c)
-        return acc
 
 
 @dataclass(frozen=True)
@@ -118,14 +115,6 @@ class SimplicityVerdict:
 
 
 _SIMPLE_EXACT = SimplicityVerdict(tag="SimpleExact")
-
-
-def _balanced(X: np.ndarray, p: int) -> np.ndarray:
-    """X mod p in [-(p // 2), p // 2], as (X + p//2) % p - p//2 but by floor
-    division, which numpy runs several times faster than % on int64.  Exact
-    on int64 while |X| + p < 2^63 and on Python ints of any size; for odd p,
-    as every modulus here is, it is the centred residue."""
-    return X - (X + p // 2) // p * p
 
 
 def _check_int64(n: int, p: int) -> None:
@@ -415,26 +404,16 @@ def double_integer_root(rows: np.ndarray, r: int) -> np.ndarray:
 
 
 def repeated_factor(ip: list[int]) -> Optional[list[int]]:
-    """None when the integer polynomial ip (constant term first) of positive
-    degree is squarefree, else the primitive gcd(ip, ip') of positive degree.
+    """None when the monic integer polynomial ip (constant term first) of
+    positive degree is squarefree, else the monic gcd(ip, ip') of positive
+    degree: Brown's modular gcd, polys.gcd_int, over the CRT primes.
 
-    When q = _crt_prime(0) divides neither leading coefficient, the monic
-    gcd h of ip and ip' mod q has degree at least that of G = gcd(ip, ip')
-    over Q, which divides it mod q.  A constant h proves ip squarefree.
-    Otherwise h, lifted to balanced residues, is G when it divides ip and
-    ip' exactly: then it divides G, its degree is no smaller, and both are
-    primitive with a positive leading coefficient.  This is the modular gcd
-    with a trial division (Brown 1971); the primitive-PRS gcd decides the
-    rest.
+    Mostly the first prime q = _crt_prime(0) settles it: a constant gcd mod
+    q proves ip squarefree, and otherwise that gcd, lifted to balanced
+    residues, divides ip and ip' exactly.  Further primes run only after an
+    unlucky q, or for a factor with coefficients past q / 2.
     """
-    dp = polys.derivative(ip)
-    q = _crt_prime(0)
-    if ip[-1] % q and dp[-1] % q:
-        G = [_balanced(c, q) for c in polys.poly_gcd_mod(ip, dp, q)]
-        if polys.degree(G) and (polys.pseudo_rem(ip, G) or polys.pseudo_rem(dp, G)):
-            G = polys.gcd_int(ip, dp)
-    else:
-        G = polys.gcd_int(ip, dp)
+    G = polys.gcd_int(ip, polys.derivative(ip), map(_crt_prime, count()))
     return G if polys.degree(G) else None
 
 
@@ -452,11 +431,10 @@ def simplicity_exact(M: SymmetricMatrix) -> SimplicityVerdict:
     g = repeated_factor(_integer_charpoly(M.num, T)[::-1])
     if g is None:
         return _SIMPLE_EXACT
-    # The monic gcd of det(xI - M) and its derivative is g(den*x) rescaled
-    # to leading coefficient 1: coefficient i is g_i den^i / (g_d den^d).
+    # The monic gcd of det(xI - M) and its derivative is g(den*x) / den^d
+    # for the monic g of degree d: coefficient i is g_i den^i / den^d.
     d = polys.degree(g)
-    scale = g[-1] * M.den**d
-    cert = tuple(Fraction(c * M.den**i, scale) for i, c in enumerate(g))
+    cert = tuple(Fraction(c * M.den**i, M.den**d) for i, c in enumerate(g))
     return SimplicityVerdict(tag="NotSimpleExact", certificate=cert)
 
 

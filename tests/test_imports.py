@@ -2,9 +2,11 @@
 module-level private name goes unreferenced in the package, no function
 leaves a parameter unread, no dataclass field goes unread outside the
 tests, and no public method, property, module-level function or class is
-read only by the unit tests."""
+read only by the unit tests; and every layer function the benchmark
+traces exists."""
 
 import ast
+import importlib
 from collections import defaultdict
 from pathlib import Path
 
@@ -289,3 +291,27 @@ def test_no_test_only_public_functions():
     }
     defining = {str(p.relative_to(root)): p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert unread_public_names(defining, readers) == []
+
+
+def bench_layer_functions() -> dict[str, tuple[str, str]]:
+    """LAYER_FUNCTIONS of bench/spans.py, read from its source, so that the
+    benchmark is not imported."""
+    source = (SRC.parents[1] / "bench" / "spans.py").read_text()
+    for stmt in ast.parse(source).body:
+        targets = [getattr(t, "id", None) for t in getattr(stmt, "targets", [])]
+        if targets == ["LAYER_FUNCTIONS"]:
+            return ast.literal_eval(stmt.value)
+    raise AssertionError("bench/spans.py defines no LAYER_FUNCTIONS")
+
+
+def test_bench_layer_functions_resolve():
+    # The traced benchmark wraps each layer function by name: one the
+    # package no longer defines breaks every traced run.
+    layers = bench_layer_functions()
+    assert layers
+    missing = [
+        f"{span}: {module}.{name}"
+        for span, (module, name) in layers.items()
+        if not callable(getattr(importlib.import_module(f"simplespectrum.{module}"), name, None))
+    ]
+    assert missing == []

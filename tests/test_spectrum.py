@@ -2,7 +2,7 @@ import hashlib
 from collections import Counter
 from fractions import Fraction
 from itertools import chain, count, islice
-from math import isqrt, lcm
+from math import gcd, isqrt
 
 import warnings
 
@@ -23,7 +23,6 @@ from simplespectrum.matrices import (
     trial_rng,
 )
 from simplespectrum.spectrum import (
-    CharPoly,
     char_poly,
     eigen_decompose,
     repeated_by_twins,
@@ -641,42 +640,98 @@ def _remainder_over_q(a, b):
 
 @pytest.mark.parametrize("monic", [False, True])
 def test_pseudo_rem_is_scaled_remainder(monic):
+    # The remainder by a monic b, an integer or a Fraction one as the
+    # orthogonality lemma passes; any other b is refused.
     rng = np.random.default_rng(17 + monic)
     for _ in range(300):
         a = rng.integers(-20, 21, int(rng.integers(1, 9))).tolist()
         b = rng.integers(-9, 10, int(rng.integers(1, 5))).tolist()
-        a[-1], b[-1] = a[-1] or 1, 1 if monic else (b[-1] or -3)
-        if monic:  # a Fraction divisor, as the orthogonality lemma passes
-            b = [Fraction(c, 2) for c in b[:-1]] + [1]
-        scale = Fraction(b[-1]) ** max(len(a) - len(b) + 1, 0)
-        assert polys.pseudo_rem(a, b) == [scale * c for c in _remainder_over_q(a, b)]
+        a[-1] = a[-1] or 1
+        if not monic:
+            b[-1] = -3 if b[-1] in (0, 1) else b[-1]
+            with pytest.raises(PreconditionError):
+                polys.pseudo_rem(a, b)
+            continue
+        if rng.integers(2):
+            b = [Fraction(c, 2) for c in b]
+        b[-1] = 1
+        assert polys.pseudo_rem(a, b) == _remainder_over_q(a, b)
+    with pytest.raises(PreconditionError):
+        polys.pseudo_rem([1, 1], [])
+
+
+def _primitive(p):
+    """The integer polynomial p over its content, with a positive leading
+    coefficient."""
+    g = gcd(*p) if p and p[-1] > 0 else -gcd(*p)
+    return [c // g for c in p]
 
 
 def _gcd_over_q(a, b):
-    """The primitive gcd with a positive leading coefficient, by Euclid over Q."""
-    a, b = polys.normalize(list(a)), polys.normalize(list(b))
+    """The primitive gcd of the integer polynomials a and b with a positive
+    leading coefficient, by Euclid over Q.  Each remainder is taken of
+    lc(b)^(deg a - deg b + 1) a, so every quotient is an integer, and is
+    scaled to its primitive part."""
+    a, b = _primitive(polys.normalize(list(a))), _primitive(polys.normalize(list(b)))
     while b:
-        a, b = b, _remainder_over_q(a, b)
-    den = lcm(*(Fraction(c).denominator for c in a))
-    return polys.primitive([int(c * den) for c in a])
+        r = [c * b[-1] ** max(len(a) - len(b) + 1, 0) for c in a]
+        while len(r) >= len(b):
+            c, s = r[-1] // b[-1], len(r) - len(b)
+            for i, bi in enumerate(b):
+                r[s + i] -= c * bi
+            polys.normalize(r)
+        a, b = b, _primitive(r)
+    return a
 
 
 def test_gcd_int_either_order():
-    # deg a < deg b, equal degrees, a shared factor, and zero arguments.
+    # A monic a against a shared monic factor f: deg a < deg b, equal
+    # degrees, b = 0 or a constant, and both orders when b is monic too,
+    # over the CRT primes and over the primes from 2 upward, which give
+    # unlucky primes, restarts and more than one prime to combine.
     rng = np.random.default_rng(29)
-    pairs = [([], []), ([], [2, 4]), ([0, 3], []), ([1, 1], [1, 2, 1]), ([2], [0, 0, 6])]
+
+    def monic(k):
+        return rng.integers(-5, 6, k).tolist() + [1]
+
+    pairs = [([1], []), ([0, 3, 1], []), ([1, 1], [1, 2, 1]), ([0, 1], [0, 0, 6]), ([2, 1], [3])]
     for _ in range(300):
-        f = rng.integers(-4, 5, int(rng.integers(1, 4))).tolist()
-        a, b = (rng.integers(-5, 6, int(rng.integers(1, 6))).tolist() for _ in range(2))
+        f = monic(int(rng.integers(0, 3)))
+        a, b = monic(int(rng.integers(0, 5))), rng.integers(-5, 6, int(rng.integers(1, 6))).tolist()
+        if rng.integers(2):
+            b[-1] = 1
         pairs.append(tuple(polys.normalize([int(c) for c in np.convolve(x, f)]) for x in (a, b)))
     assert sum(polys.degree(a) < polys.degree(b) for a, b in pairs) > 50
-    for a, b in pairs:
-        assert polys.gcd_int(a, b) == polys.gcd_int(b, a) == _gcd_over_q(a, b), (a, b)
+    assert sum(b[-1:] == [1] for a, b in pairs) > 100
+    for primes in (_small_primes(100), [spectrum._crt_prime(i) for i in range(10)]):
+        for a, b in pairs:
+            g = polys.gcd_int(a, b, primes)
+            assert g == _gcd_over_q(a, b), (a, b, primes[0])
+            if b[-1:] == [1]:
+                assert polys.gcd_int(b, a, primes) == g, (a, b, primes[0])
+
+
+def test_gcd_int_keeps_the_leading_one():
+    # Mod 2 the balanced lift of 1 is -1: the lift keeps the leading 1, so
+    # over the primes from 2 upward gcd(x^3, 3x^2) is x^2, not -x^2.
+    assert polys.gcd_int([0, 0, 0, 1], [0, 0, 3], _small_primes(10)) == [0, 0, 1]
+
+
+def test_gcd_int_refuses_a_non_monic_a():
+    def primes():
+        pytest.fail("took a prime")
+        yield
+
+    for a in ([], [0, 0, -2, 0, 2], [1, 2], [1, Fraction(1, 2)]):
+        with pytest.raises(PreconditionError):
+            polys.gcd_int(a, polys.derivative(a), primes())
+    with pytest.raises(PreconditionError):
+        spectrum.repeated_factor([0, 0, -2, 0, 2])  # 2x^2(x^2 - 1)
 
 
 def _squarefree(M):
     ip = _integer_charpoly(M.num)[::-1]
-    return polys.degree(polys.gcd_int(ip, polys.derivative(ip))) == 0
+    return polys.degree(_gcd_over_q(ip, polys.derivative(ip))) == 0
 
 
 def _screen(num):
@@ -843,7 +898,7 @@ def test_krylov_screen_object_num(monkeypatch):
 
 
 def _unstripped_factor(ip):
-    g = polys.gcd_int(ip, polys.derivative(ip))
+    g = _gcd_over_q(ip, polys.derivative(ip))
     return g if polys.degree(g) else None
 
 
@@ -878,16 +933,15 @@ def _counting(monkeypatch, module, name):
 
 
 def test_repeated_factor_lifts_root_zero(monkeypatch, graph_char_polys):
-    # For x^k r with r(0) != 0 the lifted mod-q gcd gives x^(k-1) gcd(r, r')
-    # like any other factor: equal to the PRS gcd of the whole polynomial on
-    # every graph char poly for n <= 7 and on seeded G(n, 2/25) draws.  On
-    # the graphs the lift always passes its trial division, so the PRS never
-    # runs.
+    # For x^k r with r(0) != 0 the modular gcd gives x^(k-1) gcd(r, r')
+    # like any other factor: equal to Euclid's gcd over Q of the whole
+    # polynomial on every graph char poly for n <= 7 and on seeded
+    # G(n, 2/25) draws.  On the graphs the first prime settles each one.
     ips = {tuple(row[::-1]) for rows in graph_char_polys.values() for row in rows.tolist()}
-    calls = _counting(monkeypatch, polys, "gcd_int")
+    calls = _counting(monkeypatch, polys, "poly_gcd_mod")
     for ip in ips:
         spectrum.repeated_factor(list(ip))
-    assert not calls
+    assert len(calls) == len(ips)
     ips |= {
         tuple(_integer_charpoly(sample_matrix(SPARSE_50, n, trial_rng(5, n)).num)[::-1])
         for n in range(10, 51, 4)
@@ -902,7 +956,7 @@ def test_repeated_factor_lifts_root_zero(monkeypatch, graph_char_polys):
     assert len(reached) == 6, reached
     assert spectrum.repeated_factor([0, 0, 0, 1]) == [0, 0, 1]  # x^3
     assert spectrum.repeated_factor([0, 1]) is None  # x
-    assert spectrum.repeated_factor([0, 0, -2, 0, 2]) == [0, 1]  # 2x^2(x^2 - 1)
+    assert spectrum.repeated_factor([0, 0, -1, 0, 1]) == [0, 1]  # x^2(x^2 - 1)
     assert spectrum.repeated_factor([0, 0, 1, -2, 1]) == [0, -1, 1]  # x^2(x - 1)^2
 
 
@@ -914,21 +968,28 @@ def _poly_product(*roots):
     return p
 
 
-def test_repeated_factor_lift_misses_go_to_prs(monkeypatch):
+def test_repeated_factor_lift_misses_take_more_primes(monkeypatch):
     q = spectrum._crt_prime(0)
-    calls = _counting(monkeypatch, polys, "gcd_int")
-    # (x - 1)(x - 1 - q) is squarefree over Q, but (x - 1)^2 mod q: the lift
-    # x - 1 does not divide r' = 2x - 2 - q, and the PRS says squarefree.
+    calls = _counting(monkeypatch, polys, "poly_gcd_mod")
+    # (x - 1)(x - 1 - q) is squarefree over Q, but (x - 1)^2 mod q: q is
+    # unlucky, and the second prime proves it squarefree.
     assert spectrum.repeated_factor(_poly_product(1, 1 + q)) is None
-    assert len(calls) == 1
-    # (x - c)^2 (x + 1) with c > q / 2: the balanced lift is x - (c - q),
-    # which misses, and the PRS finds x - c.
+    assert [p for _, _, p in calls] == [q, spectrum._crt_prime(1)]
+    # (x - c)^2 (x + 1) with c > q / 2: the balanced lift mod q is
+    # x - (c - q), which misses, and the lift mod q q' is x - c.
     c = q // 2 + 7
+    calls.clear()
     assert spectrum.repeated_factor(_poly_product(c, c, -1)) == [-c, 1]
     assert len(calls) == 2
-    # A lift that holds skips the PRS: (x - 3)^2 (x + 1).
-    assert spectrum.repeated_factor(_poly_product(3, 3, -1)) == [-3, 1]
+    # (x - 10^12)^2 (x - 5)^3: the factor's coefficients pass q, not q q'.
+    t = 10**12
+    calls.clear()
+    assert spectrum.repeated_factor(_poly_product(t, t, 5, 5, 5)) == _poly_product(t, 5, 5)
     assert len(calls) == 2
+    # A lift that holds takes one prime: (x - 3)^2 (x + 1).
+    calls.clear()
+    assert spectrum.repeated_factor(_poly_product(3, 3, -1)) == [-3, 1]
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("q", [spectrum._crt_prime(0), 11, 13, 101])
@@ -949,12 +1010,19 @@ def test_squarefree_screen_sound(graph_char_polys, q):
             assert (~(proved | refuted)).sum() == {5: 1, 6: 4, 7: 13}.get(n, 0), n
 
 
+def _horner(coeffs, x):
+    """The polynomial with coefficients coeffs, constant term first, at x."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
 def _has_double_integer_root(row, r):
     """Whether (x - lam)^2 divides the polynomial with coefficients row,
     leading first, for some integer |lam| <= r, on Python ints."""
-    p = spectrum.CharPoly(tuple(row[::-1]))
-    dp = spectrum.CharPoly(tuple(polys.derivative(row[::-1])))
-    return any(p(x) == 0 and dp(x) == 0 for x in range(-r, r + 1))
+    p, dp = row[::-1], polys.derivative(row[::-1])
+    return any(_horner(p, x) == 0 and _horner(dp, x) == 0 for x in range(-r, r + 1))
 
 
 def test_double_integer_root_matches_python_evaluation(graph_char_polys):
@@ -1101,7 +1169,7 @@ def test_char_poly_small_at_numeric_eigenvalues():
         scale = max(abs(float(c)) for c in p.coeffs)
         s = eigen_decompose(M)
         for lam in s.eigenvalues:
-            assert abs(p(float(lam))) / scale <= 1e-6
+            assert abs(_horner([float(c) for c in p.coeffs], float(lam))) / scale <= 1e-6
 
 
 def test_crt_primes_are_the_first_primes_past_the_floor():
@@ -1199,8 +1267,7 @@ def test_twin_witness_implies_a_certified_repeat_at_0_or_minus_1(case):
     if fired:
         verdict = simplicity_exact(M)
         assert verdict.tag == "NotSimpleExact"
-        g = CharPoly(verdict.certificate)
-        assert g(Fraction(0)) == 0 or g(Fraction(-1)) == 0
+        assert _horner(verdict.certificate, 0) == 0 or _horner(verdict.certificate, -1) == 0
 
 
 def _with_edges(n, edges):
@@ -1219,12 +1286,12 @@ def test_twin_witness_crafted_cases():
     # 0 only): e_4 and e_5 - e_6 lie in ker A.
     pair = _with_edges(7, [(0, 1), (1, 2), (2, 3), (0, 5), (0, 6)])
     assert repeated_by_twins(pair)
-    assert CharPoly(simplicity_exact(pair).certificate)(0) == 0
+    assert _horner(simplicity_exact(pair).certificate, 0) == 0
     # K_n: every row of A + I is all ones, so -1 repeats n - 1 times.
     for n in (3, 6, 50):
         K = SymmetricMatrix(np.ones((n, n), dtype=np.int64) - np.eye(n, dtype=np.int64))
         assert repeated_by_twins(K)
-        assert CharPoly(simplicity_exact(K).certificate)(-1) == 0  # g = (x + 1)^(n - 2)
+        assert _horner(simplicity_exact(K).certificate, -1) == 0  # g = (x + 1)^(n - 2)
     # Row 0 hashes to 3 (-12) + 9 + 27 = 0 but is not zero, and rows 1 and
     # 2 are equal: one kernel vector, and the matrix is simple.
     hashed_zero = SymmetricMatrix([[-12, 1, 1], [1, 1, 1], [1, 1, 1]])
@@ -1257,4 +1324,4 @@ def test_twin_witness_declines_past_int64(num, den):
         warnings.simplefilter("error", RuntimeWarning)
         assert repeated_by_twins(M) is False
     # Each is non-simple at 0, so only the guard declines.
-    assert CharPoly(simplicity_exact(M).certificate)(0) == 0
+    assert _horner(simplicity_exact(M).certificate, 0) == 0
