@@ -8,14 +8,20 @@ the supremum is a max over it.  Windowed mode is the float surrogate
 (eigenvectors of integer matrices have irrational entries, so exact
 equality is unattainable there): it reports the largest mass a sliding
 window of width delta can capture, an upper bound on the exact
-concentration for any point inside the window.  Its exhaustive path sorts
-all |atoms|^n sums and sweeps the window over their cumulative weights.
-Tied sums need the stable order only when the atoms' float probabilities
-differ; when they are all equal, every assignment weighs the same float
-and the values are sorted alone.  The sweep goes in blocks of window
-ends, so beyond the sums and their cumulative weights it holds only
-block-sized buffers.  Past 2^20 assignments it samples 10^4 of them in
-blocks of rows.  A block's uniforms are the next doubles of the stream
+concentration for any point inside the window.  Its exhaustive path builds
+all |atoms|^n sums in two preallocated buffers, sorts them and sweeps the
+window over their cumulative weights.  Tied sums need the stable order
+only when the atoms' float probabilities differ; when they are all equal,
+every assignment weighs the same float and the values are sorted alone.
+Then, since fl(e - s) is monotone in s, the count of sums in the window
+ending at i is at least k exactly when fl(sums[i] - sums[i - k + 1]) <=
+delta, so a galloping search finds K, the most sums one window holds, and
+only the windows of K sums are weighed: with one weight w >= 2^-20 and at
+most 2^20 sums, cum's rounding (< 2^-33) cannot make fewer sums weigh
+more.  Unequal weights sweep every window end.  The sweep goes in blocks
+of window ends, so beyond the sums and their cumulative weights it holds
+only block-sized buffers.  Past 2^20 assignments it samples 10^4 of them,
+each of weight 1/10^4, in blocks of rows.  A block's uniforms are the next doubles of the stream
 that `Generator.choice` would have drawn, and each picks its atom by
 comparison with the cdf that `choice` builds, so the sums are the same to
 the bit and the generator ends in the same state.
@@ -151,25 +157,72 @@ def _window_starts(sums: np.ndarray, ends: np.ndarray, delta: float) -> np.ndarr
         j[down] = np.searchsorted(sums, sums[j[down] - 1], side="left")
 
 
-def _windowed_from_sorted(sums: np.ndarray, cum: np.ndarray, delta: float):
+def _fullest(sums: np.ndarray, delta: float) -> int:
+    """K, the most sums one window of width delta holds.
+
+    fl(e - sums[j]) grows as j falls, so the window ending at i holds at
+    least k sums exactly when fl(sums[i] - sums[i - k + 1]) <= delta, and
+    some window does when the least of those differences is.  That holds
+    for k = 1 and, if for k, for every smaller k, so a galloping search
+    over k finds K.  Each test runs in blocks of _SCAN_BLOCK ends and stops
+    at the first block that holds k sums."""
+    buf = np.empty(min(_SCAN_BLOCK, len(sums)))
+
+    def holds(k):
+        for lo in range(k - 1, len(sums), _SCAN_BLOCK):
+            hi = min(lo + _SCAN_BLOCK, len(sums))
+            diff = np.subtract(sums[lo:hi], sums[lo - k + 1 : hi - k + 1], out=buf[: hi - lo])
+            if diff.min() <= delta:
+                return True
+        return False
+
+    lo, hi = 1, 2
+    while hi <= len(sums) and holds(hi):
+        lo, hi = hi, 2 * hi
+    hi = min(hi, len(sums) + 1)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if holds(mid) else (lo, mid)
+    return lo
+
+
+def _windowed_from_sorted(sums: np.ndarray, cum: np.ndarray, delta: float, equal: bool):
     """Max weight captured by a window of width delta over sorted sums.
 
     `cum` holds the cumulative weights with a leading 0, so the window
-    [j, i] weighs cum[i + 1] - cum[j], j = _window_starts(...)[i].  Each j
-    depends on sums and i alone, so the ends i go in blocks of
+    [j, i] weighs cum[i + 1] - cum[j].  The ends i go in blocks of
     _SCAN_BLOCK, and the transient memory is that of one block.  The first
     maximum wins, as in a scan that keeps a window only when it is
     strictly heavier: a block's heaviest window replaces the best so far
     only when it is heavier.
+
+    With unequal weights every end is weighed, its start j found by
+    _window_starts.  When every sum weighs the same w (`equal`), only the
+    windows that hold K = _fullest(...) sums are weighed, with
+    j = i + 1 - K.  A window of fewer sums always weighs less: cum sums
+    w one at a time, so with cum <= 1 + 2^-52 and at most 2^20 sums each
+    cum[m] is m * w to within 2^-33, and a difference of counts is off by
+    under 2^-31 < w, as w >= 2^-20 on both paths.  So the best weight,
+    its centre and the first window that attains it are the same as in a
+    scan over every end.
     """
     best, center = 0.0, float(sums[0])
-    for lo in range(0, len(sums), _SCAN_BLOCK):
-        ends = sums[lo : lo + _SCAN_BLOCK]
-        j = _window_starts(sums, ends, delta)
-        weight = cum[lo + 1 : lo + 1 + len(ends)] - cum[j]
-        i = int(np.argmax(weight))
-        if weight[i] > best:
-            best, center = float(weight[i]), float((ends[i] + sums[j[i]]) / 2.0)
+    if equal:
+        K = _fullest(sums, delta)
+    for lo in range(K - 1 if equal else 0, len(sums), _SCAN_BLOCK):
+        hi = min(lo + _SCAN_BLOCK, len(sums))
+        if equal:
+            i = lo + np.flatnonzero(sums[lo:hi] - sums[lo - K + 1 : hi - K + 1] <= delta)
+            if not len(i):
+                continue
+            j = i + (1 - K)
+        else:
+            i = np.arange(lo, hi)
+            j = _window_starts(sums, sums[lo:hi], delta)
+        weight = cum[i + 1] - cum[j]
+        m = int(np.argmax(weight))
+        if weight[m] > best:
+            best, center = float(weight[m]), float((sums[i[m]] + sums[j[m]]) / 2.0)
     return best, center
 
 
@@ -186,13 +239,15 @@ def small_ball_windowed(
     default) with the window maximized over sampled sums, reported as mode
     "windowed-mc".  The empty vector gives the empty sum: p = 1 at 0.
 
-    The exhaustive path orders tied sums by assignment index (a stable
-    argsort) only when the float probabilities differ, since only then
-    does that order change the cumulative weights.  With equal ones it
-    sorts the sums in place and fills the weights with their one value, so
-    the result is the same to the bit and the call holds two arrays of
-    |atoms|^n floats, the sums and their cumulative weights, plus the
-    window scan's per-block buffers.
+    The exhaustive path builds the sums column by column, atom by atom,
+    into two preallocated buffers of |atoms|^n + 1 floats that take turns;
+    the free one becomes the cumulative weights.  It orders tied sums by
+    assignment index (a stable argsort) only when the float probabilities
+    differ, since only then does that order change the cumulative weights.
+    With equal ones it sorts the sums in place and fills the weights with
+    their one value, and the scan weighs only the fullest windows (see
+    _windowed_from_sorted), so the result is the same to the bit and the
+    call holds the two buffers plus the window scan's per-block buffers.
 
     The sampled path is `rng.choice(k, size=(10^4, n), p=...)` taken apart
     and run on blocks of _MC_BLOCK rows, with the same stream and the same
@@ -216,12 +271,19 @@ def small_ball_windowed(
     n = len(entries)
     k = len(atoms)
     if k**n <= _EXHAUSTIVE_LIMIT:
-        sums = np.zeros(1)
+        # Assignment index m * k + c holds sums[m] + atoms[c] * v; each step
+        # writes its sums into the other buffer, and the free one is cum.
+        sums, cum = np.zeros(k**n + 1), np.empty(k**n + 1)
+        m = 1
         for v in entries:
-            sums = (sums[:, None] + atoms[None, :] * v).ravel()
-        cum = np.empty(len(sums) + 1)
+            out = cum[: m * k].reshape(m, k)
+            for c in range(k):
+                np.add(sums[:m], atoms[c] * v, out=out[:, c])
+            sums, cum, m = cum, sums, m * k
+        sums = sums[:m]
         cum[0] = 0.0
-        if (probs == probs[0]).all():
+        equal = bool((probs == probs[0]).all())
+        if equal:
             # Every weight is the same float fl(...fl(1 * p) * p...), so the
             # order of tied sums cannot change cum: the sums are sorted alone.
             weight = 1.0
@@ -239,7 +301,7 @@ def small_ball_windowed(
             sums = np.take(sums, order, out=weights, mode="clip")
             del order
         np.cumsum(cum[1:], out=cum[1:])
-        p, center = _windowed_from_sorted(sums, cum, delta)
+        p, center = _windowed_from_sorted(sums, cum, delta, equal)
         return SmallBallResult(p=p, attaining_atom=center, mode="windowed")
     if rng is None:
         rng = np.random.default_rng(0)
@@ -259,7 +321,7 @@ def small_ball_windowed(
         np.take(atoms, idx, out=u, mode="clip")
         np.matmul(u, x, out=sums[lo : lo + _MC_BLOCK])
     sums.sort()
-    p, center = _windowed_from_sorted(sums, _MC_CUM, delta)
+    p, center = _windowed_from_sorted(sums, _MC_CUM, delta, True)
     return SmallBallResult(p=p, attaining_atom=center, mode="windowed-mc")
 
 

@@ -267,8 +267,11 @@ def reference_window(sums, weights, delta):
 
 
 def window(sums, weights, delta):
+    """The package's scan; it weighs only the fullest windows when every
+    weight is the same."""
     cum = np.concatenate([[0.0], np.cumsum(weights)])
-    return _windowed_from_sorted(sums, cum, delta)
+    equal = bool((weights == weights[0]).all())
+    return _windowed_from_sorted(sums, cum, delta, equal)
 
 
 def test_window_matches_pointer_scan_on_random_sums(monkeypatch):
@@ -401,6 +404,53 @@ def test_blocked_scan_keeps_the_first_of_equal_maxima_across_a_boundary(monkeypa
     assert window(sums, weights, 0.5) == (2.0, 2.25)
 
 
+@pytest.mark.parametrize("block", [1, 3, 4, 64])
+def test_fullest_window_scan_matches_pointer_scan(monkeypatch, block):
+    # Equal weights: the 0.1 grid that rounds both ways, repeated sums,
+    # N = 1, and a delta past the spread, where one window holds all N.
+    monkeypatch.setattr(smallball, "_SCAN_BLOCK", block)
+    grid = 0.1 * np.arange(300)
+    gauss = np.sort(np.random.default_rng(7).standard_normal(200))
+    for sums in (grid, np.repeat(grid[:75], 4), np.array([2.5]), gauss):
+        for delta in (1e-9, 0.1, 0.2, 0.3, 0.7, 1e3):
+            for w in (1.0, 1 / len(sums), 2.0**-20):
+                weights = np.full(len(sums), w)
+                assert window(sums, weights, delta) == reference_window(sums, weights, delta)
+            counts = np.arange(1, len(sums) + 1) - scan_starts(sums, delta)
+            assert smallball._fullest(sums, delta) == counts.max()
+        assert smallball._fullest(sums, 1e3) == len(sums)
+
+
+def test_equal_weights_never_search_window_starts(monkeypatch):
+    values = np.random.default_rng(8).standard_normal(21)
+    expected = [
+        small_ball_windowed(WeightVector.numeric(values[:n]), d, 1e-3)
+        for d, n in ((RAD, 12), (U3, 8), (RAD, 21))
+    ]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("_window_starts called")
+
+    monkeypatch.setattr(smallball, "_window_starts", refuse)
+    for res, (d, n) in zip(expected, ((RAD, 12), (U3, 8), (RAD, 21))):
+        assert small_ball_windowed(WeightVector.numeric(values[:n]), d, 1e-3) == res
+    with pytest.raises(AssertionError, match="_window_starts called"):
+        small_ball_windowed(WeightVector.numeric(values[:8]), THREE, 1e-3)
+
+
+def test_fullest_windows_at_the_least_non_dyadic_weight():
+    # 3^12 sums of weight fl(1/3)^12: the largest exhaustive U3 call, where
+    # cum rounds and the windows of K sums weigh different floats.
+    values = np.tile([0.1, 0.2, 0.3], 4)
+    assert 3**13 > smallball._EXHAUSTIVE_LIMIT
+    for delta in (1e-9, 0.15):
+        res = small_ball_windowed(WeightVector.numeric(values), U3, delta)
+        assert res.mode == "windowed"
+        assert repr((res.p, res.attaining_atom)) == repr(
+            reference_pipeline(values, U3, delta)
+        )
+
+
 def test_windowed_empty_vector_is_the_empty_sum():
     for d in (RAD, THREE):
         res = small_ball_windowed(WeightVector.numeric([]), d, delta=0.1)
@@ -447,8 +497,9 @@ def test_windowed_exhaustive_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # 2^18 sums take 2 MiB per float64 array.  The call holds the sums and
-    # their cumulative weights, and the scan holds buffers of one block.
+    # 2^18 sums take 2 MiB per float64 array.  The call builds the sums in
+    # two buffers of 2^18 + 1 floats that take turns, the free one becomes
+    # the cumulative weights, and the scan holds buffers of one block.
     assert peak <= 10 * 10**6
 
 
@@ -462,8 +513,9 @@ def test_windowed_exhaustive_memory_per_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # Equal weights: the 2^18 sums and their cumulative weights, 2 MiB
-    # each, and the scan's buffers of one block.
+    # Equal weights: the two buffers of 2^18 + 1 floats, 2 MiB each, that
+    # hold the sums and their cumulative weights, and the buffers of one
+    # block of window ends, for the search for K and for the fullest windows.
     assert peak <= 6 * 10**6
 
 
@@ -492,9 +544,9 @@ def seen(monkeypatch):
     """The (sorted sums, cumulative weights) each windowed call scans."""
     calls = []
 
-    def capture(sums, cum, delta):
+    def capture(sums, cum, delta, equal):
         calls.append((sums.copy(), cum))
-        return _windowed_from_sorted(sums, cum, delta)
+        return _windowed_from_sorted(sums, cum, delta, equal)
 
     monkeypatch.setattr(smallball, "_windowed_from_sorted", capture)
     return calls
