@@ -21,10 +21,12 @@ most 2^20 sums, cum's rounding (< 2^-33) cannot make fewer sums weigh
 more.  Unequal weights sweep every window end.  The sweep goes in blocks
 of window ends, so beyond the sums and their cumulative weights it holds
 only block-sized buffers.  Past 2^20 assignments it samples 10^4 of them,
-each of weight 1/10^4, in blocks of rows.  A block's uniforms are the next doubles of the stream
-that `Generator.choice` would have drawn, and each picks its atom by
-comparison with the cdf that `choice` builds, so the sums are the same to
-the bit and the generator ends in the same state.
+each of weight 1/10^4, in blocks of rows.  A block's uniforms are the next
+doubles of the stream that `Generator.choice` would have drawn, and each
+picks its atom by comparison with the cdf that `choice` builds, so the
+draws are `choice`'s and the generator ends in the same state.  Each
+sampled sum is formed in one fixed order with elementwise numpy, not by a
+BLAS dot, so its bits do not depend on the CPU.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .errors import CapExceededError, PreconditionError
 _SUM_CAP = 10**7
 _EXHAUSTIVE_LIMIT = 1 << 20
 _MC_SAMPLES = 10**4
-_MC_BLOCK = 1000  # divides _MC_SAMPLES, a multiple of 4: see small_ball_windowed
+_MC_BLOCK = 1000  # divides _MC_SAMPLES
 _SCAN_BLOCK = 1 << 15
 # Cumulative weights of the _MC_SAMPLES sampled sums, each 1/_MC_SAMPLES.
 _MC_CUM = np.concatenate([[0.0], np.cumsum(np.full(_MC_SAMPLES, 1.0 / _MC_SAMPLES))])
@@ -226,6 +228,16 @@ def _windowed_from_sorted(sums: np.ndarray, cum: np.ndarray, delta: float, equal
     return best, center
 
 
+def _choice_block(rng: np.random.Generator, cdf: np.ndarray, u: np.ndarray, idx: np.ndarray):
+    """Fill u with the next uniforms of rng and idx with the atom indices
+    that `rng.choice` picks from them: idx = #{j < k - 1 : u >= cdf[j]},
+    choice's index searchsorted(cdf, u, side="right")."""
+    rng.random(out=u)
+    np.greater_equal(u, cdf[0], out=idx, casting="unsafe")
+    for c in cdf[1:-1]:
+        idx += u >= c
+
+
 def small_ball_windowed(
     V: WeightVector,
     d: AtomicDistribution,
@@ -251,17 +263,19 @@ def small_ball_windowed(
 
     The sampled path is `rng.choice(k, size=(10^4, n), p=...)` taken apart
     and run on blocks of _MC_BLOCK rows, with the same stream and the same
-    result.  `rng.random(out=u)` draws a block's uniforms in the order
+    draws.  `rng.random(out=u)` draws a block's uniforms in the order
     `choice` draws them.  The cdf is built as `choice` builds it and ends
     at 1 > u, so `choice`'s index `searchsorted(cdf, u, side="right")` is
     the number of j < k - 1 with u >= cdf[j], which is what the block
-    counts before it gathers the atoms.  The law's probabilities are
-    positive and sum to 1, so the checks `choice` makes on them never
-    fail.  Each block's sums come from one matmul.  OpenBLAS's gemv dots
-    rows in groups of 4 and may sum a leftover row in another order, so
-    the block size is a multiple of 4 and every row gets the same dot as
-    in one matmul over all 10^4 rows.  The call holds two block-sized
-    buffers and the 10^4 sums; the cumulative weights are a constant.
+    counts before it gathers the atoms (_choice_block).  The law's
+    probabilities are positive and sum to 1, so the checks `choice` makes
+    on them never fail.  Each row's sum is formed in one fixed order with
+    elementwise numpy, s = a_0 x_0, then s += a_j x_j for j = 1, ..., n - 1,
+    and not by a BLAS dot, whose order of summation depends on the CPU's
+    kernel, the row grouping and the thread count: so the sums, and every
+    result built on them, are the same bits on every machine.  The call
+    holds two block-sized buffers and the 10^4 sums; the cumulative
+    weights are a constant.
     """
     if delta <= 0:
         raise PreconditionError("delta must be positive")
@@ -312,14 +326,14 @@ def small_ball_windowed(
     idx = np.empty((_MC_BLOCK, n), dtype=np.intp)
     sums = np.empty(_MC_SAMPLES)
     for lo in range(0, _MC_SAMPLES, _MC_BLOCK):
-        rng.random(out=u)
-        # idx = #{j < k - 1 : u >= cdf[j]}, choice's searchsorted index.
-        np.greater_equal(u, cdf[0], out=idx, casting="unsafe")
-        for c in cdf[1:-1]:
-            idx += u >= c
-        # The atoms overwrite the uniforms, which are spent.
+        _choice_block(rng, cdf, u, idx)
+        # The terms a_j x_j overwrite the uniforms, which are spent.
         np.take(atoms, idx, out=u, mode="clip")
-        np.matmul(u, x, out=sums[lo : lo + _MC_BLOCK])
+        u *= x
+        s = sums[lo : lo + _MC_BLOCK]
+        np.copyto(s, u[:, 0])
+        for j in range(1, n):
+            s += u[:, j]
     sums.sort()
     p, center = _windowed_from_sorted(sums, _MC_CUM, delta, True)
     return SmallBallResult(p=p, attaining_atom=center, mode="windowed-mc")

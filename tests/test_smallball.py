@@ -1,7 +1,11 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +26,8 @@ from simplespectrum.smallball import (
 
 RAD = rademacher()
 BER = bernoulli_half()
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
 
 
 def brute_force(values, d):
@@ -468,10 +474,11 @@ def test_windowed_mc_default_rng_is_seed_0():
 # sha256 of (p, attaining_atom, mode) from small_ball_windowed on the cases
 # below: the empty vector, lengths on both sides of the 2^20 exhaustive
 # limit, and the Monte Carlo branch with and without an rng.
-WINDOWED_SHA256 = "9b14e8ca0febdf357e1ef516f252ce47985262188a548015bb7e720e96c4fd67"
+WINDOWED_SHA256 = "e8e1445b3b829a305f2ab9a6099e592493b71d99f5123702eb3c39bdafde9030"
 
 
-def test_windowed_results_pinned():
+def windowed_digest():
+    """The modes of the pinned cases and the sha256 of their results."""
     rng = np.random.default_rng(23)
     cases = [(WeightVector.numeric([]), RAD, 0.1, None)]
     for d, n in ((RAD, 20), (RAD, 21), (THREE, 12), (THREE, 13)):
@@ -482,9 +489,34 @@ def test_windowed_results_pinned():
         (res.p, res.attaining_atom, res.mode)
         for res in (small_ball_windowed(V, d, delta, rng=r) for V, d, delta, r in cases)
     ]
-    modes = ["windowed"] * 3 + ["windowed-mc"] * 2 + ["windowed"] * 2 + ["windowed-mc"] * 3
-    assert [mode for _, _, mode in out] == modes
-    assert hashlib.sha256(repr(out).encode()).hexdigest() == WINDOWED_SHA256
+    return [mode for _, _, mode in out], hashlib.sha256(repr(out).encode()).hexdigest()
+
+
+def test_windowed_results_pinned():
+    modes, digest = windowed_digest()
+    assert modes == ["windowed"] * 3 + ["windowed-mc"] * 2 + ["windowed"] * 2 + ["windowed-mc"] * 3
+    assert digest == WINDOWED_SHA256
+
+
+def test_windowed_results_do_not_depend_on_the_blas_kernel():
+    # The sampled sums use no BLAS, so OpenBLAS's kernels for three CPU
+    # generations give one digest; a float pin formed by a BLAS dot would
+    # differ under at least one of them.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC), env.get("PYTHONPATH", "")])
+    script = (
+        f"import sys; sys.path.insert(0, {str(TESTS)!r}); "
+        "import test_smallball; print(test_smallball.windowed_digest()[1])"
+    )
+    digests = set()
+    for core in ("Haswell", "Sandybridge", "Nehalem"):
+        env["OPENBLAS_CORETYPE"] = core
+        run = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert run.returncode == 0, run.stderr
+        digests.add(run.stdout.strip())
+    assert digests == {WINDOWED_SHA256}
 
 
 def test_windowed_exhaustive_memory():
@@ -531,12 +563,17 @@ class NoChoice(np.random.Generator):
 
 
 def choice_reference(values, d, rng):
-    """The sampled sums as `Generator.choice` draws them, sorted."""
+    """The atom indices that `Generator.choice` draws, and their sums,
+    each formed as a_0 x_0 + a_1 x_1 + ... in that order, sorted."""
     atoms = np.array([float(a) for a in d.atoms])
     probs = np.array([float(p) for p in d.probs])
     size = (smallball._MC_SAMPLES, len(values))
     draws = rng.choice(len(atoms), size=size, p=probs / probs.sum())
-    return np.sort(atoms[draws] @ np.array(values, dtype=float))
+    terms = atoms[draws] * np.array(values, dtype=float)
+    sums = terms[:, 0]
+    for j in range(1, len(values)):
+        sums = sums + terms[:, j]
+    return draws, np.sort(sums)
 
 
 @pytest.fixture
@@ -552,13 +589,27 @@ def seen(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def drawn(monkeypatch):
+    """The atom indices of each sampled block, in the order drawn."""
+    blocks = []
+    choice_block = smallball._choice_block
+
+    def capture(rng, cdf, u, idx):
+        choice_block(rng, cdf, u, idx)
+        blocks.append(idx.copy())
+
+    monkeypatch.setattr(smallball, "_choice_block", capture)
+    return blocks
+
+
 @pytest.mark.parametrize(
     "d, lengths",
     [(RAD, (21, 24, 40)), (BER, (21, 30)), (LOPSIDED, (21, 27)), (U3, (13, 17)),
      (THREE, (13, 16)), (FOUR, (11, 14))],
     ids=["rad", "ber", "lopsided", "u3", "three", "four"],
 )
-def test_windowed_mc_matches_generator_choice(monkeypatch, seen, d, lengths):
+def test_windowed_mc_matches_generator_choice(monkeypatch, seen, drawn, d, lengths):
     # rng=None must seed the same stream as default_rng(0) without choice.
     monkeypatch.setattr(np.random, "default_rng", lambda s: NoChoice(np.random.PCG64(s)))
     cum = np.concatenate([[0.0], np.cumsum(np.full(smallball._MC_SAMPLES, 1e-4))])
@@ -569,9 +620,11 @@ def test_windowed_mc_matches_generator_choice(monkeypatch, seen, d, lengths):
             for seed in (None, 7, n):
                 rng = None if seed is None else NoChoice(np.random.PCG64(seed))
                 ref_rng = np.random.Generator(np.random.PCG64(seed or 0))
-                ref = choice_reference(values, d, ref_rng)
+                draws, ref = choice_reference(values, d, ref_rng)
                 res = small_ball_windowed(WeightVector.numeric(values), d, 1e-3, rng=rng)
                 assert res.mode == "windowed-mc"
+                assert np.array_equal(np.concatenate(drawn), draws)
+                drawn.clear()
                 sums, used_cum = seen.pop()
                 assert sums.tobytes() == ref.tobytes()
                 assert used_cum.tobytes() == cum.tobytes()
@@ -606,7 +659,7 @@ class ScriptedUniforms(np.random.Generator):
 @pytest.mark.parametrize(
     "d, n", [(RAD, 21), (FOUR, 11), (SEVEN, 8)], ids=["rad", "four", "seven"]
 )
-def test_windowed_mc_uniforms_on_the_cdf_pick_as_choice(seen, d, n):
+def test_windowed_mc_uniforms_on_the_cdf_pick_as_choice(seen, drawn, d, n):
     # Uniforms on, just below and just above each cdf value, normalized as
     # choice normalizes it and not (for SEVEN, the float cumsum ends past 1).
     probs = np.array([float(p) for p in d.probs])
@@ -617,8 +670,9 @@ def test_windowed_mc_uniforms_on_the_cdf_pick_as_choice(seen, d, n):
     assert len(probs) ** n > smallball._EXHAUSTIVE_LIMIT
     values = np.random.default_rng(n).standard_normal(n)
     rng, ref_rng = ScriptedUniforms(script), ScriptedUniforms(script)
-    ref = choice_reference(values, d, ref_rng)
+    draws, ref = choice_reference(values, d, ref_rng)
     small_ball_windowed(WeightVector.numeric(values), d, 1e-3, rng=rng)
+    assert np.array_equal(np.concatenate(drawn), draws)
     assert seen.pop()[0].tobytes() == ref.tobytes()
     assert rng.drawn == ref_rng.drawn == smallball._MC_SAMPLES * n
 
