@@ -22,7 +22,7 @@ from .rationals import format_rational, parse_rational
 DEFAULT_ENUM_CAP = 10**6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Gap:
     """Symmetric GAP: rational generators g_i and nonnegative dims M_i."""
 

@@ -322,7 +322,7 @@ def rich_eigenvector_frequency(
     (windowed small-ball at window `delta`, threshold n^-A)."""
     if trials < 1:
         raise PreconditionError("trials must be >= 1")
-    if delta <= 0:
+    if not delta > 0:
         raise PreconditionError("delta must be positive")
     t0 = time.perf_counter()
     hits = _dispatch(_rich_chunk, (spec, n, A, delta, seed), trials, workers)

@@ -51,7 +51,7 @@ _MC_CUM = np.concatenate([[0.0], np.cumsum(np.full(_MC_SAMPLES, 1.0 / _MC_SAMPLE
 _MC_CUM.flags.writeable = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WeightVector:
     """Coefficient vector, exact (rationals) or numeric (floats + window)."""
 
@@ -75,7 +75,7 @@ class WeightVector:
         return cls(tuple(float(v) for v in values), "numeric")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SmallBallResult:
     p: Union[Fraction, float]
     attaining_atom: Union[Fraction, float]
@@ -277,7 +277,7 @@ def small_ball_windowed(
     holds two block-sized buffers and the 10^4 sums; the cumulative
     weights are a constant.
     """
-    if delta <= 0:
+    if not delta > 0:
         raise PreconditionError("delta must be positive")
     entries = [float(v) for v in V.entries]
     atoms = np.array([float(a) for a in d.atoms])
@@ -354,7 +354,7 @@ def is_rich(
     and compares rationals exactly when A is an integer; numeric mode runs
     small_ball_windowed with window delta.
     """
-    if A <= 0:
+    if not A > 0:
         raise PreconditionError("A must be positive")
     if n < 1:
         raise PreconditionError("n must be >= 1")

@@ -489,7 +489,7 @@ def eigen_decompose(M: SymmetricMatrix, tol: float = 1e-12) -> NumericSpectrum:
     Raises ConvergenceError when the residual max|MV - V diag(lam)| exceeds
     tol * ||M||_F.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise PreconditionError("tol must be positive")
     A = M.to_float_array()
     lam, V = np.linalg.eigh(A)
@@ -509,7 +509,7 @@ def simplicity_numeric(M: SymmetricMatrix, gap_tol: float = 1e-8) -> SimplicityV
     to the diameter with an absolute floor of 1 for a flat spectrum.  The
     eigensolver runs at eigen_decompose's default residual tolerance.
     """
-    if gap_tol <= 0:
+    if not gap_tol > 0:
         raise PreconditionError("gap_tol must be positive")
     lam = eigen_decompose(M).eigenvalues
     if M.n > 1:

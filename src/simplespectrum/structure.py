@@ -65,7 +65,7 @@ class StructureParams:
             raise PreconditionError("C0 must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StructureReport:
     """Output of the refinement loop, with recomputable certificates.
 
@@ -318,7 +318,7 @@ def refine_structure(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VerificationResult:
     failed: tuple[str, ...]
     details: dict

@@ -476,8 +476,10 @@ def test_richness_smallball_streams_are_fresh(monkeypatch):
         lambda: rich_eigenvector_frequency(SIGN, 3, 1.0, 0.1, 0, seed=0),
         lambda: rich_eigenvector_frequency(SIGN, 3, 1.0, 0.0, 1, seed=0),
         lambda: rich_eigenvector_frequency(SIGN, 3, 1.0, -0.1, 1, seed=0),
+        lambda: rich_eigenvector_frequency(SIGN, 3, 1.0, float("nan"), 1, seed=0),
     ],
-    ids=["mc-trials-0", "rich-trials-0", "rich-delta-0", "rich-delta-negative"],
+    ids=["mc-trials-0", "rich-trials-0", "rich-delta-0", "rich-delta-negative",
+         "rich-delta-nan"],
 )
 def test_contract_edges_raise(call):
     with pytest.raises(PreconditionError):

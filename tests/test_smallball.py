@@ -700,8 +700,12 @@ def test_windowed_mc_memory():
         lambda: is_rich(WeightVector.exact([1]), RAD, A=0.0, n=1),
         lambda: is_rich(WeightVector.numeric([1.0]), RAD, A=-1.0, n=1, delta=0.1),
         lambda: is_rich(WeightVector.exact([1]), RAD, A=1.0, n=0),
+        lambda: small_ball_windowed(WeightVector.numeric([1.0]), RAD, delta=math.nan),
+        lambda: is_rich(WeightVector.exact([1]), RAD, A=math.nan, n=1),
+        lambda: is_rich(WeightVector.numeric([1.0]), RAD, A=math.nan, n=1, delta=0.1),
     ],
-    ids=["delta-0", "delta-negative", "A-0", "A-negative", "n-0"],
+    ids=["delta-0", "delta-negative", "A-0", "A-negative", "n-0", "delta-nan", "A-nan",
+         "A-nan-numeric"],
 )
 def test_contract_edges_raise(call):
     with pytest.raises(PreconditionError):

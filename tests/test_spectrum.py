@@ -1152,8 +1152,9 @@ def test_clusters_forced_merge(monkeypatch):
     v = simplicity_numeric(K3)
     assert v.tag == "NotSimpleNumeric"
     assert v.min_gap == pytest.approx(1e-12, rel=1e-3)
-    with pytest.raises(PreconditionError):
-        simplicity_numeric(K3, gap_tol=0)
+    for gap_tol in (0, float("nan")):
+        with pytest.raises(PreconditionError):
+            simplicity_numeric(K3, gap_tol=gap_tol)
 
 
 def test_numeric_agrees_with_exact_random():
@@ -1202,7 +1203,7 @@ def test_crt_primes_found_once():
     assert spectrum._crt_prime.cache_info()[:2] == (5, 3)
 
 
-@pytest.mark.parametrize("tol", [0.0, -1e-12])
+@pytest.mark.parametrize("tol", [0.0, -1e-12, float("nan")])
 def test_contract_edges_raise(tol):
     with pytest.raises(PreconditionError, match="tol"):
         eigen_decompose(K3, tol=tol)

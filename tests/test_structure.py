@@ -585,6 +585,16 @@ def test_verification_result_stores_failed_and_details(ones_report):
         assert res.failed == tuple(k for k, cert in res.details.items() if not cert["ok"])
 
 
+def test_per_item_results_have_no_dict(ones_report):
+    # As CensusResult: a run that keeps a result per item holds thousands.
+    V = WeightVector.exact([1] * 16)
+    verified = verify_report(V, RAD, PARAMS, ones_report)
+    for obj in (V, small_ball_exact(V, RAD), ones_report.gap, ones_report, verified):
+        assert obj.__slots__ == tuple(f.name for f in fields(obj))
+        assert not hasattr(obj, "__dict__")
+    assert verified.ok and small_ball_exact(V, RAD).p == F(12870, 2**16)
+
+
 def test_verify_rejects_bound_tamper(ones_report):
     V = WeightVector.exact([1] * 16)
     bad = _mutate(ones_report, w_indices=(0,), wprime_indices=(0,))
