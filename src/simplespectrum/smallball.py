@@ -13,14 +13,13 @@ all |atoms|^n sums in two preallocated buffers, sorts them and sweeps the
 window over their cumulative weights.  Tied sums need the stable order
 only when the atoms' float probabilities differ; when they are all equal,
 every assignment weighs the same float and the values are sorted alone.
-Then, since fl(e - s) is monotone in s, the count of sums in the window
-ending at i is at least k exactly when fl(sums[i] - sums[i - k + 1]) <=
-delta, so a galloping search finds K, the most sums one window holds, and
-only the windows of K sums are weighed: with one weight w >= 2^-20 and at
-most 2^20 sums, cum's rounding (< 2^-33) cannot make fewer sums weigh
-more.  Unequal weights sweep every window end.  The sweep goes in blocks
-of window ends, so beyond the sums and their cumulative weights it holds
-only block-sized buffers.  Past 2^20 assignments it samples 10^4 of them,
+Then only the fullest windows are weighed: fl(e - s) is monotone in s, so
+the window ending at i holds k sums exactly when fl(sums[i] - sums[i - k
++ 1]) <= delta, and with one weight w >= 2^-20 and at most 2^20 sums,
+cum's rounding (< 2^-33) cannot make fewer sums weigh more.  Unequal
+weights sweep every window end.  The sweep goes in blocks of window ends,
+so beyond the sums and their cumulative weights it holds only block-sized
+buffers.  Past 2^20 assignments it samples 10^4 of them,
 each of weight 1/10^4, in blocks of rows.  A block's uniforms are the next
 doubles of the stream that `Generator.choice` would have drawn, and each
 picks its atom by comparison with the cdf that `choice` builds, so the
