@@ -429,16 +429,14 @@ def test_fullest_window_scan_matches_pointer_scan(monkeypatch, block):
 
 def test_equal_weights_never_search_window_starts(monkeypatch):
     values = np.random.default_rng(8).standard_normal(21)
-    expected = [
-        small_ball_windowed(WeightVector.numeric(values[:n]), d, 1e-3)
-        for d, n in ((RAD, 12), (U3, 8), (RAD, 21))
-    ]
+    cases = ((RAD, 12), (U3, 8), (RAD, 21))
+    expected = [small_ball_windowed(WeightVector.numeric(values[:n]), d, 1e-3) for d, n in cases]
 
     def refuse(*args, **kwargs):
         raise AssertionError("_window_starts called")
 
     monkeypatch.setattr(smallball, "_window_starts", refuse)
-    for res, (d, n) in zip(expected, ((RAD, 12), (U3, 8), (RAD, 21))):
+    for res, (d, n) in zip(expected, cases):
         assert small_ball_windowed(WeightVector.numeric(values[:n]), d, 1e-3) == res
     with pytest.raises(AssertionError, match="_window_starts called"):
         small_ball_windowed(WeightVector.numeric(values[:8]), THREE, 1e-3)
