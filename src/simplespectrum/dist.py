@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DistributionError
-from .rationals import format_rational, parse_rational
+from .rationals import parse_rational
 
 
 @dataclass(frozen=True)
@@ -42,12 +42,6 @@ class AtomicDistribution:
 
     def __hash__(self):
         return self._hash
-
-    def to_json(self) -> dict:
-        return {
-            "atoms": [format_rational(a) for a in self.atoms],
-            "probs": [format_rational(p) for p in self.probs],
-        }
 
     @classmethod
     def from_json(cls, obj) -> "AtomicDistribution":

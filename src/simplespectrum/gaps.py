@@ -17,7 +17,7 @@ from itertools import product
 from math import floor, prod
 
 from .errors import CapExceededError
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational
 
 DEFAULT_ENUM_CAP = 10**6
 
@@ -49,13 +49,6 @@ class Gap:
             "generators": [format_rational(g) for g in self.generators],
             "dims": [format_rational(m) for m in self.dims],
         }
-
-    @classmethod
-    def from_json(cls, obj) -> "Gap":
-        return cls(
-            tuple(parse_rational(g) for g in obj["generators"]),
-            tuple(parse_rational(m) for m in obj["dims"]),
-        )
 
     @classmethod
     def trivial(cls) -> "Gap":

@@ -9,7 +9,9 @@ per CPU.
 
 The orthogonality lemma is checked with no float: the repeated-root factor
 g of a non-simple M must divide the char poly of its minor, and the witness
-is g with the remainder of that division.
+is g with the remainder of that division.  One Faddeev-LeVerrier pass over
+M and its zero-padded minor gives both char polys, so the check shares
+neither the Lanczos pass nor the CRT with simplicity_exact.
 
 The census is bordered, as Tao-Vu's argument is: every graph on n vertices
 is one graph A' on n - 1 vertices plus a 0/1 border b, and
@@ -63,7 +65,6 @@ from .matrices import (
 from .smallball import WeightVector, is_rich
 from .spectrum import (
     _crt_prime,
-    char_poly,
     char_polys_bordered,
     char_polys_stack,
     double_integer_root,
@@ -137,33 +138,40 @@ def verify_orthogonality_lemma(M: SymmetricMatrix) -> tuple[bool, dict]:
     M' (M without its last row and column) has, at each repeated eigenvalue
     lam of M, an eigenvector u with u . X = 0, X the border column.
 
-    The repeated eigenvalues are the roots of g = gcd(p_M, dp_M/dx), the
-    NotSimpleExact certificate, and g | p_{M'} proves the lemma for every
-    root, irrational ones included.  With a the corner entry and
-    q(x) = X^T adj(xI - M') X, p_M = (x - a) p_{M'} - q, so q(lam) = 0 at
-    each root lam of g.  At a lam simple in M' with unit eigenvector u,
+    The repeated eigenvalues are the roots of g = gcd(p_M, dp_M/dx), and
+    g | p_{M'} proves the lemma for every root, irrational ones included.
+    With a the corner entry and q(x) = X^T adj(xI - M') X,
+    p_M = (x - a) p_{M'} - q, so q(lam) = 0 at each root lam of g.  At a
+    lam simple in M' with unit eigenvector u,
     q(lam) = (u . X)^2 prod_{mu != lam} (lam - mu), so u . X = 0; at a lam
     multiple in M', the eigenspace holds a vector orthogonal to X.  Cauchy
     interlacing makes g | p_{M'} hold always, so a nonzero remainder means a
-    wrong char poly, minor or g.  p_{M'} is the minor's exact int64
-    char_polys_stack row where that kernel's bound admits the minor, and
-    char_poly's otherwise.  Returns (ok, witness): the factor g and the
-    remainder of p_{M'} by g, both constant term first.
+    wrong char poly, minor or g.
+
+    One char_polys_stack call on num and on its minor padded with a zero
+    last row and column, whose char poly is x p_{M'}, gives the char polys
+    of den*M and den*M', and g is repeated_factor of the first: no Lanczos
+    pass, no CRT and no simplicity_exact, whose certificate g equals.
+    Returns (ok, witness): the factor g and the remainder of p_{M'} by g,
+    both constant term first.
     """
-    if M.n < 2:
+    n, den = M.n, M.den
+    if n < 2:
         raise PreconditionError("lemma needs n >= 2")
-    verdict = simplicity_exact(M)
-    if verdict.tag != "NotSimpleExact":
+    padded = M.num.copy()
+    padded[-1] = padded[:, -1] = 0
+    p, xp = char_polys_stack(np.stack([M.num, padded])).tolist()
+    g = repeated_factor(p[::-1])
+    if g is None:
         raise PreconditionError("lemma hypothesis requires a non-simple spectrum")
-    minor = SymmetricMatrix(M.num[:-1, :-1], M.den)
-    try:  # one exact int64 Faddeev-LeVerrier row, with no prime
-        c = char_polys_stack(minor.num[None])[0].tolist()
-    except PreconditionError:  # entries too large for its int64 bound
-        cp = char_poly(minor).coeffs
-    else:  # as char_poly: the coefficient of x^(n-1-k) is c_k / den^k
-        cp = tuple(Fraction(c[k], minor.den**k) for k in reversed(range(M.n)))
-    rem = polys.pseudo_rem(cp, verdict.certificate)
-    return not rem, {"factor": verdict.certificate, "remainder": rem}
+    # As simplicity_exact: coefficient i of the monic gcd of det(xI - M) and
+    # its derivative is g_i den^i / den^d; as char_poly: the coefficient of
+    # x^(n-1-k) in p_{M'} is c_k / den^k.
+    d = polys.degree(g)
+    factor = tuple(Fraction(c * den**i, den**d) for i, c in enumerate(g))
+    minor = tuple(Fraction(xp[k], den**k) for k in reversed(range(n)))
+    rem = polys.pseudo_rem(minor, factor)
+    return not rem, {"factor": factor, "remainder": rem}
 
 
 def _dispatch(chunk, head: tuple, total: int, workers: int) -> int:

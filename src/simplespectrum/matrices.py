@@ -30,7 +30,7 @@ import numpy as np
 
 from .dist import AtomicDistribution
 from .errors import PreconditionError
-from .rationals import format_rational, parse_rational
+from .rationals import parse_rational
 
 
 def _int_array(num) -> np.ndarray:
@@ -90,21 +90,11 @@ class SymmetricMatrix:
             return NotImplemented
         return self.den == other.den and np.array_equal(self.num, other.num)
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return Fraction(int(self.num[i, j]), self.den)
-
     def trace(self) -> Fraction:
         return Fraction(sum(self.num.diagonal().tolist()), self.den)
 
     def to_float_array(self) -> np.ndarray:
         return np.asarray(self.num / self.den, dtype=float)
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "rows": [[format_rational(x) for x in row] for row in self.entries],
-        }
 
     @classmethod
     def from_json(cls, obj) -> "SymmetricMatrix":

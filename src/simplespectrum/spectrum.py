@@ -17,11 +17,12 @@ which only finitely many primes can do, as x.y is positive definite over Q.
 Garner's CRT reconstructs the char poly against an a-priori coefficient
 bound, the smaller of Hadamard's inequality on the row norms and
 Maclaurin's inequality on the Frobenius norm, so the result is exact, not
-probabilistic.  Stacks of small matrices whose char polys fit int64 go
-through one Faddeev-LeVerrier pass over the whole stack in int64 with no
-prime; its intermediates are the coefficients of the adjugate, so the
-same pass over the (n - 1)-vertex graphs of a census, plus one quadratic
-form per border, gives the char polys of all their n-vertex borderings.
+probabilistic.  A stack of matrices goes through one Faddeev-LeVerrier
+pass over the whole stack with no prime, in int64 where its char polys
+fit and on Python ints otherwise; its intermediates are the coefficients
+of the adjugate, so the same pass over the (n - 1)-vertex graphs of a
+census, plus one quadratic form per border, gives the char polys of all
+their n-vertex borderings.
 Simplicity is then squarefreeness: gcd(p, p') constant, settled by
 Brown's modular gcd, whose monic gcds mod the CRT primes are lifted and
 checked by trial division; mostly the first prime q settles it.  A stack
@@ -259,15 +260,17 @@ def char_poly(M: SymmetricMatrix) -> CharPoly:
 
 
 def _faddeev_stack(A: np.ndarray):
-    """One Faddeev-LeVerrier pass in int64 over a (S, n, n) stack of integer
-    matrices, with no modulus: yields (B_{k-1}, c_k) for k = 1..n, where
-    c_k are the char poly coefficients, det(xI - A) = sum_k c_k x^(n-k), and
-    B_k those of adj(xI - A) = sum_k B_k x^(n-1-k).  B_0 = I,
-    M_k = A B_{k-1}, c_k = -tr(M_k) / k, exact as c_k is an integer, and
-    B_k = M_k + c_k I.  The callers check their int64 bounds first."""
+    """One Faddeev-LeVerrier pass over a (S, n, n) stack of integer
+    matrices, with no modulus, in A's dtype: yields (B_{k-1}, c_k) for
+    k = 1..n, where c_k are the char poly coefficients,
+    det(xI - A) = sum_k c_k x^(n-k), and B_k those of
+    adj(xI - A) = sum_k B_k x^(n-1-k).  B_0 = I, M_k = A B_{k-1},
+    c_k = -tr(M_k) / k, exact as c_k is an integer, and B_k = M_k + c_k I.
+    It never checks for overflow: an int64 A must be one its caller's bound
+    admits, and an object A of Python ints cannot wrap."""
     n = A.shape[1]
     d = np.arange(n)
-    Bk = np.broadcast_to(np.eye(n, dtype=np.int64), A.shape)
+    Bk = np.broadcast_to(np.eye(n, dtype=A.dtype), A.shape)
     for k in range(1, n + 1):
         M = A @ Bk if k > 1 else A.copy()
         c = -M[:, d, d].sum(axis=1) // k
@@ -283,22 +286,22 @@ def _max_abs(A: np.ndarray) -> int:
 
 
 def char_polys_stack(A: np.ndarray) -> np.ndarray:
-    """Exact char polys of a (S, n, n) int64 stack of integer symmetric
-    matrices, as rows [c_0..c_n] like _integer_charpoly, by one
-    Faddeev-LeVerrier pass (_faddeev_stack).
+    """Exact char polys of a (S, n, n) stack of integer symmetric matrices,
+    int64 or Python ints (dtype=object), as rows [c_0..c_n] like
+    _integer_charpoly, by one Faddeev-LeVerrier pass (_faddeev_stack).
 
     With m = max |a_ij| over the stack and r = n m, every |lambda| <= r and
     |c_j| <= C(n,j) r^j.  So B_k = sum_{j<=k} c_j A^(k-j) has entries of at
     most 2^n r^k, each partial sum of the product A B_k at most 2^n r^(k+1),
-    and a trace at most n 2^n r^n.  Raises PreconditionError, before any
-    product, when that bound reaches 2^63; for graphs with n = 7 it is
-    7.4e8.
+    and a trace at most n 2^n r^n.  While that bound is below 2^63 (7.4e8
+    for graphs with n = 7; +-1 entries up to n = 12) an int64 stack stays
+    int64.  Otherwise, decided before any product, the same pass runs on
+    Python ints (dtype=object), O(n^4) bignum operations per matrix.
     """
     n = A.shape[1]
-    m = _max_abs(A)
-    if n * 2**n * (n * m) ** n >= 1 << 63:
-        raise PreconditionError(f"n = {n}, max |a_ij| = {m} may overflow int64 char polys")
-    rows = np.ones((A.shape[0], n + 1), dtype=np.int64)
+    if n * 2**n * (n * _max_abs(A)) ** n >= 1 << 63:
+        A = A.astype(object)
+    rows = np.ones((A.shape[0], n + 1), dtype=A.dtype)
     for k, (_, c) in enumerate(_faddeev_stack(A), 1):
         rows[:, k] = c
     return rows

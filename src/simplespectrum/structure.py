@@ -37,7 +37,7 @@ from . import gaps, smallball
 from .dist import AtomicDistribution
 from .errors import CapExceededError, PreconditionError, SearchBudgetError
 from .gaps import Gap
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational
 from .smallball import WeightVector
 
 _TOP_RANK1 = 32
@@ -86,16 +86,6 @@ class StructureReport:
             "gap": self.gap.to_json(),
             "certificates": self.certificates,
         }
-
-    @classmethod
-    def from_json(cls, obj) -> "StructureReport":
-        return cls(
-            w_indices=tuple(obj["w_indices"]),
-            wprime_indices=tuple(obj["wprime_indices"]),
-            p=parse_rational(obj["p"]),
-            gap=Gap.from_json(obj["gap"]),
-            certificates=obj.get("certificates", {}),
-        )
 
 
 def _candidate_generators(ints: list[int]) -> list[int]:

@@ -25,8 +25,6 @@ from simplespectrum.matrices import (
     trial_rng,
 )
 from simplespectrum.spectrum import (
-    CharPoly,
-    char_poly,
     char_polys_stack,
     repeated_by_twins,
     simplicity_exact,
@@ -88,32 +86,26 @@ def test_lemma_exact_at_large_shift(shift):
 
 
 def test_lemma_rejects_tampered_minor_char_poly(monkeypatch):
-    # Both routes to the minor's char poly: the int64 stack row for K3's
-    # minor, and char_poly for a minor whose entries fail the stack's guard.
-    def tampered(M):
-        cp = char_poly(M)
-        return CharPoly((cp.coeffs[0] + 1,) + cp.coeffs[1:])
-
-    def tampered_stack(A):
+    # The minor's row of the one char_polys_stack call is x p_{M'}: its
+    # second-to-last entry is p_{M'}'s constant term.  K3 runs in int64,
+    # K3 + 10^20 I on Python ints.
+    def tampered(A):
         rows = char_polys_stack(A)
-        rows[:, -1] += 1
+        rows[1, -2] += 1
         return rows
 
-    monkeypatch.setattr(harness, "char_poly", tampered)
-    monkeypatch.setattr(harness, "char_polys_stack", tampered_stack)
-    ok, witness = verify_orthogonality_lemma(graph_from_index(3, 7))
-    assert not ok
-    assert witness["remainder"] == [1]  # x^2 divided by x + 1
-    shift = 10**20  # K3 + shift I: g = x - shift + 1
+    monkeypatch.setattr(harness, "char_polys_stack", tampered)
     K3 = graph_from_index(3, 7).num
-    ok, witness = verify_orthogonality_lemma(SymmetricMatrix(K3 + shift * np.eye(3, dtype=object)))
-    assert not ok
-    assert witness["remainder"] == [1]
+    shift = 10**20  # g = x - shift + 1
+    for M in (SymmetricMatrix(K3), SymmetricMatrix(K3 + shift * np.eye(3, dtype=object))):
+        ok, witness = verify_orthogonality_lemma(M)
+        assert not ok
+        assert witness["remainder"] == [1]  # e.g. x^2 divided by x + 1
 
 
-def test_lemma_stack_route_matches_char_poly_route(monkeypatch):
-    # Witnesses are the same objects, Fractions included, whichever route
-    # gives the minor's char poly.
+def _lemma_matrices():
+    """Every non-simple graph with n <= 5, two matrices with den > 1 and one
+    whose entries pass the int64 bound of char_polys_stack."""
     matrices = [
         M for n in range(2, 6) for i in range(1 << n * (n - 1) // 2)
         if not simplicity_exact(M := graph_from_index(n, i)).is_simple
@@ -122,22 +114,39 @@ def test_lemma_stack_route_matches_char_poly_route(monkeypatch):
         SymmetricMatrix.from_rows([[0, "1/2", "1/2"], ["1/2", 0, "1/2"], ["1/2", "1/2", 0]]),
         # -1/3 twice; the minor keeps den 3.
         SymmetricMatrix.from_rows([["1/3", "2/3", 0, 0], ["2/3", "1/3", 0, 0], [0, 0, "-1/3", 0], [0, 0, 0, "5/2"]]),
+        SymmetricMatrix(graph_from_index(4, 7).num * 2**61 + 2**62 * np.eye(4, dtype=np.int64)),
     ]
-    assert all(M.den > 1 for M in matrices[-2:])
-    big = SymmetricMatrix(graph_from_index(4, 7).num * 2**61 + 2**62 * np.eye(4, dtype=np.int64))
-    calls, real = [], harness.char_poly
-    monkeypatch.setattr(harness, "char_poly", lambda M: calls.append(M) or real(M))
-    stack = [repr(verify_orthogonality_lemma(M)) for M in matrices + [big]]
-    assert calls == [SymmetricMatrix(big.num[:-1, :-1])]  # only the guard's refusal
-    with pytest.raises(PreconditionError):
-        char_polys_stack(big.num[None, :-1, :-1])
+    return matrices
 
-    def refuse(A):
-        raise PreconditionError("forced")
 
-    monkeypatch.setattr(harness, "char_polys_stack", refuse)
-    assert [repr(verify_orthogonality_lemma(M)) for M in matrices + [big]] == stack
-    assert len(calls) == len(matrices) + 2
+def test_lemma_factor_is_simplicity_exact_certificate():
+    # Same objects, Fractions included: the lemma's own gcd is the
+    # certificate, including past the int64 bound, where the pass runs on
+    # Python ints.
+    matrices = _lemma_matrices()
+    assert all(M.den > 1 for M in matrices[-3:-1])
+    big = matrices[-1]
+    assert big.num.dtype == np.int64
+    assert char_polys_stack(big.num[None]).dtype == object
+    for M in matrices:
+        ok, witness = verify_orthogonality_lemma(M)
+        assert ok
+        assert repr(witness["factor"]) == repr(simplicity_exact(M).certificate)
+
+
+def test_lemma_runs_no_lanczos_pass_or_crt(monkeypatch):
+    # The lemma is a check of the exact route, so it must not run it.
+    matrices = _lemma_matrices()
+
+    def forbidden(*args):
+        pytest.fail("the lemma reached the Lanczos route")
+
+    for name in ("simplicity_exact", "char_poly", "_lanczos_mod", "_integer_charpoly"):
+        for module in (spectrum, harness):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    for M in matrices:
+        assert verify_orthogonality_lemma(M)[0]
 
 
 def test_lemma_requires_nonsimple():

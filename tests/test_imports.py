@@ -2,8 +2,8 @@
 module-level private name goes unreferenced in the package, no function
 leaves a parameter unread, no dataclass field goes unread outside the
 tests, and no public method, property, module-level function or class is
-read only by the unit tests; and every layer function the benchmark
-traces exists."""
+read only by the unit tests, a classmethod counting as read only through
+its own class; and every layer function the benchmark traces exists."""
 
 import ast
 import importlib
@@ -194,11 +194,40 @@ def test_no_unread_dataclass_fields():
     assert unread_dataclass_fields(defining, readers) == []
 
 
+def classmethod_loads(sources: list[str]) -> set[tuple[str, str]]:
+    """The (class, name) pairs that some attribute load in `sources` reads
+    as <Class>.<name>, <module>.<Class>.<name>, or cls.<name> inside the
+    class <Class>."""
+    read = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                owner = node.value
+                if isinstance(owner, ast.Name):
+                    read.add((owner.id, node.attr))
+                elif isinstance(owner, ast.Attribute):
+                    read.add((owner.attr, node.attr))
+            if isinstance(node, ast.ClassDef):
+                read.update(
+                    (node.name, n.attr)
+                    for n in ast.walk(node)
+                    if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+                    and isinstance(n.value, ast.Name) and n.value.id == "cls"
+                )
+    return read
+
+
+def _is_classmethod(stmt) -> bool:
+    return any(getattr(d, "id", None) == "classmethod" for d in stmt.decorator_list)
+
+
 def unread_public_methods(defining: dict[str, str], readers: list[str]) -> list[str]:
     """Public methods and properties of the classes in `defining` (file
     names to source) whose name no attribute load in `readers` (sources)
-    reads."""
-    read = attribute_loads(readers)
+    reads; a classmethod counts as read only through its own class, as
+    classmethod_loads finds it, since other classes share names such as
+    from_json."""
+    read, class_read = attribute_loads(readers), classmethod_loads(readers)
     return [
         f"{fname}: {cls.name}.{stmt.name} (line {stmt.lineno})"
         for fname, source in defining.items()
@@ -207,7 +236,11 @@ def unread_public_methods(defining: dict[str, str], readers: list[str]) -> list[
         for stmt in cls.body
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
         and not stmt.name.startswith("_")
-        and stmt.name not in read
+        and (
+            (cls.name, stmt.name) not in class_read
+            if _is_classmethod(stmt)
+            else stmt.name not in read
+        )
     ]
 
 
@@ -226,6 +259,29 @@ def test_detects_unread_public_method():
     }
     readers = [defining["a.py"], "M.from_rows([]).permuted\nM().size = 1\n"]
     assert unread_public_methods(defining, readers) == ["a.py: M.size (line 8)"]
+
+
+def test_detects_classmethod_read_only_through_another_class():
+    defining = {
+        "a.py": (
+            "class R:\n"
+            "    def to_json(self):\n        return {}\n"
+            "    @classmethod\n    def from_json(cls, obj):\n        return cls()\n"
+            "    @classmethod\n    def build(cls):\n        return cls.parse()\n"
+            "    @classmethod\n    def parse(cls):\n        return cls()\n"
+            "class S:\n"
+            "    @classmethod\n    def from_json(cls, obj):\n        return cls()\n"
+            "    @classmethod\n    def load(cls):\n        return cls()\n"
+        ),
+    }
+    readers = [
+        defining["a.py"],
+        "S.from_json({}).to_json()\nmod.S.load()\nR().build\nother.from_json\n",
+    ]
+    assert unread_public_methods(defining, readers) == [
+        "a.py: R.from_json (line 5)",
+        "a.py: R.build (line 8)",
+    ]
 
 
 def _users() -> list[Path]:

@@ -70,12 +70,9 @@ def cofactor_char_poly(M: SymmetricMatrix) -> list[Fraction]:
             acc = padd(acc, term)
         return acc
 
-    n = M.n
+    n, E = M.n, M.entries
     rows = [
-        [
-            [Fraction(-M[i, j]), Fraction(1)] if i == j else [Fraction(-M[i, j])]
-            for j in range(n)
-        ]
+        [[Fraction(-E[i][j]), Fraction(1)] if i == j else [Fraction(-E[i][j])] for j in range(n)]
         for i in range(n)
     ]
     p = det(rows)
@@ -285,12 +282,13 @@ def _exact_rows(A):
 def test_char_polys_stack_matches_per_matrix_kernel(n):
     A = _mixed_stack(n, np.random.default_rng(n))
     small = A[np.arange(len(A)) % 4 != 3]
-    assert spectrum.char_polys_stack(small).tolist() == _exact_rows(small)
-    if n >= 3:  # n 2^n (n 10^6)^n >= 2^63
-        with pytest.raises(PreconditionError):
-            spectrum.char_polys_stack(A)
-    else:
-        assert spectrum.char_polys_stack(A).tolist() == _exact_rows(A)
+    got = spectrum.char_polys_stack(small)
+    assert got.dtype == np.int64 and got.tolist() == _exact_rows(small)
+    got = spectrum.char_polys_stack(A)
+    # Past the int64 bound, n 2^n (n 10^6)^n >= 2^63 from n = 3 on, the
+    # pass runs on Python ints.
+    assert got.dtype == (object if n >= 3 else np.int64)
+    assert got.tolist() == _exact_rows(A)
 
 
 def test_char_polys_stack_matches_lanczos_on_every_graph_n_le_6():
@@ -318,10 +316,12 @@ def test_char_polys_stack_exact_at_the_int64_limit(n):
     rng = np.random.default_rng(n)
     A = np.stack([c * J, -c * J, c * np.eye(n, dtype=np.int64), rng.integers(-c, c + 1, size=(n, n))])
     A = np.triu(A) + np.swapaxes(np.triu(A, 1), 1, 2)
-    assert spectrum.char_polys_stack(A).tolist() == _exact_rows(A)
-    for sign in (1, -1):
-        with pytest.raises(PreconditionError):
-            spectrum.char_polys_stack(sign * (c + 1) * J[None])
+    got = spectrum.char_polys_stack(A)
+    assert got.dtype == np.int64 and got.tolist() == _exact_rows(A)
+    for sign in (1, -1):  # one past the bound: on Python ints
+        B = sign * (c + 1) * J[None]
+        got = spectrum.char_polys_stack(B)
+        assert got.dtype == object and got.tolist() == _exact_rows(B)
 
 
 class _MinMaxOnly(_Untouchable):
@@ -334,15 +334,16 @@ class _MinMaxOnly(_Untouchable):
 
 
 def test_char_polys_stack_refuses_int64_wrap():
-    # The refusal must come before any product; np.abs(-2^63) is -2^63,
-    # so the bound must not take the magnitude through int64.
+    # Past the bound the pass runs on Python ints, and the switch comes
+    # before any int64 product: np.abs(-2^63) is -2^63, so the bound must
+    # not take the magnitude through int64.
     big = np.zeros((2, 3, 3), dtype=np.int64)
     big[1, 0, 0] = -(2**63)
     wide = np.zeros((1, 16, 16), dtype=np.int64)
     wide[0, 0, 0] = 1  # 16 * 2^16 * 16^16 >= 2^63
     for A in (big, wide, np.full((1, 2, 2), 2**62, dtype=np.int64)):
-        with pytest.raises(PreconditionError):
-            spectrum.char_polys_stack(A.view(_MinMaxOnly))
+        got = spectrum.char_polys_stack(A)
+        assert got.dtype == object and got.tolist() == _exact_rows(A)
 
 
 def _bordered(A, X):
@@ -426,17 +427,16 @@ def test_char_polys_bordered_refuses_int64_wrap():
 
 class _Tridiagonal:
     """The n x n matrix with diagonal alpha, ones below it and the couplings
-    above it, whose char poly the three-term recurrence computes; indexed
-    as cofactor_char_poly reads a matrix."""
+    above it, whose char poly the three-term recurrence computes; with the
+    n and entries that cofactor_char_poly reads."""
 
     def __init__(self, alpha, coupling):
-        self.n, self.alpha, self.coupling = len(alpha), alpha, coupling
-
-    def __getitem__(self, ij):
-        i, j = ij
-        if i == j:
-            return self.alpha[i]
-        return 1 if i == j + 1 else self.coupling[i] if j == i + 1 else 0
+        self.n = n = len(alpha)
+        self.entries = [
+            [alpha[i] if i == j else 1 if i == j + 1 else coupling[i] if j == i + 1 else 0
+             for j in range(n)]
+            for i in range(n)
+        ]
 
 
 def _assert_recurrence_matches_cofactor(alpha, coupling, p):
@@ -493,15 +493,16 @@ def test_tridiagonal_recurrence_n1_and_zero_couplings():
             _assert_recurrence_matches_cofactor(alpha, coupling, p)
 
 
-def test_char_polys_stack_exact_or_refused():
+def test_char_polys_stack_exact_in_int64_or_python_ints():
     rng = np.random.default_rng(3)
     A = np.concatenate([_mixed_stack(5, rng)[[0, 1, 2]], graph_stack(5, range(1020, 1024))])
     got = spectrum.char_polys_stack(A)
-    assert got.tolist() == [_integer_charpoly(a) for a in A]
-    # One entry of 10^6 at n = 5 may overflow int64.
+    assert got.dtype == np.int64 and got.tolist() == [_integer_charpoly(a) for a in A]
+    # One entry of 10^6 at n = 5 may overflow int64: the whole stack runs
+    # on Python ints.
     A[0, 0, 0] = 10**6
-    with pytest.raises(PreconditionError):
-        spectrum.char_polys_stack(A)
+    got = spectrum.char_polys_stack(A)
+    assert got.dtype == object and got.tolist() == _exact_rows(A)
 
 
 def test_char_poly_bound_sums_squares_exactly():
@@ -571,7 +572,7 @@ def test_coeff_bound_covers_cofactor_oracle():
     objects = 0
     for M in _bound_cases():
         c = cofactor_char_poly(M)
-        assert 2 * max(abs(x) for x in c) < spectrum._coeff_bound(M.num), M.to_json()
+        assert 2 * max(abs(x) for x in c) < spectrum._coeff_bound(M.num), M.num.tolist()
         objects += M.num.dtype == object
     assert objects == 2
 
@@ -749,7 +750,7 @@ def test_krylov_screen_sound():
     proved = simple = 0
     for M in chain(_graphs(), _draws()):
         full, squarefree = _screen(M.num), _squarefree(M)
-        assert squarefree or not full, M.to_json()
+        assert squarefree or not full, M.num.tolist()
         proved += full
         simple += squarefree
     assert proved == simple == 788 + 109
@@ -760,7 +761,7 @@ def test_screen_is_the_krylov_rank():
     # recheck's own elimination computes it.
     for M in chain(_graphs(), _draws()):
         rows = M.num.tolist()
-        assert _screen(M.num) == (krylov_rank(rows, Q, start_vector(M.n)) == M.n), M.to_json()
+        assert _screen(M.num) == (krylov_rank(rows, Q, start_vector(M.n)) == M.n), M.num.tolist()
 
 
 def _primes_needed(A):
@@ -817,7 +818,7 @@ def test_small_crt_primes_skip_breakdowns(monkeypatch):
     for M, verdict in zip(graphs, verdicts):
         assert _integer_charpoly(M.num) == [int(c) for c in reversed(cofactor_char_poly(M))]
         v = simplicity_exact(M)
-        assert (v.tag, v.certificate) == verdict, M.to_json()
+        assert (v.tag, v.certificate) == verdict, M.num.tolist()
     assert 2 in skipped and len(set(skipped)) > 1, Counter(skipped)
 
 
@@ -840,7 +841,7 @@ def test_first_prime_pass_runs_once_per_matrix(monkeypatch):
         calls.clear()
         simplicity_exact(M)
         primes = [p for p, _ in calls]
-        assert len(primes) == len(set(primes)), (M.to_json(), calls)
+        assert len(primes) == len(set(primes)), (M.num.tolist(), calls)
         broke += calls[0] == (2, True)
     assert broke > 1, broke
 
