@@ -9,9 +9,11 @@ per CPU.
 
 The orthogonality lemma is checked with no float: the repeated-root factor
 g of a non-simple M must divide the char poly of its minor, and the witness
-is g with the remainder of that division.  One Faddeev-LeVerrier pass over
-M and its zero-padded minor gives both char polys, so the check shares
-neither the Lanczos pass nor the CRT with simplicity_exact.
+is g with the remainder of that division.  Both char polys come from one
+char_polys_bordered pass over the minor, the census's kernel, with the last
+column of M and the zero vector as borders, and spectrum's one rescaling
+maps them from num to M.  So the check shares neither the Lanczos pass nor
+the CRT with simplicity_exact.
 
 The census is bordered, as Tao-Vu's argument is: every graph on n vertices
 is one graph A' on n - 1 vertices plus a 0/1 border b, and
@@ -48,7 +50,6 @@ import os
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -65,8 +66,8 @@ from .matrices import (
 from .smallball import WeightVector, is_rich
 from .spectrum import (
     _crt_prime,
+    _rescaled,
     char_polys_bordered,
-    char_polys_stack,
     double_integer_root,
     eigen_decompose,
     repeated_by_twins,
@@ -148,29 +149,28 @@ def verify_orthogonality_lemma(M: SymmetricMatrix) -> tuple[bool, dict]:
     interlacing makes g | p_{M'} hold always, so a nonzero remainder means a
     wrong char poly, minor or g.
 
-    One char_polys_stack call on num and on its minor padded with a zero
-    last row and column, whose char poly is x p_{M'}, gives the char polys
-    of den*M and den*M', and g is repeated_factor of the first: no Lanczos
-    pass, no CRT and no simplicity_exact, whose certificate g equals.
+    One char_polys_bordered call, the census's kernel, on the minor of
+    num = den*M, bordered by num's last column and by zero, gives x p' - q
+    and x p' for the char poly p' of den*M'.  On Python ints,
+    p = (x - a) p' - q, a the corner of num, is the char poly of den*M, g
+    is repeated_factor of p, and spectrum's _rescaled maps g and p' from
+    num to M: no Lanczos pass, no CRT and no simplicity_exact run, whose
+    certificate g equals.
+
     Returns (ok, witness): the factor g and the remainder of p_{M'} by g,
     both constant term first.
     """
-    n, den = M.n, M.den
-    if n < 2:
+    if M.n < 2:
         raise PreconditionError("lemma needs n >= 2")
-    padded = M.num.copy()
-    padded[-1] = padded[:, -1] = 0
-    p, xp = char_polys_stack(np.stack([M.num, padded])).tolist()
+    X = M.num[-1, :-1]
+    xp_q, xp = char_polys_bordered(M.num[None, :-1, :-1], np.stack([X, 0 * X])).tolist()
+    a, minor = int(M.num[-1, -1]), xp[:-1]  # p', leading coefficient first
+    p = [c - a * d for c, d in zip(xp_q, [0] + minor)]  # (x - a) p' - q
     g = repeated_factor(p[::-1])
     if g is None:
         raise PreconditionError("lemma hypothesis requires a non-simple spectrum")
-    # As simplicity_exact: coefficient i of the monic gcd of det(xI - M) and
-    # its derivative is g_i den^i / den^d; as char_poly: the coefficient of
-    # x^(n-1-k) in p_{M'} is c_k / den^k.
-    d = polys.degree(g)
-    factor = tuple(Fraction(c * den**i, den**d) for i, c in enumerate(g))
-    minor = tuple(Fraction(xp[k], den**k) for k in reversed(range(n)))
-    rem = polys.pseudo_rem(minor, factor)
+    factor = _rescaled(g, M.den)
+    rem = polys.pseudo_rem(_rescaled(minor[::-1], M.den), factor)
     return not rem, {"factor": factor, "remainder": rem}
 
 
@@ -253,9 +253,9 @@ def exhaustive_census(n: int, workers: int = 1) -> CensusResult:
     The (n - 1)-vertex graphs go through one per isomorphism class, the
     least index of each S_(n-1)-orbit of graph_orbits, weighted by the
     orbit's size.  They go in stacks, each bordered with all 2^(n-1) 0/1
-    vectors by char_polys_bordered: one Faddeev-LeVerrier pass in int64,
-    whose overflow guard holds for every graph stack with n <= 8
-    (1.5e9 < 2^63 at n = 8).  The distinct char polys of a stack then go
+    vectors by char_polys_bordered: one Faddeev-LeVerrier pass, in int64
+    for every graph stack with n <= 8, whose bound is 1.5e9 < 2^63 at
+    n = 8.  The distinct char polys of a stack then go
     through squarefree_screen at once, those it does not prove through
     double_integer_root with r = n - 1, and only those neither settles
     through repeated_factor, once each across the stacks.  Each graph on n
@@ -294,6 +294,8 @@ def monte_carlo_simplicity(
     spares the Lanczos passes and the CRT on the draws it proves."""
     if trials < 1:
         raise PreconditionError("trials must be >= 1")
+    if seed < 0:
+        raise PreconditionError(f"seed must be >= 0, not {seed}")
     t0 = time.perf_counter()
     nonsimple = _dispatch(_mc_chunk, (spec, n, seed), trials, workers)
     return ExperimentSummary(trials, nonsimple, seed, time.perf_counter() - t0)
@@ -330,6 +332,8 @@ def rich_eigenvector_frequency(
     (windowed small-ball at window `delta`, threshold n^-A)."""
     if trials < 1:
         raise PreconditionError("trials must be >= 1")
+    if seed < 0:
+        raise PreconditionError(f"seed must be >= 0, not {seed}")
     if not delta > 0:
         raise PreconditionError("delta must be positive")
     t0 = time.perf_counter()

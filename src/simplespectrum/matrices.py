@@ -40,6 +40,8 @@ def _int_array(num) -> np.ndarray:
         return num.copy()
     a = np.array(num, dtype=object)
     if not all(isinstance(x, (int, np.integer)) for x in a.flat):
+        if any(np.ndim(x) for x in a.flat):  # ragged: np.array kept the rows whole
+            raise PreconditionError("dimension mismatch: rows of unequal length")
         raise PreconditionError("matrix entries must be integers")
     try:
         return a.astype(np.int64)

@@ -17,12 +17,18 @@ which only finitely many primes can do, as x.y is positive definite over Q.
 Garner's CRT reconstructs the char poly against an a-priori coefficient
 bound, the smaller of Hadamard's inequality on the row norms and
 Maclaurin's inequality on the Frobenius norm, so the result is exact, not
-probabilistic.  A stack of matrices goes through one Faddeev-LeVerrier
-pass over the whole stack with no prime, in int64 where its char polys
-fit and on Python ints otherwise; its intermediates are the coefficients
-of the adjugate, so the same pass over the (n - 1)-vertex graphs of a
-census, plus one quadratic form per border, gives the char polys of all
-their n-vertex borderings.
+probabilistic.
+
+Bordered route: char_polys_bordered runs one Faddeev-LeVerrier pass over
+a stack of minors with no prime, in int64 where the char polys fit and on
+Python ints otherwise.  Its intermediates are the coefficients of the
+adjugate, so one quadratic form per border gives the char poly of each
+bordered matrix.  The census borders the (n - 1)-vertex graphs with every
+0/1 vector; the orthogonality lemma borders the minor of M with M's last
+column and with zero.  Every route works on num = den*M, and one
+rescaling, q(den*x) / den^d, maps a monic factor q of num's char poly to
+M's, for char_poly, simplicity_exact's certificate and the lemma alike.
+
 Simplicity is then squarefreeness: gcd(p, p') constant, settled by
 Brown's modular gcd, whose monic gcds mod the CRT primes are lifted and
 checked by trial division; mostly the first prime q settles it.  A stack
@@ -251,12 +257,19 @@ def _integer_charpoly(A: np.ndarray, T: Optional[tuple[list[int], list[int]]]) -
     return [_balanced(c, modulus) for c in coeffs]
 
 
+def _rescaled(q: list[int], den: int) -> tuple[Fraction, ...]:
+    """q(den*x) / den^d for a monic integer q of degree d, both constant
+    term first: coefficient i is q_i / den^(d-i).  It maps the char poly of
+    num = den*M to det(xI - M), and a monic factor of the one, such as its
+    repeated-root factor, to the matching factor of the other."""
+    d = len(q) - 1
+    return tuple(Fraction(c, den ** (d - i)) for i, c in enumerate(q))
+
+
 def char_poly(M: SymmetricMatrix) -> CharPoly:
     """Exact monic characteristic polynomial det(xI - M)."""
-    # char poly q of num = den*M, in y
     c = _integer_charpoly(M.num, _lanczos_mod(M.num, _crt_prime(0)))
-    # p(x) = q(den*x)/den^n  =>  coefficient of x^(n-k) is c_k / den^k
-    return CharPoly(tuple(Fraction(c[k], M.den**k) for k in reversed(range(M.n + 1))))
+    return CharPoly(_rescaled(c[::-1], M.den))
 
 
 def _faddeev_stack(A: np.ndarray):
@@ -266,8 +279,9 @@ def _faddeev_stack(A: np.ndarray):
     det(xI - A) = sum_k c_k x^(n-k), and B_k those of
     adj(xI - A) = sum_k B_k x^(n-1-k).  B_0 = I, M_k = A B_{k-1},
     c_k = -tr(M_k) / k, exact as c_k is an integer, and B_k = M_k + c_k I.
-    It never checks for overflow: an int64 A must be one its caller's bound
-    admits, and an object A of Python ints cannot wrap."""
+    It never checks for overflow: char_polys_bordered, its caller, casts A
+    to Python ints (dtype=object), which cannot wrap, unless its int64
+    bound admits A."""
     n = A.shape[1]
     d = np.arange(n)
     Bk = np.broadcast_to(np.eye(n, dtype=A.dtype), A.shape)
@@ -285,60 +299,37 @@ def _max_abs(A: np.ndarray) -> int:
     return max(-int(A.min(initial=0)), int(A.max(initial=0)))
 
 
-def char_polys_stack(A: np.ndarray) -> np.ndarray:
-    """Exact char polys of a (S, n, n) stack of integer symmetric matrices,
-    int64 or Python ints (dtype=object), as rows [c_0..c_n] like
-    _integer_charpoly, by one Faddeev-LeVerrier pass (_faddeev_stack).
-
-    With m = max |a_ij| over the stack and r = n m, every |lambda| <= r and
-    |c_j| <= C(n,j) r^j.  So B_k = sum_{j<=k} c_j A^(k-j) has entries of at
-    most 2^n r^k, each partial sum of the product A B_k at most 2^n r^(k+1),
-    and a trace at most n 2^n r^n.  While that bound is below 2^63 (7.4e8
-    for graphs with n = 7; +-1 entries up to n = 12) an int64 stack stays
-    int64.  Otherwise, decided before any product, the same pass runs on
-    Python ints (dtype=object), O(n^4) bignum operations per matrix.
-    """
-    n = A.shape[1]
-    if n * 2**n * (n * _max_abs(A)) ** n >= 1 << 63:
-        A = A.astype(object)
-    rows = np.ones((A.shape[0], n + 1), dtype=A.dtype)
-    for k, (_, c) in enumerate(_faddeev_stack(A), 1):
-        rows[:, k] = c
-    return rows
-
-
 def char_polys_bordered(A: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Exact char polys of every bordered matrix [[0, x^T], [x, A_s]] of a
-    (S, m, m) int64 stack of integer symmetric A_s and a (K, m) int64 table
-    of borders x, as (S * K, m + 2) rows [c_0..c_{m+1}], row s K + j for
-    (A_s, X[j]).
+    (S, m, m) stack of integer symmetric A_s and a (K, m) table of integer
+    borders x, int64 or Python ints (dtype=object), as (S * K, m + 2) rows
+    [c_0..c_{m+1}], row s K + j for (A_s, X[j]).
 
     det(xI - [[0, b^T], [b, A']]) = x p_{A'}(x) - b^T adj(xI - A') b, so
-    one Faddeev-LeVerrier pass over the stack serves every border: the
-    coefficient of x^(m-1-k) in the quadratic form is q_k = b^T B_k b, for
-    all borders one int64 matmul of B_k against the outer products b b^T,
-    subtracted from x p_{A'} at column k + 2.  For graphs, with
-    A = graph_stack(m, range(start, stop)) and X[j] the bits of j < 2^m,
-    bit i at x_i, row (s - start) 2^m + j is the char poly of
-    graph_from_index(m + 1, s 2^m + j): the rows are those of
-    char_polys_stack(graph_stack(m + 1, range(start 2^m, stop 2^m))).
+    one Faddeev-LeVerrier pass over the stack (_faddeev_stack) serves every
+    border: the coefficient of x^(m-1-k) in the quadratic form is
+    q_k = b^T B_k b, for all borders one matmul of B_k against the outer
+    products b b^T, subtracted from x p_{A'} at column k + 2.  For graphs,
+    with A = graph_stack(m, range(start, stop)) and X[j] the bits of
+    j < 2^m, bit i at x_i, row (s - start) 2^m + j is the char poly of
+    graph_from_index(m + 1, s 2^m + j).  The zero border gives x p_{A'}.
 
-    With r = max(1, m max |a_ij|) and b = max |x_i|, every B_k has entries of
-    at most 2^m r^(m-1), as in char_polys_stack, so each partial sum of a
-    q_k is at most m^2 b^2 2^m r^(m-1) and of a trace at most m 2^m r^m.
-    Raises PreconditionError, before any product, when their sum, which
-    also bounds every coefficient, reaches 2^63; for graphs with m = 7 it
-    is 1.5e9.
+    With r = max(1, m max |a_ij|), every |lambda| <= r and
+    |c_j| <= C(m,j) r^j, so B_k = sum_{j<=k} c_j A^(k-j) has entries of at
+    most 2^m r^(m-1), each partial sum of a product A B_k at most 2^m r^m
+    and of a trace at most m 2^m r^m; with b = max |x_i|, each partial sum
+    of a q_k is at most m^2 b^2 2^m r^(m-1).  While the sum of the two, which
+    also bounds every coefficient, is below 2^63 (1.5e9 for graphs with
+    m = 7) an int64 stack stays int64.  Otherwise, decided from the min and
+    max of A and X before any product, the same pass runs on Python ints,
+    O(m^4) bignum operations per minor.
     """
     S, m, _ = A.shape
-    a, b = _max_abs(A), _max_abs(X)
-    r = max(1, m * a)
-    if 2**m * r ** (m - 1) * (m * r + m * m * b * b) >= 1 << 63:
-        raise PreconditionError(
-            f"m = {m}, max |a_ij| = {a}, max |x_i| = {b} may overflow int64 char polys"
-        )
+    r = max(1, m * _max_abs(A))
+    if 2**m * r ** (m - 1) * (m * r + m * m * _max_abs(X) ** 2) >= 1 << 63:
+        A, X = A.astype(object), X.astype(object)
     outer = (X[:, :, None] * X[:, None, :]).reshape(len(X), m * m).T
-    rows = np.zeros((S, len(X), m + 2), dtype=np.int64)
+    rows = np.zeros((S, len(X), m + 2), dtype=A.dtype)
     rows[:, :, 0] = 1
     for k, (Bk, c) in enumerate(_faddeev_stack(A), 1):
         rows[:, :, k] += c[:, None]
@@ -349,7 +340,7 @@ def char_polys_bordered(A: np.ndarray, X: np.ndarray) -> np.ndarray:
 def squarefree_screen(rows: np.ndarray, q: int) -> np.ndarray:
     """Squarefreeness of a (D, n + 1) int64 stack of integer polynomials p
     of degree n, rows [c_0..c_n] leading coefficient first as
-    char_polys_stack gives them, proved where no gcd is needed: a (D,) mask
+    char_polys_bordered gives them, proved where no gcd is needed: a (D,) mask
     of the rows whose fraction-free remainder sequence of p and p' mod the
     prime q, run on all rows in lockstep, is normal down to a nonzero
     constant.  Per degree it takes two eliminations, t = b_0 a - a_0 x b
@@ -434,11 +425,7 @@ def simplicity_exact(M: SymmetricMatrix) -> SimplicityVerdict:
     g = repeated_factor(_integer_charpoly(M.num, T)[::-1])
     if g is None:
         return _SIMPLE_EXACT
-    # The monic gcd of det(xI - M) and its derivative is g(den*x) / den^d
-    # for the monic g of degree d: coefficient i is g_i den^i / den^d.
-    d = polys.degree(g)
-    cert = tuple(Fraction(c * M.den**i, M.den**d) for i, c in enumerate(g))
-    return SimplicityVerdict(tag="NotSimpleExact", certificate=cert)
+    return SimplicityVerdict(tag="NotSimpleExact", certificate=_rescaled(g, M.den))
 
 
 def repeated_by_twins(M: SymmetricMatrix) -> bool:

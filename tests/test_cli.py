@@ -66,6 +66,15 @@ def test_threads_below_one_exits_2(capsys, threads):
     assert "--threads" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["montecarlo", "--ensemble", "gnp", "--n", "5", "--trials", "3", "--seed", "-1"],
+    ["richness", "--n", "4", "--A", "2", "--delta", "1e-9", "--trials", "3", "--seed", "-5"],
+], ids=["montecarlo", "richness"])
+def test_negative_seed_exits_2(capsys, argv):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: seed must be >= 0, not {argv[-1]}\n"
+
+
 def test_richness(capsys):
     code, out = run_cli(
         capsys, "richness", "--n", "4", "--A", "2", "--delta", "1e-9",
@@ -155,6 +164,12 @@ def assert_contract_error(capsys, argv, named):
 def test_check_simple_bad_rational_exits_2(capsys, tmp_path):
     m = _write(tmp_path, "m.txt", "0 x\nx 0\n")
     assert_contract_error(capsys, ["check-simple", "--matrix", m], f"matrix {m!r}")
+
+
+def test_check_simple_ragged_rows_exits_2(capsys, tmp_path):
+    m = _write(tmp_path, "m.txt", "0 1\n1\n")
+    assert main(["check-simple", "--matrix", m]) == 2
+    assert capsys.readouterr().err == "error: dimension mismatch: rows of unequal length\n"
 
 
 def test_conc_prob_bad_rational_exits_2(capsys, tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from dataclasses import fields
 from fractions import Fraction
@@ -25,7 +26,7 @@ from simplespectrum.matrices import (
     trial_rng,
 )
 from simplespectrum.spectrum import (
-    char_polys_stack,
+    char_polys_bordered,
     repeated_by_twins,
     simplicity_exact,
 )
@@ -86,26 +87,31 @@ def test_lemma_exact_at_large_shift(shift):
 
 
 def test_lemma_rejects_tampered_minor_char_poly(monkeypatch):
-    # The minor's row of the one char_polys_stack call is x p_{M'}: its
-    # second-to-last entry is p_{M'}'s constant term.  K3 runs in int64,
-    # K3 + 10^20 I on Python ints.
-    def tampered(A):
-        rows = char_polys_stack(A)
-        rows[1, -2] += 1
-        return rows
+    # Row 1 of the one char_polys_bordered call, the zero border, is
+    # x p_{M'}: its second-to-last entry is p_{M'}'s constant term.  Adding
+    # a, the corner, to row 0's constant term keeps p_M = row 0 - a p_{M'}
+    # and so g, and only p_{M'} is wrong.  K3 runs in int64, K3 + 10^20 I
+    # on Python ints.
+    def tampered(a):
+        def bordered(A, X):
+            rows = char_polys_bordered(A, X)
+            rows[1, -2] += 1
+            rows[0, -1] += a
+            return rows
+        return bordered
 
-    monkeypatch.setattr(harness, "char_polys_stack", tampered)
     K3 = graph_from_index(3, 7).num
     shift = 10**20  # g = x - shift + 1
-    for M in (SymmetricMatrix(K3), SymmetricMatrix(K3 + shift * np.eye(3, dtype=object))):
-        ok, witness = verify_orthogonality_lemma(M)
+    for a in (0, shift):
+        monkeypatch.setattr(harness, "char_polys_bordered", tampered(a))
+        ok, witness = verify_orthogonality_lemma(SymmetricMatrix(K3 + a * np.eye(3, dtype=object)))
         assert not ok
         assert witness["remainder"] == [1]  # e.g. x^2 divided by x + 1
 
 
 def _lemma_matrices():
     """Every non-simple graph with n <= 5, two matrices with den > 1 and one
-    whose entries pass the int64 bound of char_polys_stack."""
+    whose entries pass the int64 bound of char_polys_bordered."""
     matrices = [
         M for n in range(2, 6) for i in range(1 << n * (n - 1) // 2)
         if not simplicity_exact(M := graph_from_index(n, i)).is_simple
@@ -119,6 +125,24 @@ def _lemma_matrices():
     return matrices
 
 
+# sha256 of the repr of each (ok, witness), joined by newlines, over
+# _lemma_matrices() and then K_{1,3} + 10^20 I, K3 + 10^20 I and
+# K_{1,3} + 2^30 I: 317 witnesses.
+LEMMA_SHA256 = "e5cdff192227acae50c39a48d5bce457354af3dcb0d20a453fe8c3685bc44e54"
+
+
+def test_lemma_witnesses_pinned():
+    star, K3 = graph_from_index(4, 7).num, graph_from_index(3, 7).num
+    matrices = _lemma_matrices() + [
+        SymmetricMatrix(star + 10**20 * np.eye(4, dtype=object)),
+        SymmetricMatrix(K3 + 10**20 * np.eye(3, dtype=object)),
+        SymmetricMatrix(star + 2**30 * np.eye(4, dtype=object)),
+    ]
+    assert len(matrices) == 317
+    got = "\n".join(repr(verify_orthogonality_lemma(M)) for M in matrices)
+    assert hashlib.sha256(got.encode()).hexdigest() == LEMMA_SHA256
+
+
 def test_lemma_factor_is_simplicity_exact_certificate():
     # Same objects, Fractions included: the lemma's own gcd is the
     # certificate, including past the int64 bound, where the pass runs on
@@ -127,7 +151,7 @@ def test_lemma_factor_is_simplicity_exact_certificate():
     assert all(M.den > 1 for M in matrices[-3:-1])
     big = matrices[-1]
     assert big.num.dtype == np.int64
-    assert char_polys_stack(big.num[None]).dtype == object
+    assert char_polys_bordered(big.num[None, :-1, :-1], big.num[None, -1, :-1]).dtype == object
     for M in matrices:
         ok, witness = verify_orthogonality_lemma(M)
         assert ok
@@ -378,6 +402,21 @@ def test_dispatch_pool_size(monkeypatch, cpus, workers, trials, size, jobs):
     got = monte_carlo_simplicity(GNP, 3, trials=trials, seed=9, workers=workers)
     assert _InlineExecutor.sizes == [size, jobs]
     assert got == monte_carlo_simplicity(GNP, 3, trials=trials, seed=9)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_negative_seed_rejected_before_any_pool(monkeypatch, workers):
+    # default_rng refuses a negative seed only inside a trial, in a worker.
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        pytest.fail("started a pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    with pytest.raises(PreconditionError, match="seed"):
+        monte_carlo_simplicity(GNP, 5, trials=3, seed=-1, workers=workers)
+    with pytest.raises(PreconditionError, match="seed"):
+        rich_eigenvector_frequency(SIGN, 4, 2.0, 1e-9, trials=3, seed=-5, workers=workers)
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,8 @@ module-level private name goes unreferenced in the package, no function
 leaves a parameter unread, no dataclass field goes unread outside the
 tests, and no public method, property, module-level function or class is
 read only by the unit tests, a classmethod counting as read only through
-its own class; and every layer function the benchmark traces exists."""
+its own class; and every layer function the benchmark traces, and every
+package name the benchmark imports or reads, exists."""
 
 import ast
 import importlib
@@ -371,3 +372,86 @@ def test_bench_layer_functions_resolve():
         if not callable(getattr(importlib.import_module(f"simplespectrum.{module}"), name, None))
     ]
     assert missing == []
+
+
+def _dotted(node, bound: dict[str, str]):
+    """The dotted name of an attribute chain whose root is a name in
+    `bound`, that root replaced by what it is bound to; else None."""
+    attrs = []
+    while isinstance(node, ast.Attribute):
+        attrs.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name) and node.id in bound:
+        return ".".join([bound[node.id], *reversed(attrs)])
+    return None
+
+
+def package_references(source: str, package: str = "simplespectrum") -> set[str]:
+    """The dotted names of `package` that `source` imports, and every
+    attribute chain it reads off a name so imported, such as
+    package.module.name for module.name after from package import module."""
+    tree = ast.parse(source)
+    bound, refs = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == package:
+            for alias in node.names:
+                bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+                refs.add(f"{node.module}.{alias.name}")
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == package:
+                    bound[alias.asname or package] = alias.name if alias.asname else package
+                    refs.add(alias.name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            if name := _dotted(node, bound):
+                refs.add(name)
+    return refs
+
+
+def unresolved(names) -> list[str]:
+    """The dotted names, sorted, that neither an attribute nor an
+    importable submodule resolves, part by part from the top package."""
+    missing = []
+    for name in sorted(names):
+        parts = name.split(".")
+        obj = importlib.import_module(parts[0])
+        for i, part in enumerate(parts[1:], 2):
+            if hasattr(obj, part):
+                obj = getattr(obj, part)
+                continue
+            try:
+                obj = importlib.import_module(".".join(parts[:i]))
+            except ModuleNotFoundError:
+                missing.append(name)
+                break
+    return missing
+
+
+def test_detects_unresolved_package_reference():
+    source = (
+        "import simplespectrum\n"
+        "from simplespectrum import spectrum, nosuch\n"
+        "from simplespectrum.errors import PreconditionError as PE, Gone\n"
+        "def f(other):\n"
+        "    spectrum.simplicity_exact, spectrum.char_polys_stack, PE.args\n"
+        "    simplespectrum.harness.missing, other.char_polys_stack\n"
+    )
+    refs = package_references(source)
+    assert "simplespectrum.errors.PreconditionError.args" in refs
+    assert not any("other" in name for name in refs)
+    assert unresolved(refs) == [
+        "simplespectrum.errors.Gone",
+        "simplespectrum.harness.missing",
+        "simplespectrum.nosuch",
+        "simplespectrum.spectrum.char_polys_stack",
+    ]
+
+
+def test_bench_package_references_resolve():
+    # Tier-1 runs none of bench/, so a name the package drops would break
+    # the benchmark unseen.
+    refs = set().union(*(package_references(p.read_text())
+                         for p in sorted((SRC.parents[1] / "bench").glob("*.py"))))
+    assert "simplespectrum.spectrum.simplicity_exact" in refs
+    assert unresolved(refs) == []

@@ -181,6 +181,14 @@ def test_non_integer_num_rejected():
         SymmetricMatrix([[1]], 0)
 
 
+def test_ragged_rows_rejected_as_dimension_mismatch():
+    # A short row is a missing entry, not a non-integer one.
+    for rows in ([[0, 1], [1]], [[0], [1, 0]], [[0, 1, 2], [1, 0, 1], [2, 1]]):
+        for build in (SymmetricMatrix.from_rows, SymmetricMatrix):
+            with pytest.raises(PreconditionError, match="^dimension mismatch"):
+                build(rows)
+
+
 def test_graph_from_index_beyond_int64():
     M = graph_from_index(12, 2**65 + 1)  # bits 0 and 65: edges (0,1), (10,11)
     assert M.num[0, 1] == M.num[1, 0] == M.num[10, 11] == M.num[11, 10] == 1

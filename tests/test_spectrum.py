@@ -278,74 +278,6 @@ def _exact_rows(A):
     return [[int(c) for c in reversed(char_poly(SymmetricMatrix(a)).coeffs)] for a in A]
 
 
-@pytest.mark.parametrize("n", range(1, 9))
-def test_char_polys_stack_matches_per_matrix_kernel(n):
-    A = _mixed_stack(n, np.random.default_rng(n))
-    small = A[np.arange(len(A)) % 4 != 3]
-    got = spectrum.char_polys_stack(small)
-    assert got.dtype == np.int64 and got.tolist() == _exact_rows(small)
-    got = spectrum.char_polys_stack(A)
-    # Past the int64 bound, n 2^n (n 10^6)^n >= 2^63 from n = 3 on, the
-    # pass runs on Python ints.
-    assert got.dtype == (object if n >= 3 else np.int64)
-    assert got.tolist() == _exact_rows(A)
-
-
-def test_char_polys_stack_matches_lanczos_on_every_graph_n_le_6():
-    for n in range(1, 7):
-        A = graph_stack(n, range(1 << n * (n - 1) // 2))
-        assert spectrum.char_polys_stack(A).tolist() == [_integer_charpoly(a) for a in A], n
-
-
-def _largest_safe_entry(n):
-    """The largest m with n * 2^n * (n m)^n < 2^63."""
-    m = int(((1 << 63) / (n * 2**n)) ** (1 / n)) // n  # float estimate
-    while n * 2**n * (n * (m + 1)) ** n < 1 << 63:
-        m += 1
-    while n * 2**n * (n * m) ** n >= 1 << 63:
-        m -= 1
-    return m
-
-
-@pytest.mark.parametrize("n", [2, 3, 5, 8, 12])
-def test_char_polys_stack_exact_at_the_int64_limit(n):
-    # c J has the largest eigenvalue, n c, that entries of magnitude c
-    # allow; the reference is the exact char poly from the CRT.
-    c = _largest_safe_entry(n)
-    J = np.ones((n, n), dtype=np.int64)
-    rng = np.random.default_rng(n)
-    A = np.stack([c * J, -c * J, c * np.eye(n, dtype=np.int64), rng.integers(-c, c + 1, size=(n, n))])
-    A = np.triu(A) + np.swapaxes(np.triu(A, 1), 1, 2)
-    got = spectrum.char_polys_stack(A)
-    assert got.dtype == np.int64 and got.tolist() == _exact_rows(A)
-    for sign in (1, -1):  # one past the bound: on Python ints
-        B = sign * (c + 1) * J[None]
-        got = spectrum.char_polys_stack(B)
-        assert got.dtype == object and got.tolist() == _exact_rows(B)
-
-
-class _MinMaxOnly(_Untouchable):
-    """As _Untouchable, but its min and max may be read."""
-
-    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        if method == "reduce" and ufunc in (np.minimum, np.maximum):
-            return ufunc.reduce(*(np.asarray(x) for x in inputs), **kwargs)
-        return super().__array_ufunc__(ufunc, method, *inputs, **kwargs)
-
-
-def test_char_polys_stack_refuses_int64_wrap():
-    # Past the bound the pass runs on Python ints, and the switch comes
-    # before any int64 product: np.abs(-2^63) is -2^63, so the bound must
-    # not take the magnitude through int64.
-    big = np.zeros((2, 3, 3), dtype=np.int64)
-    big[1, 0, 0] = -(2**63)
-    wide = np.zeros((1, 16, 16), dtype=np.int64)
-    wide[0, 0, 0] = 1  # 16 * 2^16 * 16^16 >= 2^63
-    for A in (big, wide, np.full((1, 2, 2), 2**62, dtype=np.int64)):
-        got = spectrum.char_polys_stack(A)
-        assert got.dtype == object and got.tolist() == _exact_rows(A)
-
-
 def _bordered(A, X):
     """The stack of [[0, x^T], [x, A_s]] over the matrices A_s of A and the
     rows x of X, s major: the matrices char_polys_bordered(A, X) covers."""
@@ -361,18 +293,19 @@ def _all_borders(m):
     return (np.arange(1 << m)[:, None] >> np.arange(m)) & 1
 
 
-@pytest.mark.parametrize("n", range(2, 7))
-def test_char_polys_bordered_is_char_polys_stack_on_every_graph(n):
+def test_char_polys_bordered_is_lanczos_on_every_graph_n_le_6():
     # Graph s 2^(n-1) + j is graph s on vertices 1..n-1 bordered by the
-    # bits of j at vertex 0, so the rows agree in order, not just as a
-    # multiset, over the whole range and over any range of minors.
-    m, total = n - 1, 1 << (n - 1) * (n - 2) // 2
-    want = spectrum.char_polys_stack(graph_stack(n, range(total << m)))
-    got = spectrum.char_polys_bordered(graph_stack(m, range(total)), _all_borders(m))
-    assert np.array_equal(got, want)
-    a, b = total // 3, total - total // 4
-    part = spectrum.char_polys_bordered(graph_stack(m, range(a, b)), _all_borders(m))
-    assert np.array_equal(part, want[a << m:b << m])
+    # bits of j at vertex 0, so the rows are the CRT char polys in index
+    # order, not just as a multiset, over the whole range and over any
+    # range of minors.
+    for n in range(2, 7):
+        m, total = n - 1, 1 << (n - 1) * (n - 2) // 2
+        want = [_integer_charpoly(a) for a in graph_stack(n, range(total << m))]
+        got = spectrum.char_polys_bordered(graph_stack(m, range(total)), _all_borders(m))
+        assert got.dtype == np.int64 and got.tolist() == want, n
+        a, b = total // 3, total - total // 4
+        part = spectrum.char_polys_bordered(graph_stack(m, range(a, b)), _all_borders(m))
+        assert part.tolist() == want[a << m:b << m], n
 
 
 @pytest.mark.parametrize("m", range(1, 8))
@@ -381,12 +314,31 @@ def test_char_polys_bordered_matches_per_matrix_kernel(m):
     A = _mixed_stack(m, rng)
     small = A[np.arange(len(A)) % 4 != 3]
     X = rng.integers(-3, 4, size=(5, m))
-    assert spectrum.char_polys_bordered(small, X).tolist() == _exact_rows(_bordered(small, X))
-    if m >= 3:  # 2^m r^(m-1) (m r + 9 m^2) >= 2^63 for r = m 10^6
-        with pytest.raises(PreconditionError):
-            spectrum.char_polys_bordered(A, X)
-    else:
-        assert spectrum.char_polys_bordered(A, X).tolist() == _exact_rows(_bordered(A, X))
+    got = spectrum.char_polys_bordered(small, X)
+    assert got.dtype == np.int64 and got.tolist() == _exact_rows(_bordered(small, X))
+    # Past the int64 bound, 2^m r^(m-1) (m r + 9 m^2) >= 2^63 for
+    # r = m 10^6 from m = 3 on, the pass runs on Python ints.
+    got = spectrum.char_polys_bordered(A, X)
+    assert got.dtype == (object if m >= 3 else np.int64)
+    assert got.tolist() == _exact_rows(_bordered(A, X))
+
+
+class _MinMaxOnly(_Untouchable):
+    """As _Untouchable, but its min and max may be read."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if method == "reduce" and ufunc in (np.minimum, np.maximum):
+            return ufunc.reduce(*(np.asarray(x) for x in inputs), **kwargs)
+        return super().__array_ufunc__(ufunc, method, *inputs, **kwargs)
+
+
+class _MinMaxThenCast(_MinMaxOnly):
+    """As _MinMaxOnly, but it may be cast to Python ints, which gives a
+    plain array: the int64 bound may read only its min and max."""
+
+    def astype(self, dtype, *args, **kwargs):
+        assert dtype is object
+        return np.asarray(self).astype(object)
 
 
 def _bordered_bound(m, a, b):
@@ -394,35 +346,72 @@ def _bordered_bound(m, a, b):
     return 2**m * r ** (m - 1) * (m * r + m * m * b * b)
 
 
-@pytest.mark.parametrize("m", [1, 2, 4, 7])
+def _largest_admitted(bound):
+    """The largest t >= 0 with bound(t) < 2^63, for an increasing bound."""
+    hi = 1
+    while bound(hi) < 1 << 63:
+        hi *= 2
+    lo = 0
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if bound(mid) < 1 << 63 else (lo, mid)
+    return lo
+
+
+@pytest.mark.parametrize("m", [1, 2, 4, 7, 11])
 def test_char_polys_bordered_exact_at_the_int64_limit(m):
-    # The largest border entry b the guard admits with unit minor entries,
-    # on +-J, whose spectral radius m is the largest those allow.
-    b = isqrt((1 << 63) // (2**m * m ** (m + 1)))  # estimate
-    while _bordered_bound(m, 1, b + 1) < 1 << 63:
-        b += 1
-    while _bordered_bound(m, 1, b) >= 1 << 63:
-        b -= 1
+    # The largest border entry b the bound admits with unit minor entries,
+    # on +-J, whose spectral radius m is the largest those allow; then the
+    # largest minor entry c it admits with unit borders, on +-c J, c I and
+    # a random minor.  One past either, on Python ints, decided from the
+    # min and max alone.
+    b = _largest_admitted(lambda t: _bordered_bound(m, 1, t))
+    c = _largest_admitted(lambda t: _bordered_bound(m, t, 1))
     J = np.ones((m, m), dtype=np.int64)
-    A = np.stack([J, -J, np.eye(m, dtype=np.int64)])
-    X = np.array([[b] * m, [-b] * m, [b] + [-b] * (m - 1)], dtype=np.int64)
-    assert spectrum.char_polys_bordered(A, X).tolist() == _exact_rows(_bordered(A, X))
-    with pytest.raises(PreconditionError):
-        spectrum.char_polys_bordered(A.view(_MinMaxOnly), (X + X.clip(-1, 1)).view(_MinMaxOnly))
+    rng = np.random.default_rng(m)
+    R = rng.integers(-c, c + 1, size=(m, m))
+    cases = [
+        (np.stack([J, -J, np.eye(m, dtype=np.int64)]),
+         np.array([[b] * m, [-b] * m, [b] + [-b] * (m - 1)], dtype=np.int64)),
+        (np.stack([c * J, -c * J, c * np.eye(m, dtype=np.int64), np.triu(R) + np.triu(R, 1).T]),
+         np.array([[1] * m, [-1] * m, [1] + [0] * (m - 1)], dtype=np.int64)),
+    ]
+    for A, X in cases:
+        got = spectrum.char_polys_bordered(A, X)
+        assert got.dtype == np.int64 and got.tolist() == _exact_rows(_bordered(A, X))
+    for A, X in ((cases[0][0], cases[0][1] + cases[0][1].clip(-1, 1)),
+                 (cases[1][0] + cases[1][0].clip(-1, 1), cases[1][1])):
+        got = spectrum.char_polys_bordered(A.view(_MinMaxThenCast), X.view(_MinMaxThenCast))
+        assert got.dtype == object and got.tolist() == _exact_rows(_bordered(A, X))
 
 
 def test_char_polys_bordered_refuses_int64_wrap():
-    # Minor stack or border table: either can break the bound, and the
-    # refusal comes before any product, with no magnitude through int64.
+    # Minor stack or border table: either can break the bound, and then the
+    # pass runs on Python ints, switched before any product, with no
+    # magnitude through int64: np.abs(-2^63) is -2^63.
     ones, unit = np.ones((1, 3, 3), dtype=np.int64), np.ones((1, 3), dtype=np.int64)
     wrap = np.zeros((2, 3, 3), dtype=np.int64)
     wrap[1, 0, 0] = -(2**63)
     wide = np.ones((1, 13, 13), dtype=np.int64)  # 2^13 13^12 (13^2 + 13^2) >= 2^63
     cases = [(wrap, unit), (wide, np.ones((1, 13), dtype=np.int64)),
-             (ones, np.array([[0, -(2**63), 0]])), (ones, np.full((1, 3), 2**31))]
+             (ones, np.array([[0, -(2**63), 0]])), (ones, np.full((1, 3), 2**31)),
+             (np.full((1, 2, 2), 2**62, dtype=np.int64), np.ones((1, 2), dtype=np.int64))]
     for A, X in cases:
-        with pytest.raises(PreconditionError):
-            spectrum.char_polys_bordered(A.view(_MinMaxOnly), X.view(_MinMaxOnly))
+        got = spectrum.char_polys_bordered(A.view(_MinMaxThenCast), X.view(_MinMaxThenCast))
+        assert got.dtype == object and got.tolist() == _exact_rows(_bordered(A, X))
+
+
+def test_char_polys_bordered_exact_in_int64_or_python_ints():
+    rng = np.random.default_rng(3)
+    A = np.concatenate([_mixed_stack(4, rng)[[0, 1, 2]], graph_stack(4, range(60, 64))])
+    X = _all_borders(4)[::3]
+    got = spectrum.char_polys_bordered(A, X)
+    assert got.dtype == np.int64 and got.tolist() == _exact_rows(_bordered(A, X))
+    # One entry of 10^6 at m = 4 may overflow int64: the whole stack runs
+    # on Python ints.
+    A[0, 0, 0] = 10**6
+    got = spectrum.char_polys_bordered(A, X)
+    assert got.dtype == object and got.tolist() == _exact_rows(_bordered(A, X))
 
 
 class _Tridiagonal:
@@ -491,18 +480,6 @@ def test_tridiagonal_recurrence_n1_and_zero_couplings():
             for z in zeros:
                 coupling[z] = 0
             _assert_recurrence_matches_cofactor(alpha, coupling, p)
-
-
-def test_char_polys_stack_exact_in_int64_or_python_ints():
-    rng = np.random.default_rng(3)
-    A = np.concatenate([_mixed_stack(5, rng)[[0, 1, 2]], graph_stack(5, range(1020, 1024))])
-    got = spectrum.char_polys_stack(A)
-    assert got.dtype == np.int64 and got.tolist() == [_integer_charpoly(a) for a in A]
-    # One entry of 10^6 at n = 5 may overflow int64: the whole stack runs
-    # on Python ints.
-    A[0, 0, 0] = 10**6
-    got = spectrum.char_polys_stack(A)
-    assert got.dtype == object and got.tolist() == _exact_rows(A)
 
 
 def test_char_poly_bound_sums_squares_exactly():
@@ -914,12 +891,14 @@ def _unique_rows(rows):
 @pytest.fixture(scope="module")
 def graph_char_polys():
     """{n: (D, n + 1) distinct char poly rows [c_0..c_n]} over every graph
-    on n <= 7 vertices; n = 7 by bordering the 6-vertex graphs in stacks."""
-    rows = {n: _unique_rows(spectrum.char_polys_stack(graph_stack(n, range(1 << n * (n - 1) // 2))))
-            for n in range(1, 7)}
-    X = (np.arange(64)[:, None] >> np.arange(6)) & 1
-    parts = [spectrum.char_polys_bordered(graph_stack(6, range(a, a + 1024)), X) for a in range(0, 1 << 15, 1024)]
-    rows[7] = _unique_rows(np.concatenate([_unique_rows(r) for r in parts]))
+    on n <= 7 vertices, by bordering the graphs on n - 1 vertices in
+    stacks of at most 1024."""
+    rows = {1: np.array([[1, 0]])}  # x, the one graph on one vertex
+    for n in range(2, 8):
+        m, total = n - 1, 1 << (n - 1) * (n - 2) // 2
+        parts = [spectrum.char_polys_bordered(graph_stack(m, range(a, min(a + 1024, total))), _all_borders(m))
+                 for a in range(0, total, 1024)]
+        rows[n] = _unique_rows(np.concatenate([_unique_rows(r) for r in parts]))
     assert {n: len(r) for n, r in rows.items()} == {1: 1, 2: 2, 3: 4, 4: 11, 5: 33, 6: 151, 7: 988}
     return rows
 
