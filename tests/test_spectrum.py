@@ -293,19 +293,61 @@ def _all_borders(m):
     return (np.arange(1 << m)[:, None] >> np.arange(m)) & 1
 
 
-def test_char_polys_bordered_is_lanczos_on_every_graph_n_le_6():
+def _char_polys_stack(A, chunk=64):
+    """The char poly of each matrix M of an (S, n, n) stack of integer
+    symmetric matrices, as rows [c_0..c_n], the way
+    verify_orthogonality_lemma gets p_M: per chunk, one char_polys_bordered
+    pass over the minors M' (M without its last row and column), bordered
+    by each M's last column x and by zero, gives x p' - q and x p', and
+    p = (x p' - q) - a p' follows on Python ints, a the corner of M.  The
+    rows have the bordered pass's dtype: int64 while every chunk stays
+    within its int64 bound, else Python ints."""
+    rows, dtype = [], np.int64
+    for i in range(0, len(A), chunk):
+        B = A[i:i + chunk]
+        k, X = len(B), B[:, -1, :-1]
+        got = spectrum.char_polys_bordered(B[:, :-1, :-1], np.concatenate([X, 0 * X[:1]]))
+        dtype = object if got.dtype == object else dtype
+        got = got.reshape(k, k + 1, -1).tolist()
+        for s in range(k):
+            xp_q, minor, a = got[s][s], got[s][k][:-1], int(B[s, -1, -1])
+            rows.append([c - a * d for c, d in zip(xp_q, [0] + minor)])
+    return np.array(rows, dtype=dtype)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_char_polys_stack_matches_per_matrix_kernel(n):
+    A = _mixed_stack(n, np.random.default_rng(n))
+    small = A[np.arange(len(A)) % 4 != 3]
+    got = _char_polys_stack(small)
+    assert got.dtype == np.int64 and got.tolist() == _exact_rows(small)
+    got = _char_polys_stack(A)
+    # Past the bordered pass's int64 bound, 2^m r^(m-1) (m r + m^2 b^2)
+    # >= 2^63 for m = n - 1, r = m 10^6 and b = 10^6 from n = 3 on, the
+    # pass runs on Python ints.
+    assert got.dtype == (object if n >= 3 else np.int64)
+    assert got.tolist() == _exact_rows(A)
+
+
+def test_char_polys_stack_matches_lanczos_on_every_graph_n_le_6():
+    for n in range(1, 7):
+        A = graph_stack(n, range(1 << n * (n - 1) // 2))
+        assert _char_polys_stack(A).tolist() == [_integer_charpoly(a) for a in A], n
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_char_polys_bordered_is_char_polys_stack_on_every_graph(n):
     # Graph s 2^(n-1) + j is graph s on vertices 1..n-1 bordered by the
-    # bits of j at vertex 0, so the rows are the CRT char polys in index
-    # order, not just as a multiset, over the whole range and over any
-    # range of minors.
-    for n in range(2, 7):
-        m, total = n - 1, 1 << (n - 1) * (n - 2) // 2
-        want = [_integer_charpoly(a) for a in graph_stack(n, range(total << m))]
-        got = spectrum.char_polys_bordered(graph_stack(m, range(total)), _all_borders(m))
-        assert got.dtype == np.int64 and got.tolist() == want, n
-        a, b = total // 3, total - total // 4
-        part = spectrum.char_polys_bordered(graph_stack(m, range(a, b)), _all_borders(m))
-        assert part.tolist() == want[a << m:b << m], n
+    # bits of j at vertex 0, so the rows agree in order, not just as a
+    # multiset, over the whole range and over any range of minors, with
+    # the char polys of the whole graphs bordered at their last vertex.
+    m, total = n - 1, 1 << (n - 1) * (n - 2) // 2
+    want = _char_polys_stack(graph_stack(n, range(total << m)))
+    got = spectrum.char_polys_bordered(graph_stack(m, range(total)), _all_borders(m))
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+    a, b = total // 3, total - total // 4
+    part = spectrum.char_polys_bordered(graph_stack(m, range(a, b)), _all_borders(m))
+    assert np.array_equal(part, want[a << m:b << m])
 
 
 @pytest.mark.parametrize("m", range(1, 8))
@@ -412,6 +454,50 @@ def test_char_polys_bordered_exact_in_int64_or_python_ints():
     A[0, 0, 0] = 10**6
     got = spectrum.char_polys_bordered(A, X)
     assert got.dtype == object and got.tolist() == _exact_rows(_bordered(A, X))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 12])
+def test_char_polys_stack_exact_at_the_int64_limit(n):
+    # c J has the largest eigenvalue, n c, that entries of magnitude c
+    # allow, with c the largest the bordered pass's bound admits in both
+    # minor and border of an n x n matrix; the reference is the exact char
+    # poly from the CRT.
+    c = _largest_admitted(lambda t: _bordered_bound(n - 1, t, t))
+    J = np.ones((n, n), dtype=np.int64)
+    rng = np.random.default_rng(n)
+    A = np.stack([c * J, -c * J, c * np.eye(n, dtype=np.int64), rng.integers(-c, c + 1, size=(n, n))])
+    A = np.triu(A) + np.swapaxes(np.triu(A, 1), 1, 2)
+    got = _char_polys_stack(A)
+    assert got.dtype == np.int64 and got.tolist() == _exact_rows(A)
+    for sign in (1, -1):  # one past the bound: on Python ints
+        B = sign * (c + 1) * J[None]
+        got = _char_polys_stack(B)
+        assert got.dtype == object and got.tolist() == _exact_rows(B)
+
+
+def test_char_polys_stack_refuses_int64_wrap():
+    # Past the bound the pass runs on Python ints, and the switch comes
+    # before any int64 product: np.abs(-2^63) is -2^63, so the bound must
+    # not take the magnitude through int64.
+    big = np.zeros((2, 3, 3), dtype=np.int64)
+    big[1, 0, 0] = -(2**63)
+    wide = np.zeros((1, 16, 16), dtype=np.int64)
+    wide[0, 0, 0] = 1  # 2^15 15^14 15^2 >= 2^63
+    for A in (big, wide, np.full((1, 2, 2), 2**62, dtype=np.int64)):
+        got = _char_polys_stack(A)
+        assert got.dtype == object and got.tolist() == _exact_rows(A)
+
+
+def test_char_polys_stack_exact_in_int64_or_python_ints():
+    rng = np.random.default_rng(3)
+    A = np.concatenate([_mixed_stack(5, rng)[[0, 1, 2]], graph_stack(5, range(1020, 1024))])
+    got = _char_polys_stack(A)
+    assert got.dtype == np.int64 and got.tolist() == [_integer_charpoly(a) for a in A]
+    # One entry of 10^6 at n = 5 may overflow int64: the whole stack runs
+    # on Python ints.
+    A[0, 0, 0] = 10**6
+    got = _char_polys_stack(A)
+    assert got.dtype == object and got.tolist() == _exact_rows(A)
 
 
 class _Tridiagonal:
