@@ -35,12 +35,16 @@ irrational, reach repeated_factor: 4 of the 151 distinct char polys at
 n = 6 and 13 of 988 at n = 7.
 
 Monte Carlo reads only whether each draw is simple, so a draw goes first
-through spectrum.repeated_by_twins: zero rows and equal rows of num, or
-of num + den*I, that give two independent kernel vectors prove a repeated
-eigenvalue 0 or -1 in O(n^2), with no prime.  Only the draws it does not
-settle reach simplicity_exact.  In sparse G(n, p), p near log n / n,
-isolated vertices and twins make most non-simple draws of this kind,
-while a dense sign draw pays only the hash of its rows.
+through two exact witnesses.  spectrum.repeated_by_twins proves a
+repeated eigenvalue 0 or -1 in O(n^2), with no prime, from zero rows and
+equal rows of num, or of num + den*I, that give two independent kernel
+vectors.  In sparse G(n, p), p near log n / n, isolated vertices and twins
+make most non-simple draws of this kind.  spectrum.simple_by_enclosures
+then proves most simple draws simple from one eigh and an integer
+residual check: n disjoint enclosures, one around each rounded
+eigenvalue.  Only the draws neither settles reach simplicity_exact, which
+never calls LAPACK, so its verdicts and its Krylov certificate stay free
+of floats.
 """
 
 from __future__ import annotations
@@ -72,6 +76,7 @@ from .spectrum import (
     eigen_decompose,
     repeated_by_twins,
     repeated_factor,
+    simple_by_enclosures,
     simplicity_exact,
     squarefree_screen,
 )
@@ -278,7 +283,7 @@ def _mc_chunk(args) -> int:
     nonsimple = 0
     for t in range(start, stop):
         M = sample_matrix(spec, n, trial_rng(seed, t))
-        if repeated_by_twins(M) or not simplicity_exact(M).is_simple:
+        if repeated_by_twins(M) or not (simple_by_enclosures(M) or simplicity_exact(M).is_simple):
             nonsimple += 1
     return nonsimple
 
@@ -289,9 +294,13 @@ def monte_carlo_simplicity(
     """Sample matrices and estimate the non-simple fraction with 95% CI.
 
     A draw is non-simple when repeated_by_twins proves it, by zero or equal
-    rows of num or num + den*I, and otherwise when simplicity_exact says
-    so.  The witness is exact, so the count is simplicity_exact's; it only
-    spares the Lanczos passes and the CRT on the draws it proves."""
+    rows of num or num + den*I; simple when simple_by_enclosures proves
+    it, by n disjoint eigenvalue enclosures checked on integers; and
+    otherwise as simplicity_exact says.  Both witnesses are exact, so the
+    count is simplicity_exact's; they only spare the Lanczos passes and
+    the CRT on the draws they prove."""
+    if n < 1:
+        raise PreconditionError("n must be >= 1")
     if trials < 1:
         raise PreconditionError("trials must be >= 1")
     if seed < 0:
@@ -330,6 +339,8 @@ def rich_eigenvector_frequency(
 ) -> ExperimentSummary:
     """Fraction of sampled matrices with at least one rich eigenvector
     (windowed small-ball at window `delta`, threshold n^-A)."""
+    if n < 1:
+        raise PreconditionError("n must be >= 1")
     if trials < 1:
         raise PreconditionError("trials must be >= 1")
     if seed < 0:

@@ -44,6 +44,17 @@ that give two independent kernel vectors make 0, or -1, a repeated
 eigenvalue.  Most non-simple sparse graphs of Luh and Vu's regime are of
 this kind.
 
+Enclosure witness: simple_by_enclosures proves most simple M simple from
+one eigen_decompose and a few integer array operations.  Floats choose and
+integers prove: each eigenvector, rounded to an integer column X_i, and
+each eigenvalue of num, rounded to a centre m_i / 2^t, give an exact int64
+residual R_i = 2^t num X_i - m_i X_i, and num has an eigenvalue within
+||R_i|| / (2^t ||X_i||) of m_i / 2^t (Parlett, ch. 4).  n disjoint
+enclosures are n distinct eigenvalues.  The eigenvalue gaps of a random
+matrix are far wider than these radii (Nguyen, Tao and Vu), so the check
+rarely declines a simple draw.  simplicity_exact does not call it, so the
+exact route never touches LAPACK.
+
 Numeric route: LAPACK's symmetric eigensolver (np.linalg.eigh), followed
 by gap clustering.  Where the two disagree the exact verdict is ground truth.
 """
@@ -489,6 +500,55 @@ def eigen_decompose(M: SymmetricMatrix, tol: float = 1e-12) -> NumericSpectrum:
             f"eigh residual {residual:g} exceeds tol * ||M||_F", achieved=residual
         )
     return NumericSpectrum(lam, V, residual)
+
+
+def simple_by_enclosures(M: SymmetricMatrix) -> bool:
+    """True when eigenvector enclosures prove M simple: False says nothing.
+
+    Floats choose and integers prove.  eigen_decompose(M) gives unit
+    eigenvectors v_i and eigenvalues lam_i, rounded to integer columns
+    X_i = rint(2^s v_i) and centres m_i = rint(2^t den lam_i), and
+    R = 2^t num X - X diag(m) is formed exactly, with numpy's integer
+    matmul.  For any x != 0 the symmetric num has an eigenvalue within
+    ||num x - theta x|| / ||x|| of theta (Parlett, The Symmetric Eigenvalue
+    Problem, ch. 4), so one lies within ||R_i|| / (2^t ||X_i||) of
+    m_i / 2^t.  With g the least step of m, strictly increasing m and
+    4 max ||R_i||^2 < g^2 min ||X_i||^2, compared as Python ints, make each
+    radius below g / 2^(t+1): the n enclosures are disjoint, and hold n
+    distinct eigenvalues of num, and so of M.
+
+    With B = max(1, n max |a_ij|), which bounds every |den lam|, the scales
+    are s = (62 - bitlen(n)) // 2 and t = s - 1 - bitlen(B), so that
+    2^t B < 2^(s-1).  Returns False, before any cast, unless every
+    rint(2^s v_ij) and m_i is at most 2^s in size, which NaN and inf fail.
+    Then each partial sum of R is below 2^s (2^t B + 2^s) < 2^(2s+1) < 2^62
+    and each ||X_i||^2 at most n 2^(2s) < 2^62; each ||R_i||^2 is formed
+    only when n max |R|^2 < 2^63.  An object-dtype num, a t below 0 or a
+    ConvergenceError returns False too; a 1 x 1 M is simple."""
+    num, den, n = M.num, M.den, M.n
+    if n < 2:
+        return True
+    if num.dtype == object:
+        return False
+    s = (62 - n.bit_length()) // 2
+    t = s - 1 - max(1, n * _max_abs(num)).bit_length()
+    if t < 0:
+        return False
+    try:
+        S = eigen_decompose(M)
+    except ConvergenceError:
+        return False
+    X = np.rint(S.eigenvectors * 2.0**s)
+    m = np.rint(S.eigenvalues * (den * 2.0**t))
+    if not (np.abs(X).max() <= 2**s and np.abs(m).max() <= 2**s):
+        return False
+    X, m = X.astype(np.int64), m.astype(np.int64)
+    R = ((num @ X) << t) - X * m
+    if n * _max_abs(R) ** 2 >= 1 << 63:
+        return False
+    g = int(np.diff(m).min())
+    r2, x2 = int((R * R).sum(axis=0).max()), int((X * X).sum(axis=0).min())
+    return g > 0 and 4 * r2 < g * g * x2
 
 
 def simplicity_numeric(M: SymmetricMatrix, gap_tol: float = 1e-8) -> SimplicityVerdict:

@@ -28,6 +28,7 @@ from simplespectrum.matrices import (
 from simplespectrum.spectrum import (
     char_polys_bordered,
     repeated_by_twins,
+    simple_by_enclosures,
     simplicity_exact,
 )
 
@@ -419,19 +420,37 @@ def test_negative_seed_rejected_before_any_pool(monkeypatch, workers):
         rich_eigenvector_frequency(SIGN, 4, 2.0, 1e-9, trials=3, seed=-5, workers=workers)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("n", [0, -2])
+def test_n_below_one_rejected_before_any_pool(monkeypatch, workers, n):
+    # sample_matrix refuses n < 1 only inside a trial, in a worker.
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        pytest.fail("started a pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    with pytest.raises(PreconditionError, match="n must be >= 1"):
+        monte_carlo_simplicity(GNP, n, trials=3, seed=1, workers=workers)
+    with pytest.raises(PreconditionError, match="n must be >= 1"):
+        rich_eigenvector_frequency(SIGN, n, 2.0, 1e-9, trials=3, seed=1, workers=workers)
+
+
+GNP_2_25 = EnsembleSpec(make_distribution([0, 1], ["23/25", "2/25"]), zero_atom())
+
+
 @pytest.mark.parametrize(
-    "spec, nonsimple",
-    [
-        (SIGN, 0),
-        (EnsembleSpec(make_distribution([0, 1], ["23/25", "2/25"]), zero_atom()), 5),
-    ],
-    ids=["sign", "gnp-2/25"],
+    "spec, trials, nonsimple",
+    [(SIGN, 10, 0), (GNP_2_25, 10, 5), (SIGN, 300, 0), (GNP_2_25, 300, 103)],
+    ids=["sign", "gnp-2/25", "sign-300", "gnp-2/25-300"],
 )
-def test_monte_carlo_n50_counts_pinned(spec, nonsimple):
+def test_monte_carlo_n50_counts_pinned(spec, trials, nonsimple):
     # Counts recorded with the Faddeev-LeVerrier route and the C(n,k)*(n*a)^k
-    # prime count; the exact route must keep them at the size it is tuned for.
-    s = monte_carlo_simplicity(spec, 50, trials=10, seed=0)
-    assert (s.trials, s.successes) == (10, nonsimple)
+    # prime count, the 300-trial ones before the enclosure witness; the
+    # exact route and both witnesses must keep them at the size they are
+    # tuned for.
+    s = monte_carlo_simplicity(spec, 50, trials=trials, seed=0)
+    assert (s.trials, s.successes) == (trials, nonsimple)
 
 
 def _sparse_gnp(n):
@@ -442,28 +461,36 @@ def _sparse_gnp(n):
 
 @pytest.mark.parametrize("n, trials", [(20, 60), (50, 30), (100, 12)])
 def test_monte_carlo_sparse_counts_match_exact_recount(n, trials):
-    # The twin witness settles most non-simple draws first; the count must
-    # be simplicity_exact's on every draw, and not depend on the workers.
+    # The twin witness settles most non-simple draws first, and the
+    # enclosure witness proves simple draws simple; the count must be
+    # simplicity_exact's on every draw, and not depend on the workers.
     spec = _sparse_gnp(n)
     draws = [sample_matrix(spec, n, trial_rng(4, t)) for t in range(trials)]
-    exact = sum(not simplicity_exact(M).is_simple for M in draws)
+    simple = [simplicity_exact(M).is_simple for M in draws]
+    exact = simple.count(False)
     twins = sum(map(repeated_by_twins, draws))
+    enclosed = [simple_by_enclosures(M) for M in draws]
     assert 0 < twins <= exact < trials
+    assert 0 < sum(enclosed) and all(s for s, e in zip(simple, enclosed) if e)
     s1 = monte_carlo_simplicity(spec, n, trials=trials, seed=4, workers=1)
     s3 = monte_carlo_simplicity(spec, n, trials=trials, seed=4, workers=3)
     assert s1 == s3 and s1.successes == exact
 
 
 def test_monte_carlo_witness_spares_the_lanczos_pass(monkeypatch):
-    # A draw the witness proves non-simple runs no Lanczos pass; every
-    # other draw runs simplicity_exact, which starts with one.
+    # A draw either witness settles runs no Lanczos pass; every other draw
+    # runs simplicity_exact, which starts with one.
     spec = _sparse_gnp(50)
-    covered = [repeated_by_twins(sample_matrix(spec, 50, trial_rng(4, t))) for t in range(30)]
+    draws = [sample_matrix(spec, 50, trial_rng(4, t)) for t in range(30)]
+    twins = [repeated_by_twins(M) for M in draws]
+    enclosed = [simple_by_enclosures(M) for M in draws]
     passes = []
     real = spectrum._lanczos_mod
     monkeypatch.setattr(spectrum, "_lanczos_mod", lambda A, p: passes.append(p) or real(A, p))
     monte_carlo_simplicity(spec, 50, trials=30, seed=4)
-    assert passes.count(spectrum._crt_prime(0)) == covered.count(False) < 30
+    assert any(twins) and any(enclosed)
+    left = sum(not (w or e) for w, e in zip(twins, enclosed))
+    assert passes.count(spectrum._crt_prime(0)) == left
 
 
 def test_monte_carlo_degenerate_spec():

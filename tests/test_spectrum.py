@@ -23,9 +23,11 @@ from simplespectrum.matrices import (
     trial_rng,
 )
 from simplespectrum.spectrum import (
+    NumericSpectrum,
     char_poly,
     eigen_decompose,
     repeated_by_twins,
+    simple_by_enclosures,
     simplicity_exact,
     simplicity_numeric,
 )
@@ -1392,3 +1394,150 @@ def test_twin_witness_declines_past_int64(num, den):
         assert repeated_by_twins(M) is False
     # Each is non-simple at 0, so only the guard declines.
     assert _horner(simplicity_exact(M).certificate, 0) == 0
+
+
+# Simple graphs on n vertices, as in the census: 21,127 for n <= 6.
+SIMPLE_GRAPHS = {2: 1, 3: 6, 4: 30, 5: 750, 6: 20340}
+
+
+@pytest.mark.parametrize("n", sorted(SIMPLE_GRAPHS))
+def test_enclosure_witness_on_every_graph_n_le_6(n):
+    m = n - 1
+    A = graph_stack(n, range(1 << n * m // 2))
+    fired = np.array([simple_by_enclosures(SymmetricMatrix(a)) for a in A])
+    # Row i of the bordered pass is the char poly of graph i, so
+    # simplicity_exact on the first graph of each distinct char poly
+    # decides them all.
+    rows = spectrum.char_polys_bordered(graph_stack(m, range(1 << m * (m - 1) // 2)), _all_borders(m))
+    _, first, which = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+    verdicts = np.array([simplicity_exact(SymmetricMatrix(A[i])).is_simple for i in first])
+    simple = verdicts[which.ravel()]
+    assert not (fired & ~simple).any()
+    assert int(fired.sum()) == int(simple.sum()) == SIMPLE_GRAPHS[n]
+
+
+HALF = make_distribution(["-1/2", "3/2"], ["1/2", "1/2"])
+
+
+@pytest.mark.parametrize("spec", [
+    SIGN,
+    EnsembleSpec(make_distribution([0, 1], ["23/25", "2/25"]), zero_atom()),
+    EnsembleSpec(HALF, HALF),
+], ids=["sign", "gnp-2/25", "den-2"])
+def test_enclosure_witness_proves_exactly_the_simple_seeded_draws(spec):
+    # Sound on every draw, and it proves each simple one: its scales follow
+    # n and max |num|, so num = 2M, entries -1 and 3, is proved at n = 50
+    # as a sign matrix is.
+    for n in range(2, 51):
+        for t in range(3):
+            M = sample_matrix(spec, n, trial_rng(5, t))
+            assert simple_by_enclosures(M) == simplicity_exact(M).is_simple, (n, t)
+
+
+J4 = SymmetricMatrix(np.ones((4, 4), dtype=np.int64))
+NONSIMPLE = [K3, J4, SymmetricMatrix(J4.num, 2)]
+
+
+def _bad_eigh(kind):
+    """np.linalg.eigh returning NaN, zeros, or the true eigenpairs with the
+    eigenvalues pulled apart by `kind` times 0, 1, 2, ... and the
+    eigenvectors turned by about as much."""
+    real = np.linalg.eigh
+
+    def eigh(A):
+        lam, V = real(A)
+        if kind == "nan":
+            return lam * np.nan, V * np.nan
+        if kind == "zeros":
+            return 0 * lam, 0 * V
+        turn, _ = np.linalg.qr(np.eye(len(lam)) + kind * np.arange(len(lam) ** 2).reshape(V.shape))
+        return lam + kind * np.arange(len(lam)), V @ turn
+
+    return eigh
+
+
+@pytest.mark.parametrize("kind", ["nan", "zeros", 1e-15, 1e-14, 1e-9, 1e-3])
+@pytest.mark.parametrize("M", NONSIMPLE, ids=["K3", "J4", "J4/2"])
+def test_enclosure_witness_never_proves_from_bad_eigenpairs(monkeypatch, M, kind):
+    # The two smallest spreads pass eigen_decompose's residual check, the
+    # others raise ConvergenceError; no RuntimeWarning either way.
+    monkeypatch.setattr(np.linalg, "eigh", _bad_eigh(kind))
+    assert simple_by_enclosures(M) is False
+
+
+def _short_columns(lam, lopsided=False, order=(0, 1, 2)):
+    """Fake eigen_decompose output: eigenvalues lam and columns 2^-20 e_j,
+    the second ten times shorter if lopsided, both in `order`.  The
+    columns round to exact integer columns, so every residual is exact."""
+    V = np.eye(3) / 2**20
+    if lopsided:
+        V[:, 1] /= 10
+    order = list(order)
+    return lambda M: NumericSpectrum(np.array(lam)[order], V[:, order], 0.0)
+
+
+@pytest.mark.parametrize("den", [1, 2])
+@pytest.mark.parametrize("lopsided", [False, True])
+def test_enclosure_witness_proves_from_short_exact_columns(monkeypatch, den, lopsided):
+    # The control for the test below: distinct true eigenvalues -1, 1, 5.
+    monkeypatch.setattr(spectrum, "eigen_decompose", _short_columns([-1, 1, 5], lopsided))
+    assert simple_by_enclosures(SymmetricMatrix(np.diag([-den, den, 5 * den]), den)) is True
+
+
+@pytest.mark.parametrize("spread", [1e-6, 1e-3])
+@pytest.mark.parametrize("case", ["even", "lopsided", "unsorted"])
+@pytest.mark.parametrize("den", [1, 2])
+def test_enclosure_witness_refuses_overlapping_enclosures(monkeypatch, den, case, spread):
+    # diag(0, 0, 5) / den repeats 0, pulled apart to centres -a and b:
+    # each of their enclosures holds 0, so they overlap.  "even" (a = b)
+    # makes each radius half the gap, too wide by the factor 4.
+    # "lopsided" (a = b / 10, second column ten times shorter) leaves the
+    # first radius short enough on its own: only the shortest column bounds
+    # every radius.  "unsorted" swaps the last two columns, so the least
+    # step of the centres is negative.
+    lam = [-spread / 10 if case == "lopsided" else -spread, spread, 5 / den]
+    fake = _short_columns(lam, case == "lopsided", (0, 2, 1) if case == "unsorted" else (0, 1, 2))
+    monkeypatch.setattr(spectrum, "eigen_decompose", fake)
+    assert simple_by_enclosures(SymmetricMatrix(np.diag([0, 0, 5]), den)) is False
+
+
+@pytest.mark.parametrize("fake", ["nan-vectors", "huge-vectors", "inf-values", "wide-residual"])
+def test_enclosure_witness_declines_garbage_before_any_wrap(monkeypatch, fake):
+    # Without its guards the witness would cast NaN or out-of-range floats
+    # to int64, a RuntimeWarning, or square residual entries near 2^56,
+    # which wraps: K3's exact eigenvectors with each eigenvalue moved by
+    # 1/2 leave residuals of about 2^(s+t-1).
+    S = eigen_decompose(K3)
+    lam, V = S.eigenvalues, S.eigenvectors
+    lam, V = {"nan-vectors": (lam, V * np.nan), "huge-vectors": (lam, V * 1e30),
+              "inf-values": (lam * np.inf, V), "wide-residual": (lam + [-0.5, 0.5, 0.5], V)}[fake]
+    monkeypatch.setattr(spectrum, "eigen_decompose", lambda M: NumericSpectrum(lam, V, 0.0))
+    assert simple_by_enclosures(K3) is False
+
+
+def _tridiagonal(a):
+    """[[a, 1, 0], [1, 2, 1], [0, 1, -a]], simple for every a."""
+    return np.array([[a, 1, 0], [1, 2, 1], [0, 1, -a]], dtype=np.int64)
+
+
+def test_enclosure_witness_scales_and_guards(monkeypatch):
+    assert simple_by_enclosures(SymmetricMatrix([[7]])) is True
+    assert simple_by_enclosures(SymmetricMatrix([[0, 0], [0, 0]])) is False
+    # At n = 3, s = 30 and t = 29 - bitlen(3 max |a_ij|): the largest a
+    # with t = 0 is proved, the next is declined before any eigh.
+    a = (2**29 - 1) // 3
+    assert simple_by_enclosures(SymmetricMatrix(_tridiagonal(a))) is True
+    declined = [SymmetricMatrix(_tridiagonal(a + 1)),
+                SymmetricMatrix(np.diag(np.array([2**64, 1, 2], dtype=object)))]
+    monkeypatch.setattr(spectrum, "eigen_decompose", lambda M: pytest.fail("called eigh"))
+    for M in declined:
+        assert simple_by_enclosures(M) is False
+    monkeypatch.undo()
+    assert declined[1].num.dtype == object
+    assert all(simplicity_exact(M).is_simple for M in declined)
+
+    def no_convergence(M):
+        raise ConvergenceError("residual", achieved=1.0)
+
+    monkeypatch.setattr(spectrum, "eigen_decompose", no_convergence)
+    assert simple_by_enclosures(SymmetricMatrix(_tridiagonal(1))) is False
